@@ -59,7 +59,7 @@ def _jsonable(value):
 
 
 def write_json(report: dict, path: str) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -421,9 +421,9 @@ def _run_pif(ns) -> tuple[dict, int]:
         },
         "series": {
             "cycle": list(range(len(rep.cycles))),
-            "i_plus": [c.i_plus for c in rep.cycles],
-            "i_minus": [c.i_minus for c in rep.cycles],
-            "delta_s": [c.delta_s for c in rep.cycles],
+            "i_plus": rep.cycles.i_plus.tolist(),
+            "i_minus": rep.cycles.i_minus.tolist(),
+            "delta_s": rep.cycles.delta_s.tolist(),
         },
     }
     rc = 0
@@ -443,11 +443,6 @@ def _run_fito_vs_pif(ns) -> tuple[dict, int]:
     cfg = _merged_config(ns, defaults)
     pif_rep = piflink.run_link(_link_config(cfg, piflink.LinkMode.PIF))
     fito_rep = piflink.run_link(_link_config(cfg, piflink.LinkMode.FITO))
-    running = 0.0
-    cumulative = []
-    for c in fito_rep.cycles:
-        running += c.landauer_joules
-        cumulative.append(running)
     report = {
         "experiment": "fito-vs-pif",
         "config": cfg,
@@ -460,7 +455,8 @@ def _run_fito_vs_pif(ns) -> tuple[dict, int]:
             "injected_forward": fito_rep.injected_forward,
         },
         "series": {"cycle": list(range(len(fito_rep.cycles))),
-                   "fito_landauer_cumulative": cumulative},
+                   "fito_landauer_cumulative":
+                       np.cumsum(fito_rep.cycles.landauer_joules).tolist()},
     }
     rc = 0
     if pif_rep.ledger.landauer_joules != 0.0:

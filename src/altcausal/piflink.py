@@ -34,6 +34,7 @@ __all__ = [
     "Slice",
     "JointDistribution",
     "InfoLedger",
+    "CycleColumns",
     "LinkConfig",
     "LinkReport",
     "binary_entropy",
@@ -55,7 +56,7 @@ BOLTZMANN_J_PER_K = 1.380649e-23    # exact SI value
 SLICE_BYTES = 8
 SLICE_BITS = 8 * SLICE_BYTES
 FRAME_BYTES = 16
-_SEQ_MASK = (1 << 48) - 1
+_SEQ_LIMIT = 1 << 48   # the frame carries a 6-byte sequence number
 
 
 class Direction(Enum):
@@ -170,8 +171,8 @@ def landauer_cost(bits: float, temperature_kelvin: float) -> float:
     """Minimum erasure cost k_B T ln2 per bit, in joules."""
     if bits < 0:
         raise ValueError(f"erased bits must be >= 0, got {bits}")
-    if temperature_kelvin < 0:
-        raise ValueError(f"temperature must be >= 0, got {temperature_kelvin}")
+    if not (math.isfinite(temperature_kelvin) and temperature_kelvin >= 0):
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature_kelvin}")
     return bits * BOLTZMANN_J_PER_K * temperature_kelvin * math.log(2)
 
 
@@ -215,18 +216,69 @@ class InfoLedger:
         object.__setattr__(self, "delta_s", self.i_transmitted - self.i_reflected)
 
 
-def conservation_check(ledgers: Sequence[InfoLedger]) -> float:
+@dataclass(frozen=True)
+class CycleColumns:
+    """Per-cycle ledgers of one run, one read-only float64 column per field.
+
+    Entry k of every column is cycle k's tally, with the same meaning and
+    the same checks as an ``InfoLedger``: every field is non-negative and
+    the reflected share never exceeds the transmitted one.  A cycle's
+    transmitted information is its forward directed information, so
+    ``i_transmitted`` is ``i_plus`` and ``delta_s`` is derived from the
+    two, never stored.
+    """
+
+    i_plus: np.ndarray
+    i_minus: np.ndarray
+    i_reflected: np.ndarray
+    h_in: np.ndarray
+    h_out: np.ndarray
+    landauer_joules: np.ndarray
+
+    def __post_init__(self):
+        for name in ("i_plus", "i_minus", "i_reflected", "h_in", "h_out", "landauer_joules"):
+            # a view, so freezing it leaves the caller's array writable
+            col = np.asarray(getattr(self, name), dtype=np.float64).view()
+            if col.shape != np.shape(self.i_plus) or col.ndim != 1:
+                raise ValueError(f"{name} must be a column as long as i_plus, got shape {col.shape}")
+            bad = np.flatnonzero(col < 0)
+            if bad.size:
+                raise ValueError(f"{name} must be >= 0, got {col[bad[0]]} in cycle {bad[0]}")
+            col.setflags(write=False)
+            object.__setattr__(self, name, col)
+        bad = np.flatnonzero(self.i_reflected > self.i_plus)
+        if bad.size:
+            raise ValueError(
+                f"reflected information exceeds transmitted information in cycle {bad[0]}")
+
+    def __len__(self) -> int:
+        return self.i_plus.shape[0]
+
+    @property
+    def i_transmitted(self) -> np.ndarray:
+        return self.i_plus
+
+    @property
+    def delta_s(self) -> np.ndarray:
+        return self.i_plus - self.i_reflected
+
+
+def conservation_check(cycles: CycleColumns | Sequence[InfoLedger]) -> float:
     """Max per-cycle violation of dI_plus + dI_minus = 0.
 
-    Needs at least two cycles; a steadily running verified link scores
-    exactly zero because both directed rates are constant.
+    Takes a run's ``CycleColumns`` or any sequence of ``InfoLedger``,
+    which is turned into columns first.  Needs at least two cycles; a
+    steadily running verified link scores exactly zero because both
+    directed rates are constant.
     """
-    if len(ledgers) < 2:
+    if len(cycles) < 2:
         raise ValueError("conservation check needs at least two cycles")
-    worst = 0.0
-    for prev, cur in zip(ledgers, ledgers[1:]):
-        worst = max(worst, abs((cur.i_plus - prev.i_plus) + (cur.i_minus - prev.i_minus)))
-    return worst
+    if isinstance(cycles, CycleColumns):
+        i_plus, i_minus = cycles.i_plus, cycles.i_minus
+    else:
+        i_plus = np.array([c.i_plus for c in cycles], dtype=np.float64)
+        i_minus = np.array([c.i_minus for c in cycles], dtype=np.float64)
+    return float(np.abs(np.diff(i_plus) + np.diff(i_minus)).max())
 
 
 @dataclass(frozen=True)
@@ -246,19 +298,24 @@ class LinkConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
-        if self.temperature_kelvin <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature_kelvin}")
+        if not (math.isfinite(self.temperature_kelvin) and self.temperature_kelvin > 0):
+            raise ValueError(f"temperature must be finite and positive, got {self.temperature_kelvin}")
         if not isinstance(self.mode, LinkMode):
             raise ValueError(f"mode must be a LinkMode, got {self.mode!r}")
 
 
 @dataclass(frozen=True)
 class LinkReport:
-    """Everything observed over one simulated run."""
+    """Everything observed over one simulated run.
+
+    ``ledger`` holds the run totals; ``cycles`` holds one ledger entry
+    per slice round trip as columns.  Each total is its column added
+    left to right, so it is reproducible to the last bit.
+    """
 
     config: LinkConfig
     ledger: InfoLedger
-    cycles: tuple[InfoLedger, ...]
+    cycles: CycleColumns
     detected_mismatches: int
     lost_echoes: int
     undetected_corruptions: int
@@ -322,69 +379,59 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     pif = cfg.mode is LinkMode.PIF
     if not pif:
         lost = np.zeros(n, dtype=bool)   # no echo leg exists to lose
+    returned = ~lost
 
-    cycles = []
-    detected = 0
-    lost_echoes = 0
-    undetected = 0
-    injected_fwd = 0
-    injected_bwd = 0
-    erased_bits = 0
-    for k in range(n):
-        i_plus = _directed_bits(int(f_fwd[k]))
-        cost = 0.0
-        if pif:
-            if lost[k]:
-                lost_echoes += 1
-                i_minus = 0.0
-                i_reflected = 0.0
-                if f_fwd[k] > 0:
-                    injected_fwd += 1
-            else:
-                i_minus = _directed_bits(int(f_bwd[k]))
-                i_reflected = min(_directed_bits(int(f_rt[k])), i_plus)
-                if f_rt[k] > 0:
-                    detected += 1
-                elif f_fwd[k] > 0:
-                    undetected += 1   # opposing flips cancelled on the same bit
-                if f_fwd[k] > 0:
-                    injected_fwd += 1
-                if f_bwd[k] > 0:
-                    injected_bwd += 1
-        else:
-            i_minus = 0.0
-            i_reflected = 0.0
-            if f_fwd[k] > 0:
-                injected_fwd += 1
-                undetected += 1
-                erased_bits += int(f_fwd[k])
-                cost = landauer_cost(int(f_fwd[k]), cfg.temperature_kelvin)
-        ones_in = int(sent[k].sum())
-        ones_out = int(received[k].sum())
-        cycles.append(InfoLedger(
-            i_plus=i_plus,
-            i_minus=i_minus,
-            i_transmitted=i_plus,
-            i_reflected=i_reflected,
-            h_in=SLICE_BITS * binary_entropy(ones_in / SLICE_BITS),
-            h_out=SLICE_BITS * binary_entropy(ones_out / SLICE_BITS),
-            landauer_joules=cost,
-        ))
+    # Every per-cycle value depends on one count in 0..64 only, so it is
+    # looked up in a table built with the scalar functions: the columns
+    # equal a per-cycle evaluation bit for bit.
+    levels = range(SLICE_BITS + 1)
+    directed = np.array([_directed_bits(k) for k in levels])
+    entropy = np.array([SLICE_BITS * binary_entropy(k / SLICE_BITS) for k in levels])
 
-    totals = {}
-    for name in ("i_plus", "i_minus", "i_transmitted", "i_reflected", "landauer_joules"):
-        totals[name] = float(sum(getattr(c, name) for c in cycles))
-    ones_in_total = int(sent.sum())
-    ones_out_total = int(received.sum())
+    ones_in = sent.sum(axis=1)
+    ones_out = received.sum(axis=1)
+    i_plus = directed[f_fwd]
+    corrupted_fwd = f_fwd > 0
+    if pif:
+        i_minus = np.where(returned, directed[f_bwd], 0.0)
+        i_reflected = np.where(returned, np.minimum(directed[f_rt], i_plus), 0.0)
+        cost = np.zeros(n)
+        mismatch = returned & (f_rt > 0)
+        detected = int(np.count_nonzero(mismatch))
+        # opposing flips cancelled on the same bit
+        undetected = int(np.count_nonzero(returned & ~mismatch & corrupted_fwd))
+        injected_bwd = int(np.count_nonzero(returned & (f_bwd > 0)))
+    else:
+        i_minus = np.zeros(n)
+        i_reflected = np.zeros(n)
+        erasure = np.array([landauer_cost(k, cfg.temperature_kelvin) for k in levels])
+        cost = erasure[f_fwd]
+        detected = 0
+        undetected = int(np.count_nonzero(corrupted_fwd))
+        injected_bwd = 0
+    cycles = CycleColumns(
+        i_plus=i_plus,
+        i_minus=i_minus,
+        i_reflected=i_reflected,
+        h_in=entropy[ones_in],
+        h_out=entropy[ones_out],
+        landauer_joules=cost,
+    )
+
+    # cumsum adds left to right; np.sum adds pairwise and moves the last bit
+    totals = {name: float(np.cumsum(getattr(cycles, name))[-1])
+              for name in ("i_plus", "i_minus", "i_reflected", "landauer_joules")}
+    ones_in_total = int(ones_in.sum())
+    ones_out_total = int(ones_out.sum())
     total_bits = n * SLICE_BITS
     ledger = InfoLedger(
+        i_transmitted=totals["i_plus"],
         h_in=total_bits * binary_entropy(ones_in_total / total_bits),
         h_out=total_bits * binary_entropy(ones_out_total / total_bits),
         **totals,
     )
 
     if pif:
-        returned = ~lost
         x, y = sent[returned], recovered[returned]
     else:
         x, y = sent, received
@@ -399,11 +446,11 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     return LinkReport(
         config=cfg,
         ledger=ledger,
-        cycles=tuple(cycles),
-        detected_mismatches=detected if pif else 0,
-        lost_echoes=lost_echoes,
+        cycles=cycles,
+        detected_mismatches=detected,
+        lost_echoes=int(np.count_nonzero(lost)),
         undetected_corruptions=undetected,
-        injected_forward=injected_fwd,
+        injected_forward=int(np.count_nonzero(corrupted_fwd)),
         injected_backward=injected_bwd,
         joint=joint,
         throughput_slices_per_round_trip=1.0 if pif else 2.0,
@@ -452,11 +499,15 @@ def capacity_monte_carlo(cfg: LinkConfig, n_bits: int = 100_000) -> tuple[float,
 # ---------------------------------------------------------------------------
 
 def encode_frame(s: Slice, flags: int = 0) -> bytes:
-    """16-byte frame: payload, 6-byte little-endian seq, direction, flags."""
+    """16-byte frame: payload, 6-byte little-endian seq, direction, flags.
+
+    A seq of 2**48 or more does not fit in the frame and is refused.
+    """
     if not 0 <= flags < 256:
         raise ValueError(f"flags must fit in one byte, got {flags}")
-    seq48 = s.seq & _SEQ_MASK
-    frame = s.payload + struct.pack("<Q", seq48)[:6] + bytes([s.direction.value, flags])
+    if s.seq >= _SEQ_LIMIT:
+        raise ValueError(f"seq must fit in 48 bits to be framed, got {s.seq}")
+    frame = s.payload + struct.pack("<Q", s.seq)[:6] + bytes([s.direction.value, flags])
     assert len(frame) == FRAME_BYTES
     return frame
 

@@ -1,8 +1,11 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
-from altcausal.cli import _EXPERIMENTS, build_parser, main
+from altcausal import piflink
+from altcausal.cli import _EXPERIMENTS, build_parser, main, write_json
 
 FAST_ARGS = {
     "duality": ["--points", "9"],
@@ -148,6 +151,45 @@ def test_clean_pif_balances_exactly(tmp_path):
     assert metrics["landauer_joules"] == 0.0
     assert metrics["conservation_violation"] == 0.0
     assert metrics["detected_mismatches"] == 0
+
+
+@pytest.mark.parametrize("command", ["pif", "fito-vs-pif"])
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
+def test_non_finite_link_temperature_exits_one(command, temperature, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main([command, "--slices", "50", f"--temperature={temperature}",
+                 "--json", str(out)]) == 1
+    assert "temperature must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_writer_refuses_non_finite_values(tmp_path):
+    out = tmp_path / "r.json"
+    for bad in (math.nan, math.inf, np.float64(-np.inf)):
+        with pytest.raises(ValueError):
+            write_json({"metrics": {"x": bad}}, str(out))
+    assert not out.exists()
+
+
+def test_non_finite_report_exits_one_without_a_file(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["wfecho", "--transmitted", "nan", "--json", str(out)]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fito_cumulative_cost_is_a_running_sum(tmp_path):
+    out = tmp_path / "f.json"
+    assert main(["fito-vs-pif", "--slices", "300", "--seed", "4", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    rep = piflink.run_link(piflink.LinkConfig(
+        slice_count=300, bit_flip_forward=0.05, rng_seed=4, mode=piflink.LinkMode.FITO))
+    running, expected = 0.0, []
+    for cost in rep.cycles.landauer_joules.tolist():
+        running += cost
+        expected.append(running)
+    assert report["series"]["fito_landauer_cumulative"] == expected
+    assert expected[-1] == report["metrics"]["fito_landauer_joules"]
 
 
 def test_duality_deviation_is_tiny(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from altcausal.piflink import (
     BOLTZMANN_J_PER_K,
+    CycleColumns,
     Direction,
     InfoLedger,
     JointDistribution,
@@ -159,10 +161,19 @@ def test_frame_codec_round_trip():
     assert flags == 7
 
 
-def test_frame_codec_truncates_seq_to_48_bits():
-    s = Slice(payload=bytes(8), seq=2 ** 60 + 5)
-    back, _ = decode_frame(encode_frame(s))
-    assert back.seq == (2 ** 60 + 5) % 2 ** 48
+@given(payload=st.binary(min_size=8, max_size=8),
+       seq=st.integers(min_value=0, max_value=2 ** 48 - 1),
+       direction=st.sampled_from(Direction),
+       flags=st.integers(min_value=0, max_value=255))
+def test_frame_codec_round_trips_every_48_bit_seq(payload, seq, direction, flags):
+    s = Slice(payload=payload, seq=seq, direction=direction)
+    assert decode_frame(encode_frame(s, flags=flags)) == (s, flags)
+
+
+def test_frame_codec_refuses_seq_beyond_48_bits():
+    for seq in (2 ** 48, 2 ** 50 + 5, 2 ** 64 - 1):
+        with pytest.raises(ValueError, match="48 bits"):
+            encode_frame(Slice(payload=bytes(8), seq=seq))
 
 
 def test_frame_codec_rejects_garbage():
@@ -266,6 +277,9 @@ def test_run_link_rejects_bad_config():
         LinkConfig(bit_flip_forward=1.5)
     with pytest.raises(ValueError):
         LinkConfig(temperature_kelvin=0.0)
+    for temperature in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            LinkConfig(temperature_kelvin=temperature)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +321,9 @@ def test_landauer_cost_oracles():
         landauer_cost(-1.0, 300.0)
     with pytest.raises(ValueError):
         landauer_cost(1.0, -5.0)
+    for temperature in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            landauer_cost(1.0, temperature)
 
 
 def test_unreflected_entropy():
@@ -324,3 +341,208 @@ def test_unreflected_entropy_matches_loss_rate():
     sigma = 64.0 * math.sqrt(10_000 * 0.25 * 0.75)
     assert abs(delta - expected) <= 3 * sigma
     assert delta == led.delta_s
+
+
+# ---------------------------------------------------------------------------
+# column ledgers against the per-cycle reference
+# ---------------------------------------------------------------------------
+
+def _left_to_right_sum(values) -> float:
+    # sum() of floats is compensated from Python 3.12 on; the report
+    # totals are plain left-to-right additions.
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
+    """Per-cycle loop that run_link replaced: one InfoLedger per slice."""
+    n = cfg.slice_count
+    payloads = np.random.default_rng((cfg.rng_seed, 0)).integers(
+        0, 256, size=(n, 8), dtype=np.uint8)
+    fwd_mask = np.random.default_rng((cfg.rng_seed, 1)).random((n, 64)) < cfg.bit_flip_forward
+    lost = np.random.default_rng((cfg.rng_seed, 2)).random(n) < cfg.echo_loss_probability
+    bwd_mask = np.random.default_rng((cfg.rng_seed, 3)).random((n, 64)) < cfg.bit_flip_backward
+
+    sent = np.unpackbits(payloads, axis=1).astype(bool)
+    received = sent ^ fwd_mask
+    echoed_bwd_mask = bwd_mask.reshape(n, 8, 8)[:, ::-1, :].reshape(n, 64)
+    roundtrip_mask = fwd_mask ^ echoed_bwd_mask
+    recovered = sent ^ roundtrip_mask
+
+    f_fwd = fwd_mask.sum(axis=1)
+    f_bwd = bwd_mask.sum(axis=1)
+    f_rt = roundtrip_mask.sum(axis=1)
+
+    pif = cfg.mode is LinkMode.PIF
+    if not pif:
+        lost = np.zeros(n, dtype=bool)
+
+    def directed_bits(flips):
+        return 64 * (1.0 - binary_entropy(flips / 64))
+
+    cycles = []
+    detected = lost_echoes = undetected = injected_fwd = injected_bwd = 0
+    for k in range(n):
+        i_plus = directed_bits(int(f_fwd[k]))
+        cost = 0.0
+        if pif:
+            if lost[k]:
+                lost_echoes += 1
+                i_minus = 0.0
+                i_reflected = 0.0
+                if f_fwd[k] > 0:
+                    injected_fwd += 1
+            else:
+                i_minus = directed_bits(int(f_bwd[k]))
+                i_reflected = min(directed_bits(int(f_rt[k])), i_plus)
+                if f_rt[k] > 0:
+                    detected += 1
+                elif f_fwd[k] > 0:
+                    undetected += 1
+                if f_fwd[k] > 0:
+                    injected_fwd += 1
+                if f_bwd[k] > 0:
+                    injected_bwd += 1
+        else:
+            i_minus = 0.0
+            i_reflected = 0.0
+            if f_fwd[k] > 0:
+                injected_fwd += 1
+                undetected += 1
+                cost = landauer_cost(int(f_fwd[k]), cfg.temperature_kelvin)
+        cycles.append(InfoLedger(
+            i_plus=i_plus,
+            i_minus=i_minus,
+            i_transmitted=i_plus,
+            i_reflected=i_reflected,
+            h_in=64 * binary_entropy(int(sent[k].sum()) / 64),
+            h_out=64 * binary_entropy(int(received[k].sum()) / 64),
+            landauer_joules=cost,
+        ))
+
+    totals = {name: _left_to_right_sum(getattr(c, name) for c in cycles)
+              for name in ("i_plus", "i_minus", "i_transmitted", "i_reflected",
+                           "landauer_joules")}
+    total_bits = n * 64
+    ledger = InfoLedger(
+        h_in=total_bits * binary_entropy(int(sent.sum()) / total_bits),
+        h_out=total_bits * binary_entropy(int(received.sum()) / total_bits),
+        **totals,
+    )
+
+    x, y = (sent[~lost], recovered[~lost]) if pif else (sent, received)
+    counts = np.array([
+        [int((~x & ~y).sum()), int((~x & y).sum())],
+        [int((x & ~y).sum()), int((x & y).sum())],
+    ], dtype=float)
+    if counts.sum() == 0:
+        counts = np.eye(2)
+
+    worst = None
+    if n >= 2:
+        worst = 0.0
+        for prev, cur in zip(cycles, cycles[1:]):
+            worst = max(worst, abs((cur.i_plus - prev.i_plus) + (cur.i_minus - prev.i_minus)))
+
+    return SimpleNamespace(
+        cycles=cycles,
+        ledger=ledger,
+        detected_mismatches=detected if pif else 0,
+        lost_echoes=lost_echoes,
+        undetected_corruptions=undetected,
+        injected_forward=injected_fwd,
+        injected_backward=injected_bwd,
+        joint=JointDistribution.from_counts(counts),
+        conservation=worst,
+        throughput_slices_per_round_trip=1.0 if pif else 2.0,
+    )
+
+
+_LEDGER_FIELDS = ("i_plus", "i_minus", "i_transmitted", "i_reflected",
+                  "h_in", "h_out", "landauer_joules", "delta_s")
+_COUNTERS = ("detected_mismatches", "lost_echoes", "undetected_corruptions",
+             "injected_forward", "injected_backward", "throughput_slices_per_round_trip")
+
+
+def _float_bits(values) -> bytes:
+    # == treats 0.0 and -0.0 as equal; the report bytes do not
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+def _assert_matches_reference(cfg: LinkConfig) -> None:
+    fast = run_link(cfg)
+    ref = _reference_run_link(cfg)
+    assert len(fast.cycles) == len(ref.cycles) == cfg.slice_count
+    for name in _LEDGER_FIELDS:
+        column = getattr(fast.cycles, name)
+        expected = [getattr(c, name) for c in ref.cycles]
+        assert column.tolist() == expected, name
+        assert _float_bits(column) == _float_bits(expected), name
+        total, expected_total = getattr(fast.ledger, name), getattr(ref.ledger, name)
+        assert total == expected_total, name
+        assert _float_bits(total) == _float_bits(expected_total), name
+    for name in _COUNTERS:
+        assert getattr(fast, name) == getattr(ref, name), name
+    assert fast.joint.p.tolist() == ref.joint.p.tolist()
+    if cfg.slice_count >= 2:
+        assert conservation_check(fast.cycles) == ref.conservation
+        assert conservation_check(ref.cycles) == ref.conservation
+
+
+# (forward flip, backward flip, echo loss): clean, light noise, every echo
+# lost (the degenerate joint), a dead channel, and reflection clamped by
+# forward noise alone
+_NOISE = [
+    (0.0, 0.0, 0.0),
+    (0.01, 0.01, 0.01),
+    (0.02, 0.0, 1.0),
+    (0.5, 0.5, 0.25),
+    (0.05, 0.0, 0.0),
+]
+_SEEDS = [*range(10), 11]   # 5 drives c07, 11 is the CLI default
+
+
+@pytest.mark.parametrize("mode", list(LinkMode))
+@pytest.mark.parametrize("noise", _NOISE)
+@pytest.mark.parametrize("slice_count", [1, 2, 2000])
+def test_columns_match_per_cycle_reference_bit_for_bit(mode, noise, slice_count):
+    flip_fwd, flip_bwd, loss = noise
+    for seed in _SEEDS:
+        _assert_matches_reference(LinkConfig(
+            slice_count=slice_count, bit_flip_forward=flip_fwd, bit_flip_backward=flip_bwd,
+            echo_loss_probability=loss, rng_seed=seed, mode=mode))
+
+
+def test_columns_match_reference_at_other_temperatures():
+    for temperature in (1e-3, 4.2, 1e9):
+        _assert_matches_reference(LinkConfig(
+            slice_count=500, bit_flip_forward=0.05, rng_seed=3,
+            temperature_kelvin=temperature, mode=LinkMode.FITO))
+
+
+def test_cycle_columns_validate_like_info_ledger():
+    ok = dict(i_plus=[64.0, 10.0], i_minus=[64.0, 0.0], i_reflected=[64.0, 10.0],
+              h_in=[1.0, 2.0], h_out=[1.0, 2.0], landauer_joules=[0.0, 0.0])
+    cols = CycleColumns(**ok)
+    assert len(cols) == 2
+    assert cols.i_transmitted is cols.i_plus
+    assert cols.delta_s.tolist() == [0.0, 0.0]
+    with pytest.raises(ValueError):
+        cols.i_plus[0] = 1.0    # columns are read-only
+    for name in ok:
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            CycleColumns(**dict(ok, **{name: [1.0, -1e-300]}))
+    with pytest.raises(ValueError, match="reflected information exceeds"):
+        CycleColumns(**dict(ok, i_reflected=[64.0, 10.5]))
+    with pytest.raises(ValueError, match="as long as i_plus"):
+        CycleColumns(**dict(ok, h_out=[1.0]))
+
+
+def test_cycle_columns_do_not_freeze_the_callers_array():
+    i_plus = np.array([3.0, 4.0])
+    CycleColumns(i_plus=i_plus, i_minus=i_plus, i_reflected=i_plus, h_in=i_plus,
+                 h_out=i_plus, landauer_joules=i_plus)
+    i_plus[0] = 5.0
+    assert i_plus.flags.writeable
