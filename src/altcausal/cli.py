@@ -6,9 +6,10 @@ runs are seeded, reports carry no timestamps, and JSON keys are sorted,
 so the same invocation always produces byte-identical output.
 
 A JSON config file (``--config settings.json``) supplies defaults for
-the experiment's own options; explicit flags win over the file.  Exit
-status is 0 on success, 1 when an invariant check fails or an input is
-rejected, 2 for usage errors.
+the experiment's own options; explicit flags win over the file, and
+each value is checked against its option.  Reports list their invariant
+checks under ``checks``.  Exit status is 0 on success, 1 when a check
+fails or an input is rejected, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -19,23 +20,12 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict, dataclass
+from typing import Callable
 
 import numpy as np
 
 from . import photonclock, piflink, process, qcore
-
-_EXPERIMENTS: dict[str, str] = {
-    "duality": "forward/backward process family and its time-reversal duality",
-    "switch": "quantum switch: coherently controlled operation order, read out on the control",
-    "ac-vs-ico": "entropy growth: alternating definite order vs coherent control",
-    "photonclock": "bouncing-photon clock, decoherence, and extracted classical time",
-    "cascade": "decoherence cascade: excitation hopping down a chain, best revival in a horizon",
-    "wfecho": "one-shot echo bookkeeping: reflected share and entropy balance",
-    "pif": "verified slice link with a full per-cycle information ledger",
-    "fito-vs-pif": "fire-and-forget vs verified link: corruption and erasure cost",
-    "capacity": "analytic and Monte Carlo per-cycle link capacities",
-    "rcp": "norm of the combined forward/reverse propagator under damping",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +151,75 @@ def write_svg(report: dict, path: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared plumbing
+# the experiment registry
 # ---------------------------------------------------------------------------
 
-def _merged_config(ns: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(ns, "config", None):
+@dataclass(frozen=True)
+class Param:
+    """One experiment option.  Its type is the type of ``default``."""
+
+    default: int | float | str
+    low: int | float | None = None
+    choices: tuple[str, ...] = ()
+    help: str | None = None
+
+
+@dataclass(frozen=True)
+class Check:
+    """One invariant check of a run; the run fails when ``ok`` is false."""
+
+    name: str
+    value: object
+    tol: float | None
+    ok: bool
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """``run(config)`` takes a checked config and returns ``(metrics, series, checks)``."""
+
+    help: str
+    params: dict[str, Param]
+    run: Callable[[dict], tuple[dict, dict, list[Check]]]
+
+
+def _within(name: str, value: float, tol: float) -> Check:
+    return Check(name, value, tol, not value > tol)
+
+
+def _checked(name: str, spec: Param, value):
+    """``value`` if it meets ``spec``; JSON ints become floats for float options."""
+    kind = type(spec.default)
+    if kind is float and type(value) is int:
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if type(value) is not kind:
+        raise ValueError(f"{name} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+    if spec.low is not None and value < spec.low:
+        raise ValueError(f"{name} must be >= {spec.low}, got {value!r}")
+    if spec.choices and value not in spec.choices:
+        raise ValueError(f"{name} must be one of {', '.join(spec.choices)}, got {value!r}")
+    return value
+
+
+def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
+    """Defaults, then the --config file, then explicit flags, each value checked."""
+    cfg = {key: spec.default for key, spec in params.items()}
+    if ns.config:
         with open(ns.config) as fh:
             loaded = json.load(fh)
-        unknown = sorted(set(loaded) - set(defaults))
+        if not isinstance(loaded, dict):
+            raise ValueError(f"config must be a JSON object, got {type(loaded).__name__}")
+        unknown = sorted(set(loaded) - set(params))
         if unknown:
             raise ValueError(f"unknown config keys for this experiment: {', '.join(unknown)}")
         cfg.update(loaded)
-    for key in defaults:
-        flag = getattr(ns, key, None)
+    for key in params:
+        flag = getattr(ns, key)
         if flag is not None:
             cfg[key] = flag
-    return cfg
-
-
-def _fail(message: str) -> int:
-    print(f"invariant violated: {message}", file=sys.stderr)
-    return 1
+    return {key: _checked(key, params[key], value) for key, value in cfg.items()}
 
 
 def _fmt(value) -> str:
@@ -193,465 +230,304 @@ def _fmt(value) -> str:
     return str(value)
 
 
-# ---------------------------------------------------------------------------
-# experiment handlers; each returns (report, exit_code)
-# ---------------------------------------------------------------------------
+_EXPERIMENTS: dict[str, Experiment] = {}
 
-def _run_duality(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {
-        "dim": 2, "omega": 1.0, "tmax": 2 * math.pi, "points": 25,
-        "skew": 0.0, "seed": 7, "phase_mode": "continuous",
-    })
+
+def _experiment(name: str, help: str, **params: Param):
+    """Register the decorated ``run`` as experiment ``name``, in CLI order."""
+    def register(run):
+        _EXPERIMENTS[name] = Experiment(help, params, run)
+        return run
+    return register
+
+
+@_experiment("duality", "forward/backward process family and its time-reversal duality",
+             dim=Param(2, low=1), omega=Param(1.0), tmax=Param(2 * math.pi),
+             points=Param(25, low=1),
+             skew=Param(0.0, low=0, help="size of the deliberate dual-pair offset"),
+             seed=Param(7, low=0),
+             phase_mode=Param("continuous", choices=("continuous", "discrete")))
+def _duality(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    chan = qcore.random_channel(int(cfg["dim"]), int(cfg["dim"]), rng)
+    chan = qcore.random_channel(cfg["dim"], cfg["dim"], rng)
     base = process.from_channel_order(chan, order="AB")
     fam = process.build_alternating_family(base, omega=cfg["omega"],
                                            phase_mode=cfg["phase_mode"])
     if cfg["skew"] > 0:
-        fam = process.with_skew_perturbation(fam, cfg["skew"], seed=int(cfg["seed"]) + 1)
-    ts = np.linspace(0.0, cfg["tmax"], int(cfg["points"]))
-    devs = []
-    for t in ts:
-        back = fam.backward(float(t)).w.entries
-        ref = fam.forward(-float(t)).w.entries.conj().T
-        devs.append(qcore.spectral_norm(back - ref))
+        fam = process.with_skew_perturbation(fam, cfg["skew"], seed=cfg["seed"] + 1)
+    ts = np.linspace(0.0, cfg["tmax"], cfg["points"])
+    devs = process.duality_deviations(fam, ts)
     validity = process.validate_ocb(fam.forward(0.0))
     period_dev = qcore.spectral_norm(fam.forward(fam.period).w.entries
                                      - fam.forward(0.0).w.entries)
-    report = {
-        "experiment": "duality",
-        "config": cfg,
-        "metrics": {
-            "max_duality_deviation": max(devs),
-            "period": fam.period,
-            "period_deviation": period_dev,
-            "valid_at_origin": validity.valid,
-            "min_eigenvalue": validity.min_eigenvalue,
-            "normalization_deviation": validity.normalization_deviation,
-        },
-        "series": {"t": [float(t) for t in ts], "deviation": devs},
+    metrics = {
+        "max_duality_deviation": max(devs),
+        "period": fam.period,
+        "period_deviation": period_dev,
+        "valid_at_origin": validity.valid,
+        "min_eigenvalue": validity.min_eigenvalue,
+        "normalization_deviation": validity.normalization_deviation,
     }
-    rc = 0
-    if cfg["skew"] == 0.0:
-        if max(devs) > 1e-9:
-            rc = _fail(f"duality deviation {max(devs):.3e} exceeds 1e-9 with no skew")
-        if not validity.valid:
-            rc = _fail("forward member at t=0 failed the validity conditions")
-        if period_dev > 1e-9:
-            rc = _fail(f"family not periodic: deviation {period_dev:.3e} after one period")
-    return report, rc
+    checks = []
+    if cfg["skew"] == 0.0:   # a skewed family breaks the duality on purpose
+        checks = [_within("duality_deviation", max(devs), 1e-9),
+                  Check("valid_at_origin", validity.valid, None, validity.valid),
+                  _within("period_deviation", period_dev, 1e-9)]
+    return metrics, {"t": ts.tolist(), "deviation": devs}, checks
 
 
-def _run_switch(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"case": "anticommute", "points": 41})
-    if cfg["case"] == "anticommute":
-        u_a, u_b = qcore.PAULI_X, qcore.PAULI_Z
-    elif cfg["case"] == "commute":
-        u_a, u_b = qcore.PAULI_Z, qcore.PAULI_Z
-    else:
-        raise ValueError(f"case must be 'anticommute' or 'commute', got {cfg['case']!r}")
-    model = process.build_quantum_switch(u_a, u_b)
+_SWITCH_PAIRS = {"anticommute": (qcore.PAULI_X, qcore.PAULI_Z),
+                 "commute": (qcore.PAULI_Z, qcore.PAULI_Z)}
+
+
+@_experiment("switch",
+             "quantum switch: coherently controlled operation order, read out on the control",
+             case=Param("anticommute", choices=tuple(_SWITCH_PAIRS)), points=Param(41, low=1))
+def _switch(cfg):
+    model = process.build_quantum_switch(*_SWITCH_PAIRS[cfg["case"]])
     target = qcore.DensityMatrix.maximally_mixed((2,))
     balanced = qcore.DensityMatrix.from_state_vector(
         np.array([1.0, 1.0]) / math.sqrt(2), (2,))
     p_plus, p_minus = process.control_interference_probabilities(model, target, balanced)
 
-    thetas = np.linspace(0.0, math.pi / 2, int(cfg["points"]))
+    thetas = np.linspace(0.0, math.pi / 2, cfg["points"])
     minus_curve = []
     for th in thetas:
         ctrl = qcore.DensityMatrix.from_state_vector(
             np.array([math.cos(th), math.sin(th)]), (2,))
         minus_curve.append(process.control_interference_probabilities(model, target, ctrl)[1])
-    report = {
-        "experiment": "switch",
-        "config": cfg,
-        "metrics": {"p_plus": p_plus, "p_minus": p_minus},
-        "series": {"theta": [float(t) for t in thetas], "p_minus": minus_curve},
-    }
-    rc = 0
-    want_minus = cfg["case"] == "anticommute"
-    certain = p_minus if want_minus else p_plus
-    if abs(certain - 1.0) > 1e-9:
-        rc = _fail(f"{cfg['case']} pair should make one outcome certain, got "
-                   f"p_plus={p_plus:.12f} p_minus={p_minus:.12f}")
-    return report, rc
+    # an anticommuting pair makes "minus" certain, a commuting pair "plus"
+    certain = p_minus if cfg["case"] == "anticommute" else p_plus
+    return ({"p_plus": p_plus, "p_minus": p_minus},
+            {"theta": thetas.tolist(), "p_minus": minus_curve},
+            [_within("one_outcome_certain", abs(certain - 1.0), 1e-9)])
 
 
-def _run_ac_vs_ico(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"noise": 0.3, "steps": 6})
+@_experiment("ac-vs-ico", "entropy growth: alternating definite order vs coherent control",
+             noise=Param(0.3), steps=Param(6, low=1))
+def _ac_vs_ico(cfg):
     rep = process.ac_vs_ico_entropy(qcore.PAULI_X, qcore.PAULI_Z,
-                                    noise=cfg["noise"], steps=int(cfg["steps"]))
-    report = {
-        "experiment": "ac-vs-ico",
-        "config": cfg,
-        "metrics": {
-            "final_entropy_alternating": rep.final_ac,
-            "final_entropy_coherent": rep.final_ico,
-            "entropy_gap": rep.final_ac - rep.final_ico,
-        },
-        "series": {
-            "step": list(range(len(rep.ac_entropies))),
-            "entropy_alternating": list(rep.ac_entropies),
-            "entropy_coherent": list(rep.ico_entropies),
-        },
+                                    noise=cfg["noise"], steps=cfg["steps"])
+    metrics = {
+        "final_entropy_alternating": rep.final_ac,
+        "final_entropy_coherent": rep.final_ico,
+        "entropy_gap": rep.final_ac - rep.final_ico,
     }
-    rc = 0
+    series = {
+        "step": list(range(len(rep.ac_entropies))),
+        "entropy_alternating": list(rep.ac_entropies),
+        "entropy_coherent": list(rep.ico_entropies),
+    }
+    checks = []   # unital noise never lowers the entropy; value is the worst drop
     for name, seq in (("alternating", rep.ac_entropies), ("coherent", rep.ico_entropies)):
         drops = [b - a for a, b in zip(seq, seq[1:]) if b < a - 1e-9]
-        if drops:
-            rc = _fail(f"{name} entropy decreased under unital noise: {min(drops):.3e}")
-    return report, rc
+        checks.append(Check(f"{name}_entropy_non_decreasing", min(drops, default=0.0), 1e-9,
+                            not drops))
+    return metrics, series, checks
 
 
-def _run_photonclock(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"bounces": 16, "decoherence": 0.25, "seed": 3,
-                              "tick_seconds": 1.0})
+@_experiment("photonclock", "bouncing-photon clock, decoherence, and extracted classical time",
+             bounces=Param(16, low=1), decoherence=Param(0.25), seed=Param(3, low=0),
+             tick_seconds=Param(1.0, low=0,
+                                help="physical duration of one traversal, scales the report only"))
+def _photonclock(cfg):
     box = photonclock.CausalBox(decoherence_per_bounce=cfg["decoherence"],
-                                rng_seed=int(cfg["seed"]))
+                                rng_seed=cfg["seed"])
     cumulative = []
-    for _ in range(int(cfg["bounces"])):
+    for _ in range(cfg["bounces"]):
         photonclock.bounce(box)
         cumulative.append(photonclock.classical_time(box.ledger))
 
-    coherent_probe = photonclock.CausalBox(rng_seed=int(cfg["seed"]))
+    coherent_probe = photonclock.CausalBox(rng_seed=cfg["seed"])
     indiscernible = photonclock.check_nondiscernability(coherent_probe, k_cycles=3)
-    breaker = photonclock.CausalBox(rng_seed=int(cfg["seed"]) + 1)
+    breaker = photonclock.CausalBox(rng_seed=cfg["seed"] + 1)
     outcome = photonclock.break_symmetry(
         breaker, photonclock.BoundaryConditions(0.25, 0.25, 0.25, 0.25))
 
-    report = {
-        "experiment": "photonclock",
-        "config": cfg,
-        "metrics": {
-            "classical_time": photonclock.classical_time(box.ledger),
-            "classical_time_seconds":
-                photonclock.classical_time(box.ledger) * cfg["tick_seconds"],
-            "bare_classical_time": photonclock.bare_classical_time(box.ledger),
-            "traversals": box.ledger.traversal_count,
-            "decohered_ticks": box.ledger.decohered_count,
-            "coherent_cycles_indiscernible": indiscernible,
-            "symmetry_break_outcome": outcome.name,
-        },
-        "series": {"step": list(range(1, int(cfg["bounces"]) + 1)),
-                   "classical_time": cumulative},
+    metrics = {
+        "classical_time": photonclock.classical_time(box.ledger),
+        "classical_time_seconds":
+            photonclock.classical_time(box.ledger) * cfg["tick_seconds"],
+        "bare_classical_time": photonclock.bare_classical_time(box.ledger),
+        "traversals": box.ledger.traversal_count,
+        "decohered_ticks": box.ledger.decohered_count,
+        "coherent_cycles_indiscernible": indiscernible,
+        "symmetry_break_outcome": outcome.name,
     }
-    rc = 0
-    if any(b < a for a, b in zip(cumulative, cumulative[1:])):
-        rc = _fail("extracted classical time decreased while ticks accumulated")
-    if not indiscernible:
-        rc = _fail("coherent closed cycles were discernible from the initial state")
-    return report, rc
+    drops = [b - a for a, b in zip(cumulative, cumulative[1:]) if b < a]
+    return (metrics, {"step": list(range(1, cfg["bounces"] + 1)), "classical_time": cumulative},
+            [Check("classical_time_non_decreasing", min(drops, default=0), 0, not drops),
+             Check("coherent_cycles_indiscernible", indiscernible, None, indiscernible)])
 
 
-def _run_cascade(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"sites": 4, "noise": 0.02, "horizon": 36, "seed": 0})
-    rep = photonclock.cascade(int(cfg["sites"]), cfg["noise"], int(cfg["horizon"]),
-                              seed=int(cfg["seed"]))
-    report = {
-        "experiment": "cascade",
-        "config": cfg,
-        "metrics": {"best_fidelity": rep.best_fidelity, "best_step": rep.best_step},
-        "series": {"step": list(range(1, rep.horizon + 1)),
-                   "fidelity": list(rep.fidelities)},
-    }
-    rc = 0
-    if not all(-1e-12 <= f <= 1 + 1e-12 for f in rep.fidelities):
-        rc = _fail("cascade produced a fidelity outside [0, 1]")
-    return report, rc
+@_experiment("cascade",
+             "decoherence cascade: excitation hopping down a chain, best revival in a horizon",
+             sites=Param(4, low=1), noise=Param(0.02), horizon=Param(36, low=1),
+             seed=Param(0, low=0))
+def _cascade(cfg):
+    rep = photonclock.cascade(cfg["sites"], cfg["noise"], cfg["horizon"], seed=cfg["seed"])
+    fids = rep.fidelities
+    return ({"best_fidelity": rep.best_fidelity, "best_step": rep.best_step},
+            {"step": list(range(1, rep.horizon + 1)), "fidelity": list(fids)},
+            [Check("fidelity_in_unit_interval", [min(fids), max(fids)], 1e-12,
+                   all(-1e-12 <= f <= 1 + 1e-12 for f in fids))])
 
 
-def _run_wfecho(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"alpha": 0.7, "transmitted": 64.0})
+@_experiment("wfecho", "one-shot echo bookkeeping: reflected share and entropy balance",
+             alpha=Param(0.7), transmitted=Param(64.0))
+def _wfecho(cfg):
     reflected, delta_s = photonclock.wf_echo(cfg["alpha"], cfg["transmitted"])
     grid = np.linspace(0.0, 1.0, 21)
     split = [photonclock.wf_echo(float(a), cfg["transmitted"]) for a in grid]
-    report = {
-        "experiment": "wfecho",
-        "config": cfg,
-        "metrics": {"i_reflected": reflected, "delta_s": delta_s},
-        "series": {"alpha": [float(a) for a in grid],
-                   "i_reflected": [r for r, _ in split],
-                   "delta_s": [d for _, d in split]},
-    }
-    rc = 0
-    if reflected + delta_s != cfg["transmitted"]:
-        rc = _fail("echo bookkeeping does not balance exactly")
-    return report, rc
+    return ({"i_reflected": reflected, "delta_s": delta_s},
+            {"alpha": grid.tolist(),
+             "i_reflected": [r for r, _ in split],
+             "delta_s": [d for _, d in split]},
+            [Check("echo_balance", reflected + delta_s - cfg["transmitted"], 0.0,
+                   reflected + delta_s == cfg["transmitted"])])
 
 
-def _link_config(cfg: dict, mode: piflink.LinkMode) -> piflink.LinkConfig:
-    return piflink.LinkConfig(
-        slice_count=int(cfg["slices"]),
-        bit_flip_forward=cfg["flip_forward"],
-        bit_flip_backward=cfg["flip_backward"],
-        echo_loss_probability=cfg["echo_loss"],
-        rng_seed=int(cfg["seed"]),
-        temperature_kelvin=cfg["temperature"],
-        mode=mode,
-    )
+_LINK = {"slices": Param(2000, low=1), "flip_forward": Param(0.0), "flip_backward": Param(0.0),
+         "echo_loss": Param(0.0), "seed": Param(11, low=0), "temperature": Param(300.0)}
 
 
-_LINK_DEFAULTS = {
-    "slices": 2000, "flip_forward": 0.0, "flip_backward": 0.0,
-    "echo_loss": 0.0, "seed": 11, "temperature": 300.0,
-}
+def _link(cfg, mode: piflink.LinkMode) -> piflink.LinkConfig:
+    return piflink.LinkConfig(slice_count=cfg["slices"], bit_flip_forward=cfg["flip_forward"],
+                              bit_flip_backward=cfg["flip_backward"],
+                              echo_loss_probability=cfg["echo_loss"], rng_seed=cfg["seed"],
+                              temperature_kelvin=cfg["temperature"], mode=mode)
 
 
-def _run_pif(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, dict(_LINK_DEFAULTS))
-    rep = piflink.run_link(_link_config(cfg, piflink.LinkMode.PIF))
+@_experiment("pif", "verified slice link with a full per-cycle information ledger", **_LINK)
+def _pif(cfg):
+    rep = piflink.run_link(_link(cfg, piflink.LinkMode.PIF))
     led = rep.ledger
     conservation = piflink.conservation_check(rep.cycles) if len(rep.cycles) > 1 else 0.0
-    report = {
-        "experiment": "pif",
-        "config": cfg,
-        "metrics": {
-            "i_plus": led.i_plus, "i_minus": led.i_minus,
-            "i_transmitted": led.i_transmitted, "i_reflected": led.i_reflected,
-            "delta_s": led.delta_s, "h_in": led.h_in, "h_out": led.h_out,
-            "landauer_joules": led.landauer_joules,
-            "detected_mismatches": rep.detected_mismatches,
-            "lost_echoes": rep.lost_echoes,
-            "undetected_corruptions": rep.undetected_corruptions,
-            "injected_forward": rep.injected_forward,
-            "injected_backward": rep.injected_backward,
-            "conservation_violation": conservation,
-            "joint_asymmetry": piflink.symmetry_check(rep.joint),
-            "throughput_slices_per_round_trip": rep.throughput_slices_per_round_trip,
-        },
-        "series": {
-            "cycle": list(range(len(rep.cycles))),
-            "i_plus": rep.cycles.i_plus.tolist(),
-            "i_minus": rep.cycles.i_minus.tolist(),
-            "delta_s": rep.cycles.delta_s.tolist(),
-        },
+    metrics = {
+        "i_plus": led.i_plus, "i_minus": led.i_minus,
+        "i_transmitted": led.i_transmitted, "i_reflected": led.i_reflected,
+        "delta_s": led.delta_s, "h_in": led.h_in, "h_out": led.h_out,
+        "landauer_joules": led.landauer_joules,
+        "detected_mismatches": rep.detected_mismatches,
+        "lost_echoes": rep.lost_echoes,
+        "undetected_corruptions": rep.undetected_corruptions,
+        "injected_forward": rep.injected_forward,
+        "injected_backward": rep.injected_backward,
+        "conservation_violation": conservation,
+        "joint_asymmetry": piflink.symmetry_check(rep.joint),
+        "throughput_slices_per_round_trip": rep.throughput_slices_per_round_trip,
     }
-    rc = 0
-    if led.delta_s < 0:
-        rc = _fail("entropy balance went negative")
-    clean = cfg["flip_forward"] == 0 and cfg["flip_backward"] == 0 and cfg["echo_loss"] == 0
-    if clean and conservation != 0.0:
-        rc = _fail(f"noiseless run must conserve exactly, violation {conservation}")
-    if clean and rep.detected_mismatches != 0:
-        rc = _fail("false positives on a noiseless link")
-    return report, rc
-
-
-def _run_fito_vs_pif(ns) -> tuple[dict, int]:
-    defaults = dict(_LINK_DEFAULTS)
-    defaults["flip_forward"] = 0.05
-    cfg = _merged_config(ns, defaults)
-    pif_rep = piflink.run_link(_link_config(cfg, piflink.LinkMode.PIF))
-    fito_rep = piflink.run_link(_link_config(cfg, piflink.LinkMode.FITO))
-    report = {
-        "experiment": "fito-vs-pif",
-        "config": cfg,
-        "metrics": {
-            "pif_detected_mismatches": pif_rep.detected_mismatches,
-            "pif_undetected_corruptions": pif_rep.undetected_corruptions,
-            "pif_landauer_joules": pif_rep.ledger.landauer_joules,
-            "fito_undetected_corruptions": fito_rep.undetected_corruptions,
-            "fito_landauer_joules": fito_rep.ledger.landauer_joules,
-            "injected_forward": fito_rep.injected_forward,
-        },
-        "series": {"cycle": list(range(len(fito_rep.cycles))),
-                   "fito_landauer_cumulative":
-                       np.cumsum(fito_rep.cycles.landauer_joules).tolist()},
+    series = {
+        "cycle": list(range(len(rep.cycles))),
+        "i_plus": rep.cycles.i_plus.tolist(),
+        "i_minus": rep.cycles.i_minus.tolist(),
+        "delta_s": rep.cycles.delta_s.tolist(),
     }
-    rc = 0
-    if pif_rep.ledger.landauer_joules != 0.0:
-        rc = _fail("verified link should never pay an erasure cost")
-    if fito_rep.undetected_corruptions != fito_rep.injected_forward:
-        rc = _fail("fire-and-forget must leave every injected corruption undetected")
-    return report, rc
+    checks = [Check("delta_s_non_negative", led.delta_s, 0.0, not led.delta_s < 0)]
+    if cfg["flip_forward"] == 0 and cfg["flip_backward"] == 0 and cfg["echo_loss"] == 0:
+        checks += [Check("conservation_exact", conservation, 0.0, conservation == 0.0),
+                   Check("no_false_positives", rep.detected_mismatches, 0,
+                         rep.detected_mismatches == 0)]
+    return metrics, series, checks
 
 
-def _run_capacity(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"flip_forward": 0.11, "flip_backward": 0.11,
-                              "n_bits": 100_000, "seed": 17})
+@_experiment("fito-vs-pif", "fire-and-forget vs verified link: corruption and erasure cost",
+             **_LINK | {"flip_forward": Param(0.05)})
+def _fito_vs_pif(cfg):
+    pif_rep = piflink.run_link(_link(cfg, piflink.LinkMode.PIF))
+    fito_rep = piflink.run_link(_link(cfg, piflink.LinkMode.FITO))
+    pif_cost = pif_rep.ledger.landauer_joules
+    metrics = {
+        "pif_detected_mismatches": pif_rep.detected_mismatches,
+        "pif_undetected_corruptions": pif_rep.undetected_corruptions,
+        "pif_landauer_joules": pif_cost,
+        "fito_undetected_corruptions": fito_rep.undetected_corruptions,
+        "fito_landauer_joules": fito_rep.ledger.landauer_joules,
+        "injected_forward": fito_rep.injected_forward,
+    }
+    series = {"cycle": list(range(len(fito_rep.cycles))),
+              "fito_landauer_cumulative": np.cumsum(fito_rep.cycles.landauer_joules).tolist()}
+    missed, injected = fito_rep.undetected_corruptions, fito_rep.injected_forward
+    return metrics, series, [
+        Check("pif_erasure_free", pif_cost, 0.0, pif_cost == 0.0),
+        Check("fito_leaves_corruptions_undetected", injected - missed, 0, missed == injected)]
+
+
+@_experiment("capacity", "analytic and Monte Carlo per-cycle link capacities",
+             flip_forward=Param(0.11), flip_backward=Param(0.11),
+             n_bits=Param(100_000, low=1), seed=Param(17, low=0))
+def _capacity(cfg):
     link = piflink.LinkConfig(slice_count=1, bit_flip_forward=cfg["flip_forward"],
-                              bit_flip_backward=cfg["flip_backward"],
-                              rng_seed=int(cfg["seed"]))
+                              bit_flip_backward=cfg["flip_backward"], rng_seed=cfg["seed"])
     c_one, c_pif = piflink.capacity(link)
-    mc_one, mc_pif = piflink.capacity_monte_carlo(link, n_bits=int(cfg["n_bits"]))
+    mc_one, mc_pif = piflink.capacity_monte_carlo(link, n_bits=cfg["n_bits"])
     grid = np.linspace(0.0, 0.5, 26)
-    curve_one, curve_pif = [], []
-    for p in grid:
-        a, b = piflink.capacity(piflink.LinkConfig(
-            slice_count=1, bit_flip_forward=float(p), bit_flip_backward=float(p)))
-        curve_one.append(a)
-        curve_pif.append(b)
-    report = {
-        "experiment": "capacity",
-        "config": cfg,
-        "metrics": {
-            "c_one_way": c_one, "c_pif": c_pif,
-            "c_one_way_monte_carlo": mc_one, "c_pif_monte_carlo": mc_pif,
-            "monte_carlo_gap": abs(c_one - mc_one),
-        },
-        "series": {"p": [float(p) for p in grid],
-                   "c_one_way": curve_one, "c_pif": curve_pif},
+    curve = [piflink.capacity(piflink.LinkConfig(
+        slice_count=1, bit_flip_forward=float(p), bit_flip_backward=float(p))) for p in grid]
+    metrics = {
+        "c_one_way": c_one, "c_pif": c_pif,
+        "c_one_way_monte_carlo": mc_one, "c_pif_monte_carlo": mc_pif,
+        "monte_carlo_gap": abs(c_one - mc_one),
     }
-    rc = 0
-    if cfg["flip_forward"] == cfg["flip_backward"] and c_pif != 2.0 * c_one:
-        rc = _fail("symmetric link capacity must be exactly twice the one-way capacity")
-    return report, rc
+    checks = []
+    if cfg["flip_forward"] == cfg["flip_backward"]:
+        checks = [Check("symmetric_capacity_doubles", c_pif - 2.0 * c_one, 0.0,
+                        c_pif == 2.0 * c_one)]
+    return metrics, {"p": grid.tolist(), "c_one_way": [a for a, _ in curve],
+                     "c_pif": [b for _, b in curve]}, checks
 
 
-def _run_rcp(ns) -> tuple[dict, int]:
-    cfg = _merged_config(ns, {"dim": 4, "epsilon": 0.1, "tmax": 4.0,
-                              "points": 33, "seed": 5})
+@_experiment("rcp", "norm of the combined forward/reverse propagator under damping",
+             dim=Param(4, low=1), epsilon=Param(0.1), tmax=Param(4.0),
+             points=Param(33, low=1), seed=Param(5, low=0))
+def _rcp(cfg):
     rng = np.random.default_rng(cfg["seed"])
-    d = int(cfg["dim"])
+    d = cfg["dim"]
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     h = (g + g.conj().T) / 2
     h = h / qcore.spectral_norm(h)
     gen = qcore.ComplexOperator(h, (d,))
     op = photonclock.RcpOperator(t_plus=gen, t_minus=gen, epsilon=cfg["epsilon"])
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
-    ts = np.linspace(0.0, cfg["tmax"], int(cfg["points"]))
-    rep = photonclock.rcp_invariant(op, psi, [float(t) for t in ts])
+    ts = np.linspace(0.0, cfg["tmax"], cfg["points"])
+    rep = photonclock.rcp_invariant(op, psi, ts.tolist())
     analytic = [((1.0 + math.exp(-cfg["epsilon"] * abs(t))) / 2.0) ** 2 for t in ts]
     analytic_dev = max(abs(v - a) for v, a in zip(rep.values, analytic))
-    report = {
-        "experiment": "rcp",
-        "config": cfg,
-        "metrics": {
-            "constant": rep.constant,
-            "drift": rep.drift,
-            "analytic_deviation": analytic_dev,
-        },
-        "series": {"t": [float(t) for t in ts], "norm_squared": list(rep.values),
-                   "analytic": analytic},
-    }
-    rc = 0
-    if cfg["epsilon"] == 0.0 and not rep.constant:
-        rc = _fail(f"undamped dual pair must conserve the norm, drift {rep.drift:.3e}")
-    if analytic_dev > 1e-9:
-        rc = _fail(f"norm series deviates from its closed form by {analytic_dev:.3e}")
-    return report, rc
+    checks = [_within("analytic_deviation", analytic_dev, 1e-9)]
+    if cfg["epsilon"] == 0.0:   # only an undamped pair conserves the norm
+        checks.insert(0, Check("norm_conserved", rep.drift, rep.tol, rep.constant))
+    return ({"constant": rep.constant, "drift": rep.drift, "analytic_deviation": analytic_dev},
+            {"t": ts.tolist(), "norm_squared": list(rep.values), "analytic": analytic},
+            checks)
 
 
-def _run_list(ns) -> tuple[dict, int]:
-    report = {
-        "experiment": "list",
-        "config": {},
-        "metrics": dict(_EXPERIMENTS),
-        "series": {},
-    }
-    return report, 0
-
-
-_HANDLERS = {
-    "duality": _run_duality,
-    "switch": _run_switch,
-    "ac-vs-ico": _run_ac_vs_ico,
-    "photonclock": _run_photonclock,
-    "cascade": _run_cascade,
-    "wfecho": _run_wfecho,
-    "pif": _run_pif,
-    "fito-vs-pif": _run_fito_vs_pif,
-    "capacity": _run_capacity,
-    "rcp": _run_rcp,
-    "list": _run_list,
-}
+@_experiment("list", "describe the available experiments")
+def _list(cfg):
+    return {name: exp.help for name, exp in _EXPERIMENTS.items() if name != "list"}, {}, []
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing and the entry point
 # ---------------------------------------------------------------------------
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--json", metavar="PATH", help="write the report as JSON ('-' for stdout)")
-    sub.add_argument("--csv", metavar="PATH", help="write the report series as CSV")
-    sub.add_argument("--svg", metavar="PATH", help="plot the report series to an SVG file")
-    sub.add_argument("--out", metavar="DIR", help="directory for --format outputs (default .)")
-    sub.add_argument("--format", metavar="LIST",
-                     help="comma-separated output formats: json,csv,svg")
-    sub.add_argument("--config", metavar="PATH", help="JSON file with option defaults")
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="altcausal",
         description="seeded, reproducible experiments on round-trip exchange models")
     subs = parser.add_subparsers(dest="command")
-
-    p = subs.add_parser("duality", help=_EXPERIMENTS["duality"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--omega", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--skew", type=float, help="size of the deliberate dual-pair offset")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--phase-mode", choices=("continuous", "discrete"))
-    _add_common(p)
-
-    p = subs.add_parser("switch", help=_EXPERIMENTS["switch"])
-    p.add_argument("--case", choices=("anticommute", "commute"))
-    p.add_argument("--points", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("ac-vs-ico", help=_EXPERIMENTS["ac-vs-ico"])
-    p.add_argument("--noise", type=float)
-    p.add_argument("--steps", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("photonclock", help=_EXPERIMENTS["photonclock"])
-    p.add_argument("--bounces", type=int)
-    p.add_argument("--decoherence", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tick-seconds", type=float,
-                   help="physical duration of one traversal, scales the report only")
-    _add_common(p)
-
-    p = subs.add_parser("cascade", help=_EXPERIMENTS["cascade"])
-    p.add_argument("--sites", type=int)
-    p.add_argument("--noise", type=float)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("wfecho", help=_EXPERIMENTS["wfecho"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--transmitted", type=float)
-    _add_common(p)
-
-    for name in ("pif", "fito-vs-pif"):
-        p = subs.add_parser(name, help=_EXPERIMENTS[name])
-        p.add_argument("--slices", type=int)
-        p.add_argument("--flip-forward", type=float)
-        p.add_argument("--flip-backward", type=float)
-        p.add_argument("--echo-loss", type=float)
-        p.add_argument("--seed", type=int)
-        p.add_argument("--temperature", type=float)
-        _add_common(p)
-
-    p = subs.add_parser("capacity", help=_EXPERIMENTS["capacity"])
-    p.add_argument("--flip-forward", type=float)
-    p.add_argument("--flip-backward", type=float)
-    p.add_argument("--n-bits", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("rcp", help=_EXPERIMENTS["rcp"])
-    p.add_argument("--dim", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--tmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--seed", type=int)
-    _add_common(p)
-
-    p = subs.add_parser("list", help="describe the available experiments")
-    _add_common(p)
-
+    for name, exp in _EXPERIMENTS.items():
+        p = subs.add_parser(name, help=exp.help)
+        for key, spec in exp.params.items():
+            p.add_argument("--" + key.replace("_", "-"), type=type(spec.default),
+                           choices=spec.choices or None, help=spec.help)
+        p.add_argument("--json", metavar="PATH", help="write the report as JSON ('-' for stdout)")
+        p.add_argument("--csv", metavar="PATH", help="write the report series as CSV")
+        p.add_argument("--svg", metavar="PATH", help="plot the report series to an SVG file")
+        p.add_argument("--out", metavar="DIR", help="directory for --format outputs (default .)")
+        p.add_argument("--format", metavar="LIST",
+                       help="comma-separated output formats: json,csv,svg")
+        p.add_argument("--config", metavar="PATH", help="JSON file with option defaults")
     return parser
-
-
-def _print_summary(report: dict) -> None:
-    print(f"experiment: {report['experiment']}")
-    for key in sorted(report.get("metrics", {})):
-        print(f"  {key} = {_fmt(report['metrics'][key])}")
 
 
 def main(argv=None) -> int:
@@ -662,13 +538,20 @@ def main(argv=None) -> int:
         return 2
     writers = {"json": write_json, "csv": write_csv, "svg": write_svg}
     try:
-        report, rc = _HANDLERS[ns.command](ns)
+        cfg = _config(ns, _EXPERIMENTS[ns.command].params)
+        metrics, series, checks = _EXPERIMENTS[ns.command].run(cfg)
+        failed = [c for c in checks if not c.ok]
+        for c in failed:
+            print(f"invariant violated: {c.name} = {_fmt(c.value)} (tol {_fmt(c.tol)})",
+                  file=sys.stderr)
+        report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
+                  "series": series, "checks": [asdict(c) for c in checks]}
         for fmt, write in writers.items():
-            if getattr(ns, fmt, None):
+            if getattr(ns, fmt):
                 write(report, getattr(ns, fmt))
-        if getattr(ns, "format", None):
-            out = getattr(ns, "out", None) or "."
-            for fmt in str(ns.format).split(","):
+        if ns.format:
+            out = ns.out or "."
+            for fmt in ns.format.split(","):
                 fmt = fmt.strip()
                 if fmt not in writers:
                     raise ValueError(f"unknown output format {fmt!r}; pick from json,csv,svg")
@@ -676,9 +559,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(ns, "json", None) != "-":
-        _print_summary(report)
-    return rc
+    if ns.json != "-":
+        print(f"experiment: {ns.command}")
+        for key in sorted(metrics):
+            print(f"  {key} = {_fmt(metrics[key])}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -165,24 +165,17 @@ class CausalBox:
     """
 
     photon: DensityMatrix | None = None
-    mirror_reflectivity: tuple[float, float] = (1.0, 1.0)
     decoherence_per_bounce: float = 0.0
     ledger: TickLedger = field(default_factory=TickLedger)
     rng_seed: int = 0
     initial_direction: int = 1
-    _event_count: int = 0
+    _event_count: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         if self.photon is None:
             self.photon = projector(ket(0))
         if self.photon.dims[0] != 2:
             raise ValueError("the photon's first factor must be the direction qubit")
-        if isinstance(self.mirror_reflectivity, (int, float)):
-            r = float(self.mirror_reflectivity)
-            self.mirror_reflectivity = (r, r)
-        for r in self.mirror_reflectivity:
-            if not 0.0 <= r <= 1.0:
-                raise ValueError(f"mirror reflectivity must lie in [0, 1], got {r}")
         if not 0.0 <= self.decoherence_per_bounce <= 1.0:
             raise ValueError(
                 f"decoherence per bounce must lie in [0, 1], got {self.decoherence_per_bounce}")
@@ -233,21 +226,18 @@ def bounce(box: CausalBox) -> CausalBox:
 def check_nondiscernability(box: CausalBox, k_cycles: int) -> bool:
     """True iff every completed round trip restores the photon exactly.
 
-    Requires a closed box: zero decoherence and unit reflectivity,
-    otherwise the premise is broken and a ValueError is raised.  The
-    check simulates 2 * k_cycles bounces on a copy and compares the
-    state to the initial one (fidelity within 1e-10) after every cycle.
+    Requires a closed box (zero decoherence), otherwise the premise is
+    broken and a ValueError is raised.  The check simulates 2 * k_cycles
+    bounces on a copy and compares the state to the initial one
+    (fidelity within 1e-10) after every cycle.
     """
     if box.decoherence_per_bounce != 0.0:
         raise ValueError("retroactive check requires zero decoherence")
-    if any(r != 1.0 for r in box.mirror_reflectivity):
-        raise ValueError("retroactive check requires unit mirror reflectivity")
     if k_cycles < 1:
         raise ValueError(f"k_cycles must be >= 1, got {k_cycles}")
 
     probe = CausalBox(
         photon=box.photon,
-        mirror_reflectivity=box.mirror_reflectivity,
         decoherence_per_bounce=0.0,
         rng_seed=box.rng_seed,
         initial_direction=box.initial_direction,

@@ -60,6 +60,7 @@ __all__ = [
     "check_two_way",
     "build_alternating_family",
     "check_duality",
+    "duality_deviations",
     "with_skew_perturbation",
     "decompose_process_tensor",
     "build_quantum_switch",
@@ -351,14 +352,15 @@ def check_duality(fam: ProcessFamily, ts: Sequence[float],
     A family satisfies the time-reversal duality when the returned
     deviation is below ``tol``.
     """
+    return max(duality_deviations(fam, ts))
+
+
+def duality_deviations(fam: ProcessFamily, ts: Sequence[float]) -> list[float]:
+    """|| backward(t) - dagger(forward(-t)) || at each time in ``ts``."""
     if len(ts) == 0:
         raise ValueError("need at least one sample time")
-    worst = 0.0
-    for t in ts:
-        back = fam.backward(float(t)).w.entries
-        ref = fam.forward(-float(t)).w.entries.conj().T
-        worst = max(worst, spectral_norm(back - ref))
-    return worst
+    return [spectral_norm(fam.backward(float(t)).w.entries
+                          - fam.forward(-float(t)).w.entries.conj().T) for t in ts]
 
 
 def with_skew_perturbation(fam: ProcessFamily, epsilon: float,

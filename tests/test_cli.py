@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from altcausal import piflink
+from altcausal import photonclock, piflink
 from altcausal.cli import _EXPERIMENTS, build_parser, main, write_json
 
 FAST_ARGS = {
@@ -173,7 +173,8 @@ def test_json_writer_refuses_non_finite_values(tmp_path):
 
 def test_non_finite_report_exits_one_without_a_file(tmp_path, capsys):
     out = tmp_path / "r.json"
-    assert main(["wfecho", "--transmitted", "nan", "--json", str(out)]) == 1
+    # a finite input whose classical_time_seconds overflows to inf
+    assert main(["photonclock", "--tick-seconds", "1e308", "--json", str(out)]) == 1
     assert "not JSON compliant" in capsys.readouterr().err
     assert not out.exists()
 
@@ -206,3 +207,71 @@ def test_skewed_duality_is_reported_not_flagged(tmp_path):
                  "--json", str(out)]) == 0
     metrics = json.loads(out.read_text())["metrics"]
     assert 5e-4 <= metrics["max_duality_deviation"] <= 2e-3
+
+
+# Each case: experiment arguments, config file contents (None for no file),
+# and the parameter the error message must name.
+REJECTED = [
+    (["duality"], [1, 2], "config"),
+    (["duality"], {"points": "25"}, "points"),
+    (["ac-vs-ico"], {"noise": "0.3"}, "noise"),
+    (["duality"], {"seed": "7"}, "seed"),
+    (["duality"], {"seed": None}, "seed"),
+    (["duality"], {"dim": 2.5}, "dim"),
+    (["duality"], {"phase_mode": "sideways"}, "phase_mode"),
+    (["photonclock"], {"bounces": True}, "bounces"),
+    (["photonclock", "--bounces", "-5"], None, "bounces"),
+    (["photonclock", "--tick-seconds", "nan"], None, "tick_seconds"),
+    (["photonclock", "--tick-seconds", "-1"], None, "tick_seconds"),
+    (["rcp", "--epsilon", "nan"], None, "epsilon"),
+    (["rcp", "--tmax", "inf"], None, "tmax"),
+    (["duality", "--omega", "nan"], None, "omega"),
+    (["switch", "--points", "0"], None, "points"),
+    (["duality", "--skew", "-1"], None, "skew"),
+    (["wfecho", "--transmitted", "nan"], None, "transmitted"),
+]
+
+
+@pytest.mark.parametrize("args, config, param", REJECTED,
+                         ids=[f"{a[0]}-{p}-{i}" for i, (a, _, p) in enumerate(REJECTED)])
+def test_bad_input_is_rejected_at_the_boundary(args, config, param, tmp_path, capsys):
+    extra = []
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        extra = ["--config", str(cfg)]
+    out = tmp_path / "r.json"
+    assert main([*args, *extra, "--json", str(out)]) == 1
+    assert param in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_json_int_for_a_float_option_is_stored_as_float(tmp_path):
+    cfg, a, b = tmp_path / "cfg.json", tmp_path / "a.json", tmp_path / "b.json"
+    cfg.write_text(json.dumps({"omega": 1}))
+    assert main(["duality", "--points", "9", "--config", str(cfg), "--json", str(a)]) == 0
+    assert main(["duality", "--points", "9", "--omega", "1", "--json", str(b)]) == 0
+    from_file, from_flag = json.loads(a.read_text()), json.loads(b.read_text())
+    assert '"omega": 1.0' in a.read_text()
+    assert from_file["metrics"] == from_flag["metrics"]
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGS))
+def test_every_report_lists_its_checks(command, tmp_path):
+    out = tmp_path / "r.json"
+    assert main([command, *FAST_ARGS[command], "--json", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert isinstance(checks, list)
+    assert command == "list" or checks
+    for check in checks:
+        assert set(check) == {"name", "value", "tol", "ok"}
+        assert check["ok"] is True
+
+
+def test_failed_check_is_reported_and_exits_one(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(photonclock, "wf_echo", lambda alpha, i_transmitted: (1.0, i_transmitted))
+    out = tmp_path / "r.json"
+    assert main(["wfecho", "--json", str(out)]) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["echo_balance"]["ok"] is False
+    assert "invariant violated: echo_balance" in capsys.readouterr().err

@@ -100,11 +100,16 @@ def test_box_rejects_bad_parameters():
     with pytest.raises(ValueError):
         CausalBox(decoherence_per_bounce=1.5)
     with pytest.raises(ValueError):
-        CausalBox(mirror_reflectivity=(1.0, 1.2))
-    with pytest.raises(ValueError):
         CausalBox(initial_direction=0)
     with pytest.raises(ValueError):
         CausalBox(photon=DensityMatrix.maximally_mixed((3,)))
+
+
+def test_event_counter_is_not_a_constructor_argument():
+    # the counter keys the (seed, event) replay streams; only bounce may move it
+    with pytest.raises(TypeError):
+        CausalBox(_event_count=5)
+    assert "_event_count" not in repr(CausalBox())
 
 
 def test_two_bounces_restore_state():
@@ -153,8 +158,6 @@ def test_nondiscernability_holds_for_closed_box():
 def test_nondiscernability_requires_closed_box():
     with pytest.raises(ValueError):
         check_nondiscernability(CausalBox(decoherence_per_bounce=0.01), k_cycles=1)
-    with pytest.raises(ValueError):
-        check_nondiscernability(CausalBox(mirror_reflectivity=(0.9, 1.0)), k_cycles=1)
 
 
 # ---------------------------------------------------------------------------
