@@ -333,10 +333,9 @@ def _ac_vs_ico(cfg):
 def _photonclock(cfg):
     box = photonclock.CausalBox(decoherence_per_bounce=cfg["decoherence"],
                                 rng_seed=cfg["seed"])
-    cumulative = []
     for _ in range(cfg["bounces"]):
         photonclock.bounce(box)
-        cumulative.append(photonclock.classical_time(box.ledger))
+    cumulative = photonclock.classical_time_series(box.ledger)
 
     coherent_probe = photonclock.CausalBox(rng_seed=cfg["seed"])
     indiscernible = photonclock.check_nondiscernability(coherent_probe, k_cycles=3)
@@ -345,9 +344,8 @@ def _photonclock(cfg):
         breaker, photonclock.BoundaryConditions(0.25, 0.25, 0.25, 0.25))
 
     metrics = {
-        "classical_time": photonclock.classical_time(box.ledger),
-        "classical_time_seconds":
-            photonclock.classical_time(box.ledger) * cfg["tick_seconds"],
+        "classical_time": cumulative[-1],
+        "classical_time_seconds": cumulative[-1] * cfg["tick_seconds"],
         "bare_classical_time": photonclock.bare_classical_time(box.ledger),
         "traversals": box.ledger.traversal_count,
         "decohered_ticks": box.ledger.decohered_count,

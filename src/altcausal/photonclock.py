@@ -14,13 +14,13 @@ chain of exchange partners, and the absorber-reflection identity.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .qcore import (
     DEFAULT_TOL,
@@ -43,6 +43,7 @@ __all__ = [
     "CascadeReport",
     "bounce",
     "classical_time",
+    "classical_time_series",
     "bare_classical_time",
     "check_nondiscernability",
     "break_symmetry",
@@ -97,6 +98,16 @@ def classical_time(ledger: TickLedger) -> int:
     reversible and contribute nothing, which keeps the reading
     non-negative and non-decreasing as closed runs are appended.
     """
+    series = classical_time_series(ledger)
+    return series[-1] if series else 0
+
+
+def classical_time_series(ledger: TickLedger) -> list[int]:
+    """``classical_time`` of every prefix, in one pass over the ledger.
+
+    Entry k is the reading after the first k + 1 ticks.
+    """
+    series = []
     total = 0
     run = 0
     for inc in ledger.increments:
@@ -104,7 +115,8 @@ def classical_time(ledger: TickLedger) -> int:
         if inc.decohered:
             total += abs(run)
             run = 0
-    return total
+        series.append(total)
+    return series
 
 
 def bare_classical_time(ledger: TickLedger) -> int:
@@ -174,6 +186,9 @@ class CausalBox:
     def __post_init__(self):
         if self.photon is None:
             self.photon = projector(ket(0))
+        if not isinstance(self.photon, DensityMatrix):
+            # bounce trusts the photon from here on, so only a validated state may enter
+            raise TypeError(f"photon must be a DensityMatrix, got {type(self.photon).__name__}")
         if self.photon.dims[0] != 2:
             raise ValueError("the photon's first factor must be the direction qubit")
         if not 0.0 <= self.decoherence_per_bounce <= 1.0:
@@ -194,17 +209,26 @@ class CausalBox:
         return rng
 
 
+@functools.lru_cache(maxsize=8)
+def _direction_flip(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """X on the direction qubit (x) I on the rest, and its dagger, both read-only."""
+    x_full = np.kron(PAULI_X, np.eye(dim // 2, dtype=complex))
+    x_dag = x_full.conj().T
+    x_full.setflags(write=False)
+    x_dag.setflags(write=False)
+    return x_full, x_dag
+
+
 def _flip_direction(photon: DensityMatrix) -> DensityMatrix:
-    d_rest = photon.dim // 2
-    x_full = np.kron(PAULI_X, np.eye(d_rest, dtype=complex))
-    return DensityMatrix(x_full @ photon.entries @ x_full.conj().T, photon.dims)
+    x_full, x_dag = _direction_flip(photon.dim)
+    return DensityMatrix._trusted(x_full @ photon.entries @ x_dag, photon.dims)
 
 
 def _depolarize(photon: DensityMatrix, p: float) -> DensityMatrix:
     if p == 0.0:
         return photon
     mix = np.eye(photon.dim, dtype=complex) / photon.dim
-    return DensityMatrix((1 - p) * photon.entries + p * mix, photon.dims)
+    return DensityMatrix._trusted((1 - p) * photon.entries + p * mix, photon.dims)
 
 
 def bounce(box: CausalBox) -> CausalBox:
@@ -328,6 +352,7 @@ def _rcp_matrix(op: RcpOperator, t: float) -> np.ndarray:
     h_plus = op.t_plus.entries
     h_minus = op.t_minus.entries
     g = op._damping_matrix()
+    from scipy.linalg import expm   # imported on first use: it is most of the import time
     fwd = expm(-1j * t * h_plus) / 2
     rev = expm(1j * t * h_minus - op.epsilon * abs(t) * g) / 2
     return fwd + rev.conj().T
@@ -419,6 +444,7 @@ def cascade(n: int, noise: float, horizon: int, seed: int = 0) -> CascadeReport:
     hop = np.zeros((n, n), dtype=complex)
     for j in range(n - 1):
         hop[j, j + 1] = hop[j + 1, j] = 1.0
+    from scipy.linalg import expm
     step = expm(-1j * CASCADE_STEP * hop)
 
     rho = np.zeros((n, n), dtype=complex)

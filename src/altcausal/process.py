@@ -82,8 +82,9 @@ class ProcessMatrix:
     ``emission_role`` names the wire the sending party feeds, and
     ``delivery_role`` the wire on which the receiving party's state
     appears.  Constructors fill these in; time reversal swaps them.
-    ``validate=False`` skips the Hermiticity/positivity gate and exists
-    for fault injection in tests.
+    ``validate=False`` skips the Hermiticity/positivity gate.  Family
+    members use it, being unitary conjugates or daggers of a matrix that
+    was validated when it was built; tests use it for fault injection.
     """
 
     w: ComplexOperator
@@ -264,18 +265,20 @@ def check_two_way(w_ab: ProcessMatrix, w_ba: ProcessMatrix,
 class ProcessFamily:
     """One-parameter family of paired orientations.
 
-    ``generator(t)`` returns the pair (forward, backward) at time ``t``;
-    ``period`` is the recurrence time of the construction.
+    ``forward_at(t)`` and ``backward_at(t)`` build the member of each
+    orientation at time ``t``; ``period`` is the recurrence time of the
+    construction.
     """
 
-    generator: Callable[[float], tuple[ProcessMatrix, ProcessMatrix]]
+    forward_at: Callable[[float], ProcessMatrix]
+    backward_at: Callable[[float], ProcessMatrix]
     period: float
 
     def forward(self, t: float) -> ProcessMatrix:
-        return self.generator(t)[0]
+        return self.forward_at(t)
 
     def backward(self, t: float) -> ProcessMatrix:
-        return self.generator(t)[1]
+        return self.backward_at(t)
 
 
 def _out_wire_phase_generator(dims: Sequence[int]) -> np.ndarray:
@@ -324,8 +327,10 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     if phase_mode == "continuous":
         g = _out_wire_phase_generator(dims)
         gap = g[:, None] - g[None, :]
+        widest = float(np.abs(gap).max())
 
         def member(t: float) -> np.ndarray:
+            _check_phase(omega, t, widest)
             return base * np.exp(-1j * omega * t * gap)
     else:
         if dims[0] != dims[2] or dims[1] != dims[3]:
@@ -333,24 +338,38 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
         swapped = _swap_parties(base, dims)
 
         def member(t: float) -> np.ndarray:
+            _check_phase(omega, t, 1.0)
             return base if math.cos(omega * t) >= 0 else swapped
 
-    def generator(t: float) -> tuple[ProcessMatrix, ProcessMatrix]:
-        fwd = ProcessMatrix(ComplexOperator(member(t), dims),
-                            emission_role=em, delivery_role=dl)
-        back = ProcessMatrix(ComplexOperator(member(-t).conj().T, dims),
-                             emission_role=dl, delivery_role=em)
-        return fwd, back
+    # Every member is a spectrum-preserving map of the validated w_fwd,
+    # so none is validated again.
+    def forward(t: float) -> ProcessMatrix:
+        return ProcessMatrix(ComplexOperator(member(t), dims),
+                             emission_role=em, delivery_role=dl, validate=False)
 
-    return ProcessFamily(generator=generator, period=period)
+    def backward(t: float) -> ProcessMatrix:
+        return ProcessMatrix(ComplexOperator(member(-t).conj().T, dims),
+                             emission_role=dl, delivery_role=em, validate=False)
+
+    return ProcessFamily(forward_at=forward, backward_at=backward, period=period)
 
 
-def check_duality(fam: ProcessFamily, ts: Sequence[float],
-                  tol: float = 1e-12) -> float:
+def _check_phase(omega: float, t: float, widest: float) -> None:
+    """Refuse a time at which the member phase ``omega * t * gap`` overflows.
+
+    The phase is largest at the widest gap, so checking that one product
+    covers the whole member; an overflow would otherwise surface as numpy
+    warnings and NaN members.
+    """
+    if not math.isfinite(omega * float(t) * widest):
+        raise ValueError(f"phase omega * t overflows at omega = {omega!r}, t = {float(t)!r}; "
+                         "lower omega or the sampled times")
+
+
+def check_duality(fam: ProcessFamily, ts: Sequence[float]) -> float:
     """Max over ``ts`` of || backward(t) - dagger(forward(-t)) ||.
 
-    A family satisfies the time-reversal duality when the returned
-    deviation is below ``tol``.
+    Zero for a family that satisfies the time-reversal duality exactly.
     """
     return max(duality_deviations(fam, ts))
 
@@ -378,15 +397,14 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
     skew /= spectral_norm(skew)
     offset = epsilon * skew
 
-    def generator(t: float) -> tuple[ProcessMatrix, ProcessMatrix]:
-        fwd, back = fam.generator(t)
-        bumped = ProcessMatrix(ComplexOperator(back.w.entries + offset, back.dims),
-                               emission_role=back.emission_role,
-                               delivery_role=back.delivery_role,
-                               validate=False)
-        return fwd, bumped
+    def backward(t: float) -> ProcessMatrix:
+        back = fam.backward_at(t)
+        return ProcessMatrix(ComplexOperator(back.w.entries + offset, back.dims),
+                             emission_role=back.emission_role,
+                             delivery_role=back.delivery_role,
+                             validate=False)
 
-    return ProcessFamily(generator=generator, period=fam.period)
+    return ProcessFamily(forward_at=fam.forward_at, backward_at=backward, period=fam.period)
 
 
 # ---------------------------------------------------------------------------

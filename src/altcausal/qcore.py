@@ -130,6 +130,19 @@ class DensityMatrix(ComplexOperator):
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
 
     @classmethod
+    def _trusted(cls, entries, dims: Sequence[int]) -> "DensityMatrix":
+        """A state derived inside the package from a validated one.
+
+        Only for maps that keep states valid, such as a unitary
+        conjugation or a depolarizing mix: makes the public constructor's
+        read-only copy and shape checks, but skips its eigenvalue and SVD
+        checks.
+        """
+        rho = cls.__new__(cls)
+        ComplexOperator.__init__(rho, entries, dims)
+        return rho
+
+    @classmethod
     def from_state_vector(cls, vec, dims: Sequence[int]) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).reshape(-1)
         norm = np.linalg.norm(v)

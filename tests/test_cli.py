@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -193,6 +196,21 @@ def test_fito_cumulative_cost_is_a_running_sum(tmp_path):
     assert expected[-1] == report["metrics"]["fito_landauer_joules"]
 
 
+def test_photonclock_series_matches_a_reading_after_every_bounce(tmp_path):
+    out = tmp_path / "p.json"
+    assert main(["photonclock", "--bounces", "200", "--decoherence", "0.3", "--seed", "5",
+                 "--tick-seconds", "2.0", "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    box = photonclock.CausalBox(decoherence_per_bounce=0.3, rng_seed=5)
+    readings = []
+    for _ in range(200):
+        photonclock.bounce(box)
+        readings.append(photonclock.classical_time(box.ledger))
+    assert report["series"]["classical_time"] == readings
+    assert report["metrics"]["classical_time"] == readings[-1] > 0
+    assert report["metrics"]["classical_time_seconds"] == readings[-1] * 2.0
+
+
 def test_duality_deviation_is_tiny(tmp_path):
     out = tmp_path / "dual.json"
     assert main(["duality", "--points", "16", "--json", str(out)]) == 0
@@ -244,6 +262,28 @@ def test_bad_input_is_rejected_at_the_boundary(args, config, param, tmp_path, ca
     assert main([*args, *extra, "--json", str(out)]) == 1
     assert param in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [
+    ["--omega", "1e308"],
+    ["--tmax", "1e308"],
+    ["--omega", "1e308", "--phase-mode", "discrete"],
+])
+def test_overflowing_duality_phase_exits_one_without_warnings(args, tmp_path, capsys):
+    # finite inputs whose member phase omega * t * gap overflows
+    out = tmp_path / "r.json"
+    assert main(["duality", *args, "--json", str(out)]) == 1
+    assert "omega" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, altcausal.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    assert proc.stdout.strip() == "False"
 
 
 def test_json_int_for_a_float_option_is_stored_as_float(tmp_path):

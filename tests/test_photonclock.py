@@ -2,10 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from altcausal.qcore import ComplexOperator, DensityMatrix, fidelity, ket, projector
+from altcausal.qcore import (
+    PAULI_X,
+    ComplexOperator,
+    DensityMatrix,
+    fidelity,
+    ket,
+    projector,
+    random_density_matrix,
+)
 from altcausal.photonclock import (
     BoundaryConditions,
     BreakOutcome,
@@ -20,6 +28,7 @@ from altcausal.photonclock import (
     cascade,
     check_nondiscernability,
     classical_time,
+    classical_time_series,
     rcp_apply,
     rcp_invariant,
     wf_echo,
@@ -79,6 +88,36 @@ def test_balanced_coherent_ledger_is_timeless():
     assert classical_time(led) == 1
 
 
+def _reference_classical_time(increments):
+    """Reference reading: one scan of the whole ledger, closed runs only."""
+    total = 0
+    run = 0
+    for inc in increments:
+        run += inc.value
+        if inc.decohered:
+            total += abs(run)
+            run = 0
+    return total
+
+
+_TICKS = st.lists(st.tuples(st.sampled_from([1, -1]), st.booleans()), max_size=80)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_TICKS)
+@example([])
+@example([(1, False), (-1, False)] * 20)
+@example([(1, False)] * 30)
+@example([(-1, True)] * 30)
+def test_series_matches_per_prefix_rescan(seq):
+    led = _ledger(seq)
+    series = classical_time_series(led)
+    want = [_reference_classical_time(led.increments[:k + 1]) for k in range(len(seq))]
+    assert series == want
+    assert all(type(v) is int for v in series)
+    assert classical_time(led) == _reference_classical_time(led.increments)
+
+
 def test_classical_time_monotone_under_closed_segments():
     rng = np.random.default_rng(0)
     led = TickLedger()
@@ -103,6 +142,9 @@ def test_box_rejects_bad_parameters():
         CausalBox(initial_direction=0)
     with pytest.raises(ValueError):
         CausalBox(photon=DensityMatrix.maximally_mixed((3,)))
+    # bounce does not re-validate the photon, so an unchecked operator may not enter
+    with pytest.raises(TypeError):
+        CausalBox(photon=ComplexOperator(np.diag([2.0, -1.0]), (2,)))
 
 
 def test_event_counter_is_not_a_constructor_argument():
@@ -148,6 +190,46 @@ def test_bounce_with_polarization_factor():
     bounce(box)
     bounce(box)
     assert fidelity(box.photon, initial) == pytest.approx(1.0, abs=1e-12)
+
+
+def _reference_bounce(box):
+    """bounce with each new photon state built and validated as a DensityMatrix."""
+    rng = box._event_rng()
+    decohered = bool(rng.random() < box.decoherence_per_bounce)
+    box.ledger.append(box.current_direction, decohered)
+    photon = box.photon
+    x_full = np.kron(PAULI_X, np.eye(photon.dim // 2, dtype=complex))
+    photon = DensityMatrix(x_full @ photon.entries @ x_full.conj().T, photon.dims)
+    p = box.decoherence_per_bounce
+    if p != 0.0:
+        mix = np.eye(photon.dim, dtype=complex) / photon.dim
+        photon = DensityMatrix((1 - p) * photon.entries + p * mix, photon.dims)
+    box.photon = photon
+    return box
+
+
+def _photons():
+    rng = np.random.default_rng(31)
+    return {"direction": projector(ket(0)),
+            "mixed_direction": random_density_matrix(2, rng),
+            "polarized": DensityMatrix(random_density_matrix(4, rng).entries, (2, 2))}
+
+
+@pytest.mark.parametrize("photon", sorted(_photons()))
+@pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+def test_bounce_matches_validated_reference_bit_for_bit(photon, p):
+    state = _photons()[photon]
+    fast = CausalBox(photon=state, decoherence_per_bounce=p, rng_seed=13)
+    slow = CausalBox(photon=state, decoherence_per_bounce=p, rng_seed=13)
+    for _ in range(40):
+        bounce(fast)
+        _reference_bounce(slow)
+        assert type(fast.photon) is DensityMatrix
+        assert fast.photon.dims == slow.photon.dims
+        assert fast.photon.entries.tobytes() == slow.photon.entries.tobytes()
+        assert not fast.photon.entries.flags.writeable
+    assert fast.ledger.increments == slow.ledger.increments
+    assert fast._event_count == slow._event_count == 40
 
 
 def test_nondiscernability_holds_for_closed_box():

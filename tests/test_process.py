@@ -20,6 +20,8 @@ from altcausal.qcore import (
 from altcausal.process import (
     ProcessMatrix,
     ProcessTensor,
+    _out_wire_phase_generator,
+    _swap_parties,
     ac_vs_ico_entropy,
     build_alternating_family,
     build_quantum_switch,
@@ -154,6 +156,89 @@ def test_family_members_stay_valid():
     for t in np.linspace(0, fam.period, 9):
         assert validate_ocb(fam.forward(float(t))).valid
         assert validate_ocb(fam.backward(float(t))).valid
+
+
+def _reference_pair(w_fwd, omega, phase_mode, t):
+    """The family's former generator: both members at ``t``, each one validated."""
+    base, dims = w_fwd.w.entries, w_fwd.dims
+    if phase_mode == "continuous":
+        g = _out_wire_phase_generator(dims)
+        gap = g[:, None] - g[None, :]
+
+        def member(s):
+            return base * np.exp(-1j * omega * s * gap)
+    else:
+        swapped = _swap_parties(base, dims)
+
+        def member(s):
+            return base if math.cos(omega * s) >= 0 else swapped
+
+    em, dl = w_fwd.emission_role, w_fwd.delivery_role
+    fwd = ProcessMatrix(ComplexOperator(member(t), dims), emission_role=em, delivery_role=dl)
+    back = ProcessMatrix(ComplexOperator(member(-t).conj().T, dims),
+                         emission_role=dl, delivery_role=em)
+    return fwd, back
+
+
+@pytest.mark.parametrize("phase_mode", ["continuous", "discrete"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_members_match_validated_reference_bit_for_bit(phase_mode, dim):
+    rng = np.random.default_rng(40 + dim)
+    w = from_channel_order(random_channel(dim, dim, rng), "AB")
+    for omega in (0.7, 1.0, 2.5):
+        fam = build_alternating_family(w, omega=omega, phase_mode=phase_mode)
+        ts = np.linspace(-2 * fam.period, 2 * fam.period, 19)
+        for t in [*ts, *ts.tolist(), fam.period, 0.0, -0.0]:
+            want = _reference_pair(w, omega, phase_mode, t)
+            for got, ref in zip((fam.forward(t), fam.backward(t)), want):
+                assert got.w.entries.tobytes() == ref.w.entries.tobytes()
+                assert got.dims == ref.dims
+                assert (got.emission_role, got.delivery_role) == \
+                    (ref.emission_role, ref.delivery_role)
+                assert validate_ocb(got).valid
+
+
+def test_trusted_values_are_read_only_copies():
+    rng = np.random.default_rng(41)
+    state = random_density_matrix(4, rng).entries.copy()
+    rho = DensityMatrix._trusted(state, (2, 2))
+    assert not rho.entries.flags.writeable
+    assert state.flags.writeable
+    assert not np.shares_memory(rho.entries, state)
+    w = from_channel_order(random_channel(2, 2, rng), "AB")
+    for phase_mode in ("continuous", "discrete"):
+        fam = build_alternating_family(w, omega=1.0, phase_mode=phase_mode)
+        for member in (fam.forward(0.0), fam.backward(0.0), fam.forward(4.0), fam.backward(4.0)):
+            assert not member.w.entries.flags.writeable
+            assert not np.shares_memory(member.w.entries, w.w.entries)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phase_mode, omega, t", [
+    ("continuous", 1e308, 6.0),      # omega alone overflows the phase
+    ("continuous", 1.0, 1e308),      # omega * t * gap overflows at a late sample
+    ("discrete", 1e308, 6.0),
+    ("discrete", 2.0, 1e308),
+])
+def test_overflowing_member_phase_is_refused(phase_mode, omega, t):
+    rng = np.random.default_rng(12)
+    w = from_channel_order(random_channel(2, 2, rng), "AB")
+    fam = build_alternating_family(w, omega=omega, phase_mode=phase_mode)
+    for member in (fam.forward, fam.backward):
+        with pytest.raises(ValueError, match="omega"):
+            member(t)
+    with pytest.raises(ValueError, match="omega"):
+        check_duality(fam, [0.0, t])
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_finite_phase_still_builds_members():
+    rng = np.random.default_rng(12)
+    w = from_channel_order(random_channel(2, 2, rng), "AB")
+    fam = build_alternating_family(w, omega=1.0)   # widest out-wire gap is 2
+    member = fam.forward(8e307)
+    assert np.isfinite(member.w.entries).all()
+    assert validate_ocb(member).valid
 
 
 def test_backward_swaps_roles():
