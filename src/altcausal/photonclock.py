@@ -417,22 +417,20 @@ class CascadeReport:
     sites: int
     noise: float
     horizon: int
-    seed: int
     fidelities: tuple[float, ...]   # fidelity after step k = 1..horizon
     best_fidelity: float
     best_step: int
 
 
-def cascade(n: int, noise: float, horizon: int, seed: int = 0) -> CascadeReport:
+def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
     """Hop a single excitation along an open chain of ``n`` partners.
 
     The step unitary is exp(-i H pi/2) with H the uniform
     nearest-neighbour hopping Hamiltonian restricted to the
     one-excitation sector; depolarizing noise of strength ``noise`` acts
     after every step.  Reports the best fidelity of return to the
-    initial end-site state within the horizon.  The seed is recorded for
-    report identity; the density-matrix evolution itself is
-    deterministic.
+    initial end-site state within the horizon.  The evolution is a
+    deterministic density-matrix calculation, so it takes no seed.
     """
     if not 2 <= n <= MAX_CASCADE_SITES:
         raise ValueError(f"chain length must lie in [2, {MAX_CASCADE_SITES}], got {n}")
@@ -462,7 +460,6 @@ def cascade(n: int, noise: float, horizon: int, seed: int = 0) -> CascadeReport:
         sites=n,
         noise=noise,
         horizon=horizon,
-        seed=seed,
         fidelities=tuple(fids),
         best_fidelity=fids[best_idx],
         best_step=best_idx + 1,

@@ -19,10 +19,8 @@ processing inequality survives finite sampling.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -47,16 +45,11 @@ __all__ = [
     "capacity",
     "capacity_monte_carlo",
     "landauer_cost",
-    "unreflected_entropy",
-    "encode_frame",
-    "decode_frame",
 ]
 
 BOLTZMANN_J_PER_K = 1.380649e-23    # exact SI value
 SLICE_BYTES = 8
 SLICE_BITS = 8 * SLICE_BYTES
-FRAME_BYTES = 16
-_SEQ_LIMIT = 1 << 48   # the frame carries a 6-byte sequence number
 
 
 class Direction(Enum):
@@ -176,15 +169,6 @@ def landauer_cost(bits: float, temperature_kelvin: float) -> float:
     return bits * BOLTZMANN_J_PER_K * temperature_kelvin * math.log(2)
 
 
-def unreflected_entropy(i_transmitted: float, i_reflected: float) -> float:
-    """Entropy shed to the absorber: transmitted minus reflected."""
-    if i_reflected > i_transmitted:
-        raise ValueError(
-            f"reflected information {i_reflected} exceeds transmitted {i_transmitted}; "
-            "accounting is inconsistent")
-    return i_transmitted - i_reflected
-
-
 # ---------------------------------------------------------------------------
 # ledgers and configuration
 # ---------------------------------------------------------------------------
@@ -263,22 +247,15 @@ class CycleColumns:
         return self.i_plus - self.i_reflected
 
 
-def conservation_check(cycles: CycleColumns | Sequence[InfoLedger]) -> float:
+def conservation_check(cycles: CycleColumns) -> float:
     """Max per-cycle violation of dI_plus + dI_minus = 0.
 
-    Takes a run's ``CycleColumns`` or any sequence of ``InfoLedger``,
-    which is turned into columns first.  Needs at least two cycles; a
-    steadily running verified link scores exactly zero because both
-    directed rates are constant.
+    Needs at least two cycles; a steadily running verified link scores
+    exactly zero because both directed rates are constant.
     """
     if len(cycles) < 2:
         raise ValueError("conservation check needs at least two cycles")
-    if isinstance(cycles, CycleColumns):
-        i_plus, i_minus = cycles.i_plus, cycles.i_minus
-    else:
-        i_plus = np.array([c.i_plus for c in cycles], dtype=np.float64)
-        i_minus = np.array([c.i_minus for c in cycles], dtype=np.float64)
-    return float(np.abs(np.diff(i_plus) + np.diff(i_minus)).max())
+    return float(np.abs(np.diff(cycles.i_plus) + np.diff(cycles.i_minus)).max())
 
 
 @dataclass(frozen=True)
@@ -492,30 +469,3 @@ def capacity_monte_carlo(cfg: LinkConfig, n_bits: int = 100_000) -> tuple[float,
     c_forward = leg(_STREAM_MC_FORWARD, cfg.bit_flip_forward)
     c_backward = leg(_STREAM_MC_BACKWARD, cfg.bit_flip_backward)
     return c_forward, c_forward + c_backward
-
-
-# ---------------------------------------------------------------------------
-# wire format
-# ---------------------------------------------------------------------------
-
-def encode_frame(s: Slice, flags: int = 0) -> bytes:
-    """16-byte frame: payload, 6-byte little-endian seq, direction, flags.
-
-    A seq of 2**48 or more does not fit in the frame and is refused.
-    """
-    if not 0 <= flags < 256:
-        raise ValueError(f"flags must fit in one byte, got {flags}")
-    if s.seq >= _SEQ_LIMIT:
-        raise ValueError(f"seq must fit in 48 bits to be framed, got {s.seq}")
-    frame = s.payload + struct.pack("<Q", s.seq)[:6] + bytes([s.direction.value, flags])
-    assert len(frame) == FRAME_BYTES
-    return frame
-
-
-def decode_frame(frame: bytes) -> tuple[Slice, int]:
-    if len(frame) != FRAME_BYTES:
-        raise ValueError(f"frame must be {FRAME_BYTES} bytes, got {len(frame)}")
-    payload = frame[:SLICE_BYTES]
-    seq = struct.unpack("<Q", frame[SLICE_BYTES:SLICE_BYTES + 6] + b"\x00\x00")[0]
-    direction = Direction(frame[14])
-    return Slice(payload=payload, seq=seq, direction=direction), frame[15]

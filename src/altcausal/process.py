@@ -24,7 +24,7 @@ orientations stay valid at every instant and the duality holds exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,8 +34,6 @@ from .qcore import (
     Channel,
     ComplexOperator,
     DensityMatrix,
-    apply_channel,
-    dagger,
     identity,
     ket,
     partial_trace,
@@ -50,19 +48,14 @@ __all__ = [
     "ProcessMatrix",
     "ValidityReport",
     "ProcessFamily",
-    "ProcessTensor",
     "SwitchModel",
     "ComparisonReport",
     "validate_ocb",
     "from_channel_order",
-    "route_state",
-    "marginal_state",
-    "check_two_way",
     "build_alternating_family",
     "check_duality",
     "duality_deviations",
     "with_skew_perturbation",
-    "decompose_process_tensor",
     "build_quantum_switch",
     "switch_unitary",
     "switch_output",
@@ -110,9 +103,6 @@ class ProcessMatrix:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.w.dims
-
-    def role_index(self, role: str) -> int:
-        return ROLES.index(role)
 
 
 @dataclass(frozen=True)
@@ -204,57 +194,6 @@ def from_channel_order(c: Channel, order: str = "AB",
 
     op = ComplexOperator(entries, dims)
     return ProcessMatrix(op, emission_role=emission, delivery_role=delivery, tol=tol)
-
-
-def marginal_state(w: ProcessMatrix, role: str) -> DensityMatrix:
-    """Unit-trace reduction of the process matrix onto one wire."""
-    idx = w.role_index(role)
-    reduced = partial_trace(w.w, keep=[idx]).entries
-    tr = reduced.trace().real
-    if tr <= 0:
-        raise ValueError("process matrix has non-positive trace")
-    return DensityMatrix(reduced / tr, (w.dims[idx],))
-
-
-def route_state(w: ProcessMatrix, emission_state: DensityMatrix) -> DensityMatrix:
-    """State appearing on the delivery wire when ``emission_state`` is fed in.
-
-    For a process built by ``from_channel_order`` this reproduces the
-    carried channel exactly: routing ``rho`` through the A-to-B process
-    of channel ``c`` returns ``apply_channel(c, rho)``.
-    """
-    em, dl = w.role_index(w.emission_role), w.role_index(w.delivery_role)
-    if emission_state.dim != w.dims[em]:
-        raise ValueError(
-            f"emission state dimension {emission_state.dim} does not match wire {w.dims[em]}")
-    pair = partial_trace(w.w, keep=sorted((em, dl)))
-    d0, d1 = pair.dims
-    t = pair.entries.reshape(d0, d1, d0, d1)
-    if em < dl:
-        out = np.einsum("ij,iajb->ab", emission_state.entries, t)
-    else:
-        out = np.einsum("ij,aibj->ab", emission_state.entries, t)
-    tr = out.trace().real
-    if tr <= 0:
-        raise ValueError("routed state has non-positive trace")
-    return DensityMatrix(out / tr, (w.dims[dl],))
-
-
-def check_two_way(w_ab: ProcessMatrix, w_ba: ProcessMatrix,
-                  rho_a: DensityMatrix, rho_b: DensityMatrix) -> float:
-    """Largest deviation of the delivered marginals from the reference states.
-
-    ``rho_b`` is compared against what the forward process delivers on
-    B's side, ``rho_a`` against what the reverse process delivers on A's
-    side.  Zero means the pair is mutually consistent.
-    """
-    got_b = marginal_state(w_ab, w_ab.delivery_role).entries
-    got_a = marginal_state(w_ba, w_ba.delivery_role).entries
-    if got_b.shape != rho_b.entries.shape or got_a.shape != rho_a.entries.shape:
-        raise ValueError("reference state dimensions do not match the delivery wires")
-    dev_b = spectral_norm(got_b - rho_b.entries)
-    dev_a = spectral_norm(got_a - rho_a.entries)
-    return max(dev_a, dev_b)
 
 
 # ---------------------------------------------------------------------------
@@ -408,56 +347,6 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
 
 
 # ---------------------------------------------------------------------------
-# process tensors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProcessTensor:
-    """Ordered steps of a multi-slot process, one operator per slot."""
-
-    steps: tuple[ComplexOperator, ...]
-
-    def __init__(self, steps: Sequence[ComplexOperator]):
-        steps = tuple(steps)
-        if not steps:
-            raise ValueError("process tensor needs at least one step")
-        dims = steps[0].dims
-        if any(s.dims != dims for s in steps):
-            raise ValueError("all steps must share the same wire dimensions")
-        object.__setattr__(self, "steps", steps)
-
-    @property
-    def step_count(self) -> int:
-        return len(self.steps)
-
-
-def _reverse_dagger(tens: ProcessTensor) -> ProcessTensor:
-    return ProcessTensor([dagger(s) for s in reversed(tens.steps)])
-
-
-def decompose_process_tensor(tens: ProcessTensor) -> tuple[ProcessTensor, ProcessTensor]:
-    """Split into forward and reflected components.
-
-    With R the order-reversing adjoint (dagger each step, reverse the
-    step order), the reflected part is the halved R-symmetric component
-
-        t_minus = (tens + R(tens)) / 4
-
-    and the forward part carries the rest, t_plus = tens - t_minus.
-    The sum reconstructs ``tens`` entrywise, t_minus is R-invariant, and
-    on R-symmetric tensors t_minus equals dagger-of-reversed t_plus.
-    """
-    rev = _reverse_dagger(tens)
-    minus_steps = []
-    plus_steps = []
-    for s, r in zip(tens.steps, rev.steps):
-        minus = ComplexOperator((s.entries + r.entries) / 4, s.dims)
-        minus_steps.append(minus)
-        plus_steps.append(ComplexOperator(s.entries - minus.entries, s.dims))
-    return ProcessTensor(plus_steps), ProcessTensor(minus_steps)
-
-
-# ---------------------------------------------------------------------------
 # the order switch
 # ---------------------------------------------------------------------------
 
@@ -511,7 +400,8 @@ def switch_output(model: SwitchModel, target: DensityMatrix,
         raise ValueError("target/control dimensions do not match the switch")
     s = switch_unitary(model).entries
     joint = np.kron(target.entries, control.entries)
-    return DensityMatrix(s @ joint @ s.conj().T, (model.target_dim, 2))
+    # a unitary conjugate of two validated states: valid without a recheck
+    return DensityMatrix._trusted(s @ joint @ s.conj().T, (model.target_dim, 2))
 
 
 def control_interference_probabilities(model: SwitchModel, target: DensityMatrix,
@@ -628,8 +518,11 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int,
     ac_state = np.kron(target.entries, np.outer(ket(0), ket(0).conj()))
     ico_state = np.kron(target.entries, np.outer(plus, plus.conj()))
 
+    # Every state is a unitary conjugate or depolarizing mix of the
+    # validated target, so it is not validated again; the entropy keeps
+    # its own negative-eigenvalue check.
     def entropy(m: np.ndarray) -> float:
-        return von_neumann_entropy(DensityMatrix(m, (d, 2)))
+        return von_neumann_entropy(DensityMatrix._trusted(m, (d, 2)))
 
     ac_series = [entropy(ac_state)]
     ico_series = [entropy(ico_state)]

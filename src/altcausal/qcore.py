@@ -17,7 +17,6 @@ so trace preservation reads ``Tr_out(choi) = I_in``.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence

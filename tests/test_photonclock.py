@@ -393,12 +393,14 @@ def test_cascade_noise_strictly_hurts():
 
 
 def test_cascade_report_shape():
-    rep = cascade(3, 0.01, horizon=12, seed=5)
+    rep = cascade(3, 0.01, horizon=12)
     assert isinstance(rep, CascadeReport)
     assert len(rep.fidelities) == 12
     assert rep.best_fidelity == max(rep.fidelities)
     assert rep.fidelities[rep.best_step - 1] == rep.best_fidelity
     assert all(-1e-12 <= f <= 1 + 1e-12 for f in rep.fidelities)
+    with pytest.raises(TypeError):   # deterministic: no seed to pass
+        cascade(3, 0.01, horizon=12, seed=5)
 
 
 def test_cascade_rejects_bad_sizes():

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from altcausal.qcore import (
-    Channel,
     ComplexOperator,
     DensityMatrix,
     PAULI_X,
@@ -16,22 +15,18 @@ from altcausal.qcore import (
     random_density_matrix,
     random_unitary,
     spectral_norm,
+    von_neumann_entropy,
 )
 from altcausal.process import (
     ProcessMatrix,
-    ProcessTensor,
     _out_wire_phase_generator,
     _swap_parties,
     ac_vs_ico_entropy,
     build_alternating_family,
     build_quantum_switch,
     check_duality,
-    check_two_way,
     control_interference_probabilities,
-    decompose_process_tensor,
     from_channel_order,
-    marginal_state,
-    route_state,
     switch_output,
     switch_process_matrix,
     switch_unitary,
@@ -46,7 +41,7 @@ def _plus():
 
 
 # ---------------------------------------------------------------------------
-# validity and routing
+# validity
 # ---------------------------------------------------------------------------
 
 def test_validity_for_random_channels():
@@ -69,55 +64,6 @@ def test_validity_for_nonsquare_channel():
 def test_process_matrix_rejects_wrong_wire_count():
     with pytest.raises(ValueError):
         ProcessMatrix(ComplexOperator(np.eye(4), (2, 2)))
-
-
-def test_route_state_reproduces_channel():
-    rng = np.random.default_rng(2)
-    for order in ("AB", "BA"):
-        c = random_channel(2, 2, rng)
-        w = from_channel_order(c, order)
-        rho = random_density_matrix(2, rng)
-        np.testing.assert_allclose(route_state(w, rho).entries,
-                                   apply_channel(c, rho).entries, atol=1e-12)
-
-
-def test_route_state_bit_flip_oracle():
-    w = from_channel_order(Channel.bit_flip(0.3), "AB")
-    out = route_state(w, projector(ket(0)))
-    np.testing.assert_allclose(np.diag(out.entries).real, [0.7, 0.3], atol=1e-12)
-
-
-def test_fully_depolarizing_routes_to_mixed():
-    w = from_channel_order(Channel.depolarizing(1.0), "AB")
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        out = route_state(w, random_density_matrix(2, rng))
-        np.testing.assert_allclose(out.entries, np.eye(2) / 2, atol=1e-12)
-
-
-def test_two_way_identity_pair():
-    cid = Channel.identity(2)
-    mixed = DensityMatrix.maximally_mixed((2,))
-    dev = check_two_way(from_channel_order(cid, "AB"), from_channel_order(cid, "BA"),
-                        mixed, mixed)
-    assert dev < 1e-12
-
-
-def test_two_way_mismatch_is_half():
-    dep = Channel.depolarizing(1.0)
-    w_ab, w_ba = from_channel_order(dep, "AB"), from_channel_order(dep, "BA")
-    mixed = DensityMatrix.maximally_mixed((2,))
-    dev = check_two_way(w_ab, w_ba, mixed, projector(ket(0)))
-    assert dev == pytest.approx(0.5, abs=1e-12)
-
-
-def test_two_way_self_consistency():
-    rng = np.random.default_rng(4)
-    c = random_channel(2, 2, rng)
-    w_ab, w_ba = from_channel_order(c, "AB"), from_channel_order(c, "BA")
-    rho_b = marginal_state(w_ab, w_ab.delivery_role)
-    rho_a = marginal_state(w_ba, w_ba.delivery_role)
-    assert check_two_way(w_ab, w_ba, rho_a, rho_b) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -275,48 +221,6 @@ def test_family_rejects_bad_omega():
 
 
 # ---------------------------------------------------------------------------
-# process tensor split
-# ---------------------------------------------------------------------------
-
-def test_decomposition_reconstructs():
-    rng = np.random.default_rng(13)
-    for k in (1, 2, 3, 4):
-        for d in (2, 3, 4):
-            steps = [ComplexOperator(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)), (d,))
-                     for _ in range(k)]
-            t_plus, t_minus = decompose_process_tensor(ProcessTensor(steps))
-            for s, p, m in zip(steps, t_plus.steps, t_minus.steps):
-                assert np.abs(p.entries + m.entries - s.entries).max() < 1e-12
-
-
-def test_decomposition_hermitian_single_step():
-    rng = np.random.default_rng(14)
-    g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    h = ComplexOperator((g + g.conj().T) / 2, (3,))
-    t_plus, t_minus = decompose_process_tensor(ProcessTensor([h]))
-    np.testing.assert_allclose(t_plus.steps[0].entries, h.entries / 2, atol=1e-14)
-    np.testing.assert_allclose(t_minus.steps[0].entries, h.entries / 2, atol=1e-14)
-
-
-def test_decomposition_symmetric_tensor():
-    # a tensor equal to its dagger-reversed self splits into dual halves
-    rng = np.random.default_rng(15)
-    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-    steps = [ComplexOperator(a, (3,)), ComplexOperator(a.conj().T, (3,))]
-    tens = ProcessTensor(steps)
-    t_plus, t_minus = decompose_process_tensor(tens)
-    for m, p_rev in zip(t_minus.steps, reversed(t_plus.steps)):
-        np.testing.assert_allclose(m.entries, p_rev.entries.conj().T, atol=1e-14)
-    for s, p, m in zip(steps, t_plus.steps, t_minus.steps):
-        np.testing.assert_allclose(p.entries + m.entries, s.entries, atol=0)
-
-
-def test_tensor_rejects_mixed_dims():
-    with pytest.raises(ValueError):
-        ProcessTensor([ComplexOperator(np.eye(2), (2,)), ComplexOperator(np.eye(3), (3,))])
-
-
-# ---------------------------------------------------------------------------
 # quantum switch
 # ---------------------------------------------------------------------------
 
@@ -407,6 +311,65 @@ def test_switch_output_dims():
     assert out.dims == (2, 2)
 
 
+@pytest.fixture
+def validations(monkeypatch):
+    """Counts validated DensityMatrix constructions; ``_trusted`` is not one."""
+    count = [0]
+    validated = DensityMatrix.__init__
+
+    def counting(self, *args, **kwargs):
+        count[0] += 1
+        validated(self, *args, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", counting)
+    return count
+
+
+def _controls(points):
+    # the control states of the CLI's switch sweep
+    return [DensityMatrix.from_state_vector(np.array([math.cos(th), math.sin(th)]), (2,))
+            for th in np.linspace(0.0, math.pi / 2, points)]
+
+
+def _reference_switch_output(model, target, control):
+    """switch_output's former body: the output built and validated as a DensityMatrix."""
+    s = switch_unitary(model).entries
+    joint = np.kron(target.entries, control.entries)
+    return DensityMatrix(s @ joint @ s.conj().T, (model.target_dim, 2))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_switch_output_matches_validated_reference_bit_for_bit(dim):
+    rng = np.random.default_rng(50 + dim)
+    pairs = [(random_unitary(dim, rng), random_unitary(dim, rng))]
+    if dim == 2:
+        pairs += [(PAULI_X, PAULI_Z), (PAULI_X, PAULI_X)]
+    targets = [projector(ket(0, dim)), random_density_matrix(dim, rng)]
+    for u_a, u_b in pairs:
+        model = build_quantum_switch(u_a, u_b)
+        for target in targets:
+            for control in [*_controls(33), _plus()]:
+                fast = switch_output(model, target, control)
+                slow = _reference_switch_output(model, target, control)
+                assert type(fast) is DensityMatrix
+                assert fast.dims == slow.dims
+                assert fast.entries.tobytes() == slow.entries.tobytes()
+                assert not fast.entries.flags.writeable
+
+
+def test_switch_readout_validates_nothing_per_angle(validations):
+    model = build_quantum_switch(PAULI_X, PAULI_Z)
+    target = DensityMatrix.maximally_mixed((2,))
+    counts = []
+    for points in (5, 50):
+        controls = _controls(points)
+        before = validations[0]
+        for control in controls:
+            control_interference_probabilities(model, target, control)
+        counts.append(validations[0] - before)
+    assert counts == [0, 0]
+
+
 # ---------------------------------------------------------------------------
 # alternating vs coherent order
 # ---------------------------------------------------------------------------
@@ -436,3 +399,47 @@ def test_ac_vs_ico_rejects_bad_args():
         ac_vs_ico_entropy(PAULI_X, PAULI_Z, noise=1.5, steps=3)
     with pytest.raises(ValueError):
         ac_vs_ico_entropy(PAULI_X, PAULI_Z, noise=0.1, steps=0)
+
+
+def _reference_ac_vs_ico(u_a, u_b, noise, steps):
+    """ac_vs_ico_entropy's former loop: every state built and validated as a DensityMatrix."""
+    model = build_quantum_switch(u_a, u_b)
+    d = model.target_dim
+    mix = np.eye(2 * d, dtype=complex) / (2 * d)
+    m_even = np.kron(model.u_a.entries @ model.u_b.entries, np.eye(2, dtype=complex))
+    m_odd = np.kron(model.u_b.entries @ model.u_a.entries, np.eye(2, dtype=complex))
+    s = switch_unitary(model).entries
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    target = projector(ket(0, d)).entries
+    ac = np.kron(target, np.outer(ket(0), ket(0).conj()))
+    ico = np.kron(target, np.outer(plus, plus.conj()))
+    ac_series, ico_series = [], []
+    for k in range(steps + 1):
+        if k:
+            u = m_even if k % 2 == 1 else m_odd
+            ac = (1 - noise) * (u @ ac @ u.conj().T) + noise * mix
+            ico = (1 - noise) * (s @ ico @ s.conj().T) + noise * mix
+        ac_series.append(von_neumann_entropy(DensityMatrix(ac, (d, 2))))
+        ico_series.append(von_neumann_entropy(DensityMatrix(ico, (d, 2))))
+    return ac_series, ico_series
+
+
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 1.0])
+def test_ac_vs_ico_matches_validated_reference_bit_for_bit(noise):
+    rng = np.random.default_rng(60)
+    pairs = [(PAULI_X, PAULI_Z), (PAULI_X, PAULI_X),
+             (random_unitary(3, rng), random_unitary(3, rng))]
+    for u_a, u_b in pairs:
+        rep = ac_vs_ico_entropy(u_a, u_b, noise=noise, steps=40)
+        ac, ico = _reference_ac_vs_ico(u_a, u_b, noise, 40)
+        assert np.array(rep.ac_entropies).tobytes() == np.array(ac).tobytes()
+        assert np.array(rep.ico_entropies).tobytes() == np.array(ico).tobytes()
+
+
+def test_ac_vs_ico_validation_count_does_not_grow_with_steps(validations):
+    counts = []
+    for steps in (5, 500):
+        before = validations[0]
+        ac_vs_ico_entropy(PAULI_X, PAULI_Z, noise=0.3, steps=steps)
+        counts.append(validations[0] - before)
+    assert counts[0] == counts[1]

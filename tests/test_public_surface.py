@@ -1,0 +1,61 @@
+"""The public names of the package, and the names the benchmark tracer wraps.
+
+``bench/tracer.py`` wraps the package's public functions and the
+constructors and methods it lists by name; a name that no longer
+resolves is skipped there, and every metric built from it reads 0.
+These tests fail instead.  The tracer is imported, never installed.
+"""
+
+import ast
+import importlib
+import inspect
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = ("altcausal", "altcausal.qcore", "altcausal.process", "altcausal.photonclock",
+           "altcausal.piflink", "altcausal.cli")
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == []
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("tracer")
+
+
+def _wrapped_names(tracer) -> set[str]:
+    """The span and counter names ``Tracer.install`` would create."""
+    names = set()
+    for layer in tracer.LAYERS:
+        module = importlib.import_module(f"altcausal.{layer}")
+        names.update(f"{layer}.{f}" for f in tracer._public_functions(module))
+    for layer, cls_name, attr in tracer.EXTRA:
+        cls = getattr(importlib.import_module(f"altcausal.{layer}"), cls_name)
+        assert attr in vars(cls), f"{layer}.{cls_name}.{attr}"
+        names.add(f"{layer}.{cls_name}" + ("" if attr == "__init__" else f".{attr}"))
+    return names
+
+
+def test_tracer_extras_hooks_and_counters_resolve(tracer):
+    wrapped = _wrapped_names(tracer)
+    assert set(tracer.HOOKS) - wrapped == set()
+    assert set(tracer.COUNT_ONLY) - wrapped == set()
+
+
+def test_every_traced_metric_reads_a_wrapped_name(tracer):
+    # traced_run reads its metrics as total["<name>"] and n["<name>"]
+    tree = ast.parse(inspect.getsource(tracer.traced_run))
+    read = {node.slice.value for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
+            and node.value.id in ("total", "n") and isinstance(node.slice, ast.Constant)}
+    hook_counters = {counter for counter, _ in tracer.HOOKS.values()}
+    assert read
+    assert read - _wrapped_names(tracer) - hook_counters == set()
