@@ -47,7 +47,6 @@ __all__ = [
     "bare_classical_time",
     "check_nondiscernability",
     "break_symmetry",
-    "rcp_apply",
     "rcp_invariant",
     "cascade",
     "wf_echo",
@@ -58,6 +57,9 @@ __all__ = [
 CASCADE_STEP = math.pi / 2
 
 MAX_CASCADE_SITES = 12
+
+# rcp_invariant calls the R(t) norm constant when its drift stays below this.
+RCP_TOL = 1e-10
 
 
 class TickRecord(NamedTuple):
@@ -180,7 +182,6 @@ class CausalBox:
     decoherence_per_bounce: float = 0.0
     ledger: TickLedger = field(default_factory=TickLedger)
     rng_seed: int = 0
-    initial_direction: int = 1
     _event_count: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
@@ -194,14 +195,11 @@ class CausalBox:
         if not 0.0 <= self.decoherence_per_bounce <= 1.0:
             raise ValueError(
                 f"decoherence per bounce must lie in [0, 1], got {self.decoherence_per_bounce}")
-        if self.initial_direction not in (-1, 1):
-            raise ValueError(f"initial direction must be +1 or -1, got {self.initial_direction}")
 
     @property
     def current_direction(self) -> int:
         """Sign of the leg the photon is on: +1 for A to B, -1 back."""
-        flips = self.ledger.traversal_count
-        return self.initial_direction * (1 if flips % 2 == 0 else -1)
+        return 1 if self.ledger.traversal_count % 2 == 0 else -1
 
     def _event_rng(self) -> np.random.Generator:
         rng = np.random.default_rng((self.rng_seed, self._event_count))
@@ -264,7 +262,6 @@ def check_nondiscernability(box: CausalBox, k_cycles: int) -> bool:
         photon=box.photon,
         decoherence_per_bounce=0.0,
         rng_seed=box.rng_seed,
-        initial_direction=box.initial_direction,
     )
     initial = box.photon
     for _ in range(k_cycles):
@@ -306,15 +303,13 @@ class RcpOperator:
     """Forward/reverse exponential families and a symmetry-breaking knob.
 
     ``t_plus`` and ``t_minus`` are the Hermitian generators of the two
-    families; ``epsilon`` adds the non-Hermitian damping ``-i eps G`` to
-    the reverse generator, with ``damping`` a positive semidefinite G
-    (identity when omitted).
+    families; ``epsilon`` adds the non-Hermitian damping ``-i eps I`` to
+    the reverse generator.
     """
 
     t_plus: ComplexOperator
     t_minus: ComplexOperator
     epsilon: float = 0.0
-    damping: ComplexOperator | None = None
 
     def __post_init__(self):
         if self.t_plus.dim != self.t_minus.dim:
@@ -325,45 +320,27 @@ class RcpOperator:
                 raise ValueError(f"generator is not Hermitian: deviation {dev:.3e}")
         if self.epsilon < 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
-        if self.damping is not None:
-            if self.damping.dim != self.t_plus.dim:
-                raise ValueError("damping operator dimension mismatch")
-            if self.damping.min_eigenvalue() < -DEFAULT_TOL:
-                raise ValueError("damping operator must be positive semidefinite")
 
     @property
     def dim(self) -> int:
         return self.t_plus.dim
 
-    def _damping_matrix(self) -> np.ndarray:
-        if self.damping is None:
-            return np.eye(self.dim, dtype=complex)
-        return self.damping.entries
-
 
 def _rcp_matrix(op: RcpOperator, t: float) -> np.ndarray:
-    """R(t) = T_plus(t) + dagger(T_minus(-t)) with damped reverse family.
+    """R(t) = T_plus(t) + T_minus(-t)^dagger with damped reverse family.
 
     The families are T_plus(s) = exp(-i s H_plus) / 2 and
-    T_minus(s) = exp(-i s H_minus - eps |s| G) / 2; damping attenuates
+    T_minus(s) = exp(-i s H_minus - eps |s| I) / 2; damping attenuates
     both temporal directions so R(0) is the identity and the norm decays
     for t > 0 whenever eps > 0.
     """
     h_plus = op.t_plus.entries
     h_minus = op.t_minus.entries
-    g = op._damping_matrix()
+    g = np.eye(op.dim, dtype=complex)
     from scipy.linalg import expm   # imported on first use: it is most of the import time
     fwd = expm(-1j * t * h_plus) / 2
     rev = expm(1j * t * h_minus - op.epsilon * abs(t) * g) / 2
     return fwd + rev.conj().T
-
-
-def rcp_apply(op: RcpOperator, t: float, psi: np.ndarray) -> np.ndarray:
-    """Apply R(t) to a state vector."""
-    v = np.asarray(psi, dtype=complex).reshape(-1)
-    if v.size != op.dim:
-        raise ValueError(f"state dimension {v.size} does not match operator {op.dim}")
-    return _rcp_matrix(op, float(t)) @ v
 
 
 @dataclass(frozen=True)
@@ -377,12 +354,11 @@ class RcpInvariantReport:
     tol: float
 
 
-def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float],
-                  tol: float = 1e-10) -> RcpInvariantReport:
+def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpInvariantReport:
     """Evaluate the norm invariant along ``ts``.
 
     ``drift`` is max - min of the series; ``constant`` holds iff the
-    drift stays below ``tol``, which happens exactly when the reverse
+    drift stays below ``RCP_TOL``, which happens exactly when the reverse
     family is the dagger dual of the forward one and epsilon is zero.
     """
     if len(ts) == 0:
@@ -400,9 +376,9 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float],
     return RcpInvariantReport(
         ts=tuple(float(t) for t in ts),
         values=tuple(values),
-        constant=drift < tol,
+        constant=drift < RCP_TOL,
         drift=drift,
-        tol=tol,
+        tol=RCP_TOL,
     )
 
 

@@ -329,6 +329,16 @@ def _directed_bits(flips: int) -> float:
     return SLICE_BITS * (1.0 - binary_entropy(flips / SLICE_BITS))
 
 
+def _joint_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """2x2 table of the bit pairs (x, y) as floats: row x, column y.
+
+    Three counts and integer subtraction, so every entry is exact.
+    """
+    nx, ny, both = np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y)
+    return np.array([[x.size - nx - ny + both, ny - both],
+                     [nx - both, both]], dtype=float)
+
+
 def run_link(cfg: LinkConfig) -> LinkReport:
     """Simulate the link and return its full report.
 
@@ -412,10 +422,7 @@ def run_link(cfg: LinkConfig) -> LinkReport:
         x, y = sent[returned], recovered[returned]
     else:
         x, y = sent, received
-    counts = np.array([
-        [int((~x & ~y).sum()), int((~x & y).sum())],
-        [int((x & ~y).sum()), int((x & y).sum())],
-    ], dtype=float)
+    counts = _joint_counts(x, y)
     if counts.sum() == 0:
         counts = np.eye(2)   # degenerate run: every echo lost
     joint = JointDistribution.from_counts(counts)
@@ -460,11 +467,7 @@ def capacity_monte_carlo(cfg: LinkConfig, n_bits: int = 100_000) -> tuple[float,
         rng = _stream(cfg.rng_seed, tag)
         x = rng.integers(0, 2, size=n_bits).astype(bool)
         y = x ^ (rng.random(n_bits) < p)
-        counts = np.array([
-            [int((~x & ~y).sum()), int((~x & y).sum())],
-            [int((x & ~y).sum()), int((x & y).sum())],
-        ], dtype=float)
-        return SLICE_BITS * mutual_information(JointDistribution.from_counts(counts))
+        return SLICE_BITS * mutual_information(JointDistribution.from_counts(_joint_counts(x, y)))
 
     c_forward = leg(_STREAM_MC_FORWARD, cfg.bit_flip_forward)
     c_backward = leg(_STREAM_MC_BACKWARD, cfg.bit_flip_backward)

@@ -15,7 +15,7 @@ wires for every trace-preserving ``c``, which is the validity condition
 ``validate_ocb`` reports on.
 
 The reverse orientation is the adjoint under time reversal:
-``W_BA(t) = dagger(W_AB(-t))``.  ``build_alternating_family`` realises
+``W_BA(t) = W_AB(-t)^dagger``.  ``build_alternating_family`` realises
 the time dependence as phase conjugation by ``exp(-i omega t G)`` with
 ``G`` an integer-spectrum generator supported on the out wires, so both
 orientations stay valid at every instant and the duality holds exactly.
@@ -72,32 +72,23 @@ ROLES = ("A_in", "A_out", "B_in", "B_out")
 class ProcessMatrix:
     """Hermitian positive operator on the four process wires.
 
-    ``emission_role`` names the wire the sending party feeds, and
-    ``delivery_role`` the wire on which the receiving party's state
-    appears.  Constructors fill these in; time reversal swaps them.
     ``validate=False`` skips the Hermiticity/positivity gate.  Family
     members use it, being unitary conjugates or daggers of a matrix that
     was validated when it was built; tests use it for fault injection.
     """
 
     w: ComplexOperator
-    emission_role: str = "A_in"
-    delivery_role: str = "B_out"
-    tol: float = DEFAULT_TOL
     validate: bool = True
 
     def __post_init__(self):
         if self.w.subsystem_count != len(ROLES):
             raise ValueError(f"process matrix needs {len(ROLES)} wires, got {self.w.subsystem_count}")
-        for role in (self.emission_role, self.delivery_role):
-            if role not in ROLES:
-                raise ValueError(f"unknown wire role {role!r}")
         if self.validate:
             dev = self.w.hermiticity_deviation()
-            if dev > self.tol:
+            if dev > DEFAULT_TOL:
                 raise ValueError(f"process matrix is not Hermitian: deviation {dev:.3e}")
             lo = self.w.min_eigenvalue()
-            if lo < -self.tol:
+            if lo < -DEFAULT_TOL:
                 raise ValueError(f"process matrix has negative eigenvalue {lo:.3e}")
 
     @property
@@ -152,8 +143,7 @@ def _permute_subsystems(entries: np.ndarray, dims: Sequence[int],
 
 
 def from_channel_order(c: Channel, order: str = "AB",
-                       tau: DensityMatrix | None = None,
-                       tol: float = DEFAULT_TOL) -> ProcessMatrix:
+                       tau: DensityMatrix | None = None) -> ProcessMatrix:
     """Build the definite-order process matrix carrying ``c``.
 
     Parameters
@@ -184,16 +174,13 @@ def from_channel_order(c: Channel, order: str = "AB",
         raw = tensor(tensor(c.choi, tau), ident)
         entries = _permute_subsystems(raw.entries, raw.dims, (0, 2, 3, 1))
         dims = (c.in_dim, c.in_dim, c.out_dim, c.out_dim)
-        emission, delivery = "A_in", "B_out"
     else:
         # kron order (B_in, A_out, B_out, A_in) -> (A_in, A_out, B_in, B_out)
         raw = tensor(tensor(c.choi, tau), ident)
         entries = _permute_subsystems(raw.entries, raw.dims, (3, 1, 0, 2))
         dims = (c.out_dim, c.out_dim, c.in_dim, c.in_dim)
-        emission, delivery = "B_in", "A_out"
 
-    op = ComplexOperator(entries, dims)
-    return ProcessMatrix(op, emission_role=emission, delivery_role=delivery, tol=tol)
+    return ProcessMatrix(ComplexOperator(entries, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +238,7 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     with a phase factor of frequency ``omega`` while keeping every
     sampled member a valid process matrix.  Discrete mode swaps the two
     party slots once per half period instead.  In both modes the
-    backward member is defined as ``dagger(forward(-t))``, so the
+    backward member is defined as ``forward(-t)^dagger``, so the
     duality holds identically and ``forward(0)`` is ``w_fwd``.
     """
     if omega <= 0:
@@ -261,7 +248,6 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     period = 2 * math.pi / omega
     base = w_fwd.w.entries
     dims = w_fwd.dims
-    em, dl = w_fwd.emission_role, w_fwd.delivery_role
 
     if phase_mode == "continuous":
         g = _out_wire_phase_generator(dims)
@@ -283,12 +269,10 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     # Every member is a spectrum-preserving map of the validated w_fwd,
     # so none is validated again.
     def forward(t: float) -> ProcessMatrix:
-        return ProcessMatrix(ComplexOperator(member(t), dims),
-                             emission_role=em, delivery_role=dl, validate=False)
+        return ProcessMatrix(ComplexOperator(member(t), dims), validate=False)
 
     def backward(t: float) -> ProcessMatrix:
-        return ProcessMatrix(ComplexOperator(member(-t).conj().T, dims),
-                             emission_role=dl, delivery_role=em, validate=False)
+        return ProcessMatrix(ComplexOperator(member(-t).conj().T, dims), validate=False)
 
     return ProcessFamily(forward_at=forward, backward_at=backward, period=period)
 
@@ -306,7 +290,7 @@ def _check_phase(omega: float, t: float, widest: float) -> None:
 
 
 def check_duality(fam: ProcessFamily, ts: Sequence[float]) -> float:
-    """Max over ``ts`` of || backward(t) - dagger(forward(-t)) ||.
+    """Max over ``ts`` of || backward(t) - forward(-t)^dagger ||.
 
     Zero for a family that satisfies the time-reversal duality exactly.
     """
@@ -314,7 +298,7 @@ def check_duality(fam: ProcessFamily, ts: Sequence[float]) -> float:
 
 
 def duality_deviations(fam: ProcessFamily, ts: Sequence[float]) -> list[float]:
-    """|| backward(t) - dagger(forward(-t)) || at each time in ``ts``."""
+    """|| backward(t) - forward(-t)^dagger || at each time in ``ts``."""
     if len(ts) == 0:
         raise ValueError("need at least one sample time")
     return [spectral_norm(fam.backward(float(t)).w.entries
@@ -339,8 +323,6 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
     def backward(t: float) -> ProcessMatrix:
         back = fam.backward_at(t)
         return ProcessMatrix(ComplexOperator(back.w.entries + offset, back.dims),
-                             emission_role=back.emission_role,
-                             delivery_role=back.delivery_role,
                              validate=False)
 
     return ProcessFamily(forward_at=fam.forward_at, backward_at=backward, period=fam.period)
@@ -362,19 +344,19 @@ class SwitchModel:
         return self.u_a.dim
 
 
-def _as_unitary_operator(u, tol: float) -> ComplexOperator:
+def _as_unitary_operator(u) -> ComplexOperator:
     if not isinstance(u, ComplexOperator):
         u = ComplexOperator(u, (np.asarray(u).shape[0],))
     dev = spectral_norm(u.entries.conj().T @ u.entries - np.eye(u.dim))
-    if dev > tol:
+    if dev > DEFAULT_TOL:
         raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
     return u
 
 
-def build_quantum_switch(u_a, u_b, tol: float = DEFAULT_TOL) -> SwitchModel:
+def build_quantum_switch(u_a, u_b) -> SwitchModel:
     """Validate the two unitaries and wrap them in a SwitchModel."""
-    ua = _as_unitary_operator(u_a, tol)
-    ub = _as_unitary_operator(u_b, tol)
+    ua = _as_unitary_operator(u_a)
+    ub = _as_unitary_operator(u_b)
     if ua.dim != ub.dim:
         raise ValueError("switch unitaries must act on the same dimension")
     return SwitchModel(u_a=ua, u_b=ub)
@@ -423,8 +405,7 @@ def control_interference_probabilities(model: SwitchModel, target: DensityMatrix
     return p_plus, p_minus
 
 
-def traced_target_channel(model: SwitchModel, control: DensityMatrix,
-                          tol: float = DEFAULT_TOL) -> Channel:
+def traced_target_channel(model: SwitchModel, control: DensityMatrix) -> Channel:
     """Effective channel on the target once the control is traced out."""
     if control.dim != 2:
         raise ValueError("control must be a qubit state")
@@ -441,21 +422,20 @@ def traced_target_channel(model: SwitchModel, control: DensityMatrix,
             eij = np.zeros((d, d), dtype=complex)
             eij[i, j] = 1.0
             choi += np.kron(eij, out)
-    return Channel(ComplexOperator(choi, (d, d)), d, d, tol=tol)
+    return Channel(ComplexOperator(choi, (d, d)), d, d)
 
 
-def switch_process_matrix(model: SwitchModel, control: DensityMatrix,
-                          tol: float = DEFAULT_TOL) -> ProcessMatrix:
+def switch_process_matrix(model: SwitchModel, control: DensityMatrix) -> ProcessMatrix:
     """Process matrix of the switch with the control traced out.
 
     A control fixed near |0> or |1> gives the corresponding definite
     order; any other control state is labelled with the forward order by
     convention (the validity conditions hold either way).
     """
-    chan = traced_target_channel(model, control, tol=tol)
+    chan = traced_target_channel(model, control)
     p1 = float(np.real(control.entries[1, 1]))
     order = "BA" if p1 > 1 - 1e-12 else "AB"
-    return from_channel_order(chan, order=order, tol=tol)
+    return from_channel_order(chan, order=order)
 
 
 # ---------------------------------------------------------------------------

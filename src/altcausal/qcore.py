@@ -30,8 +30,6 @@ __all__ = [
     "Channel",
     "tensor",
     "partial_trace",
-    "dagger",
-    "apply_channel",
     "von_neumann_entropy",
     "fidelity",
     "spectral_norm",
@@ -41,17 +39,13 @@ __all__ = [
     "random_unitary",
     "random_density_matrix",
     "random_channel",
-    "PAULI_I",
     "PAULI_X",
-    "PAULI_Y",
     "PAULI_Z",
 ]
 
 DEFAULT_TOL = 1e-9
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -113,19 +107,17 @@ class DensityMatrix(ComplexOperator):
     """A ComplexOperator refined to a valid quantum state.
 
     Construction checks hermiticity, unit trace, and positivity, each
-    within ``tol``.
+    within ``DEFAULT_TOL``.
     """
 
-    def __init__(self, entries, dims: Sequence[int], tol: float = DEFAULT_TOL):
+    def __init__(self, entries, dims: Sequence[int]):
         super().__init__(entries, dims)
         dev = self.hermiticity_deviation()
-        if dev > tol:
+        if dev > DEFAULT_TOL:
             raise ValueError(f"density matrix is not Hermitian: deviation {dev:.3e}")
-        tr = self.entries.trace()
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"density matrix trace {tr:.6f} differs from 1")
+        self._check_trace()
         lo = self.min_eigenvalue()
-        if lo < -tol:
+        if lo < -DEFAULT_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
 
     @classmethod
@@ -133,22 +125,38 @@ class DensityMatrix(ComplexOperator):
         """A state derived inside the package from a validated one.
 
         Only for maps that keep states valid, such as a unitary
-        conjugation or a depolarizing mix: makes the public constructor's
-        read-only copy and shape checks, but skips its eigenvalue and SVD
-        checks.
+        conjugation, a depolarizing mix or a normalised outer product:
+        makes the public constructor's read-only copy and shape checks,
+        but skips its eigenvalue and SVD checks.
         """
         rho = cls.__new__(cls)
         ComplexOperator.__init__(rho, entries, dims)
         return rho
 
+    def _check_trace(self) -> None:
+        tr = self.entries.trace()
+        if abs(tr - 1.0) > DEFAULT_TOL:
+            raise ValueError(f"density matrix trace {tr:.6f} differs from 1")
+
     @classmethod
     def from_state_vector(cls, vec, dims: Sequence[int]) -> "DensityMatrix":
+        """The pure state ``|v><v|`` of ``vec`` normalised.
+
+        The outer product of a unit vector is Hermitian and rank one, so
+        only what can fail is checked: a finite, nonzero ``vec`` and the
+        unit trace, which a norm that under- or overflows breaks.
+        """
         v = np.asarray(vec, dtype=complex).reshape(-1)
-        norm = np.linalg.norm(v)
+        if not np.isfinite(v).all():
+            raise ValueError("state vector must be finite")
+        with np.errstate(over="ignore"):   # an infinite norm leaves trace 0, refused below
+            norm = np.linalg.norm(v)
         if norm == 0:
             raise ValueError("state vector must be nonzero")
         v = v / norm
-        return cls(np.outer(v, v.conj()), dims)
+        rho = cls._trusted(np.outer(v, v.conj()), dims)
+        rho._check_trace()
+        return rho
 
     @classmethod
     def maximally_mixed(cls, dims: Sequence[int]) -> "DensityMatrix":
@@ -162,32 +170,31 @@ class Channel:
 
     ``choi`` lives on the two factors (in, out); complete positivity is
     checked as positivity of the Choi matrix and trace preservation as
-    ``Tr_out(choi) = I_in``, both within ``tol``.
+    ``Tr_out(choi) = I_in``, both within ``DEFAULT_TOL``.
     """
 
     choi: ComplexOperator
     in_dim: int
     out_dim: int
 
-    def __init__(self, choi: ComplexOperator, in_dim: int, out_dim: int,
-                 tol: float = DEFAULT_TOL):
+    def __init__(self, choi: ComplexOperator, in_dim: int, out_dim: int):
         if not isinstance(choi, ComplexOperator):
             choi = ComplexOperator(choi, (in_dim, out_dim))
         if choi.dims != (in_dim, out_dim):
             raise ValueError(f"choi dims {choi.dims} do not match ({in_dim}, {out_dim})")
         lo = choi.min_eigenvalue()
-        if lo < -tol:
+        if lo < -DEFAULT_TOL:
             raise ValueError(f"channel is not completely positive: min eigenvalue {lo:.3e}")
         reduced = partial_trace(choi, keep=[0]).entries
         dev = spectral_norm(reduced - np.eye(in_dim))
-        if dev > tol:
+        if dev > DEFAULT_TOL:
             raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
         object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "in_dim", int(in_dim))
         object.__setattr__(self, "out_dim", int(out_dim))
 
     @classmethod
-    def from_kraus(cls, kraus: Iterable[np.ndarray], tol: float = DEFAULT_TOL) -> "Channel":
+    def from_kraus(cls, kraus: Iterable[np.ndarray]) -> "Channel":
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ValueError("at least one Kraus operator is required")
@@ -201,35 +208,7 @@ class Channel:
                 eij = np.zeros((in_dim, in_dim), dtype=complex)
                 eij[i, j] = 1.0
                 choi += np.kron(eij, block)
-        return cls(ComplexOperator(choi, (in_dim, out_dim)), in_dim, out_dim, tol=tol)
-
-    @classmethod
-    def from_unitary(cls, u: np.ndarray, tol: float = DEFAULT_TOL) -> "Channel":
-        u = np.asarray(u, dtype=complex)
-        dev = spectral_norm(u.conj().T @ u - np.eye(u.shape[0]))
-        if dev > tol:
-            raise ValueError(f"matrix is not unitary: deviation {dev:.3e}")
-        return cls.from_kraus([u], tol=tol)
-
-    @classmethod
-    def identity(cls, dim: int = 2) -> "Channel":
-        return cls.from_kraus([np.eye(dim, dtype=complex)])
-
-    @classmethod
-    def depolarizing(cls, p: float, dim: int = 2) -> "Channel":
-        """Mix the input with the maximally mixed state: (1-p) rho + p I/d."""
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"depolarizing strength must lie in [0, 1], got {p}")
-        ident = cls.identity(dim).choi.entries
-        # Choi of rho -> Tr(rho) I/d is I_in (x) I_out / d.
-        mix = np.eye(dim * dim, dtype=complex) / dim
-        return cls(ComplexOperator((1 - p) * ident + p * mix, (dim, dim)), dim, dim)
-
-    @classmethod
-    def bit_flip(cls, p: float) -> "Channel":
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"flip probability must lie in [0, 1], got {p}")
-        return cls.from_kraus([math.sqrt(1 - p) * PAULI_I, math.sqrt(p) * PAULI_X])
+        return cls(ComplexOperator(choi, (in_dim, out_dim)), in_dim, out_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -286,28 +265,10 @@ def partial_trace(m: ComplexOperator, keep: Sequence[int]) -> ComplexOperator:
     return ComplexOperator(t.reshape(side, side), dims)
 
 
-def dagger(m: ComplexOperator) -> ComplexOperator:
-    """Conjugate transpose, dims unchanged."""
-    return ComplexOperator(m.entries.conj().T, m.dims)
-
-
-def apply_channel(c: Channel, rho: DensityMatrix, tol: float = DEFAULT_TOL) -> DensityMatrix:
-    """Send ``rho`` through ``c`` and return the output state.
-
-    Uses the Choi contraction
-        E(rho)[a, b] = sum_ij rho[i, j] choi[(i, a), (j, b)].
-    """
-    if rho.dim != c.in_dim:
-        raise ValueError(f"state dimension {rho.dim} does not match channel input {c.in_dim}")
-    choi_t = c.choi.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
-    out = np.einsum("ij,iajb->ab", rho.entries, choi_t)
-    return DensityMatrix(out, (c.out_dim,), tol=tol)
-
-
-def von_neumann_entropy(rho: DensityMatrix, tol: float = DEFAULT_TOL) -> float:
+def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam log2 lam) in bits, with 0 log 0 = 0."""
     lam = np.linalg.eigvalsh(_symmetrized(rho.entries))
-    if lam[0] < -tol:
+    if lam[0] < -DEFAULT_TOL:
         raise ValueError(f"state has negative eigenvalue {lam[0]:.3e}")
     lam = np.clip(lam.real, 0.0, None)
     lam = lam[lam > 0]

@@ -14,7 +14,12 @@ from altcausal.piflink import (
     JointDistribution,
     LinkConfig,
     LinkMode,
+    SLICE_BITS,
     Slice,
+    _STREAM_MC_BACKWARD,
+    _STREAM_MC_FORWARD,
+    _joint_counts,
+    _stream,
     binary_entropy,
     capacity,
     capacity_monte_carlo,
@@ -280,6 +285,50 @@ def test_capacity_monte_carlo_agrees():
     assert m_pif == pytest.approx(c_pif, rel=0.05)
 
 
+def _reference_joint_counts(x, y):
+    """The former 2x2 count table: one full boolean reduction per cell."""
+    return np.array([
+        [int((~x & ~y).sum()), int((~x & y).sum())],
+        [int((x & ~y).sum()), int((x & y).sum())],
+    ], dtype=float)
+
+
+def test_joint_counts_match_four_reductions():
+    rng = np.random.default_rng(23)
+    shapes = [(0,), (1,), (1000,), (0, 64), (1, 64), (300, 64)]
+    for shape in shapes:
+        for p_x, p_flip in ((0.5, 0.11), (0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.3, 0.5)):
+            x = rng.random(shape) < p_x
+            y = x ^ (rng.random(shape) < p_flip)
+            got = _joint_counts(x, y)
+            want = _reference_joint_counts(x, y)
+            assert got.dtype == want.dtype and got.shape == (2, 2)
+            assert got.tobytes() == want.tobytes()
+            assert got.sum() == x.size
+
+
+def test_joint_counts_of_a_run_with_every_echo_lost_are_empty():
+    rep = run_link(LinkConfig(slice_count=50, echo_loss_probability=1.0))
+    assert rep.lost_echoes == 50
+    empty = np.zeros((0, SLICE_BITS), dtype=bool)
+    assert _joint_counts(empty, empty).tobytes() == np.zeros((2, 2)).tobytes()
+    assert rep.joint.p.tobytes() == JointDistribution.from_counts(np.eye(2)).p.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 1.0])
+def test_capacity_monte_carlo_matches_four_reductions_bit_for_bit(p):
+    cfg = LinkConfig(slice_count=1, bit_flip_forward=p, bit_flip_backward=p / 2, rng_seed=29)
+    want = []
+    for tag, flip in ((_STREAM_MC_FORWARD, cfg.bit_flip_forward),
+                      (_STREAM_MC_BACKWARD, cfg.bit_flip_backward)):
+        rng = _stream(cfg.rng_seed, tag)
+        x = rng.integers(0, 2, size=5000).astype(bool)
+        y = x ^ (rng.random(5000) < flip)
+        joint = JointDistribution.from_counts(_reference_joint_counts(x, y))
+        want.append(SLICE_BITS * mutual_information(joint))
+    assert capacity_monte_carlo(cfg, n_bits=5000) == (want[0], want[0] + want[1])
+
+
 def test_landauer_cost_oracles():
     assert landauer_cost(0.0, 300.0) == 0.0
     got = landauer_cost(1.0, 300.0)
@@ -384,10 +433,7 @@ def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
     )
 
     x, y = (sent[~lost], recovered[~lost]) if pif else (sent, received)
-    counts = np.array([
-        [int((~x & ~y).sum()), int((~x & y).sum())],
-        [int((x & ~y).sum()), int((x & y).sum())],
-    ], dtype=float)
+    counts = _reference_joint_counts(x, y)
     if counts.sum() == 0:
         counts = np.eye(2)
 

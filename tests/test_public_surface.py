@@ -59,3 +59,24 @@ def test_every_traced_metric_reads_a_wrapped_name(tracer):
     hook_counters = {counter for counter, _ in tracer.HOOKS.values()}
     assert read
     assert read - _wrapped_names(tracer) - hook_counters == set()
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "altcausal"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    # a name counts as used when the module reads it or re-exports it in __all__
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    assert sorted(imported - used) == []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,6 @@ from altcausal.qcore import (
     DensityMatrix,
     PAULI_X,
     PAULI_Z,
-    apply_channel,
-    dagger,
     fidelity,
     identity,
     ket,
@@ -25,6 +25,12 @@ from altcausal.qcore import (
 # closed-form targets, worked out from the defining formulas
 ENTROPY_75_25 = 0.8112781244591328       # -0.75 log2 0.75 - 0.25 log2 0.25
 FID_PURE_VS_MIXED = 0.5                  # <0| I/2 |0>
+
+
+def _apply(c, rho):
+    # the Choi contraction E(rho)[a, b] = sum_ij rho[i, j] choi[(i, a), (j, b)]
+    choi = c.choi.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
+    return DensityMatrix(np.einsum("ij,iajb->ab", rho.entries, choi), (c.out_dim,))
 
 
 def test_operator_entries_are_immutable():
@@ -53,6 +59,54 @@ def test_density_matrix_validation():
 def test_from_state_vector_normalizes():
     rho = DensityMatrix.from_state_vector([2.0, 0.0], (2,))
     np.testing.assert_allclose(rho.entries, projector(ket(0)).entries, atol=1e-14)
+
+
+def _reference_pure_state(vec, dims):
+    """from_state_vector's former body: the normalised outer product, fully validated."""
+    v = np.asarray(vec, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    return DensityMatrix(np.outer(v, v.conj()), dims)
+
+
+def test_from_state_vector_matches_validated_reference_bit_for_bit():
+    rng = np.random.default_rng(14)
+    vecs = [([1.0, 1.0], (2,)), ([math.cos(0.3), math.sin(0.3)], (2,)), ([0.0, 1j], (2,))]
+    for dims in [(2,), (3,), (2, 2), (2, 3)]:
+        d = math.prod(dims)
+        for scale in (1.0, 1e-100, 1e-5, 7.0, 1e100):
+            vecs.append((scale * (rng.normal(size=d) + 1j * rng.normal(size=d)), dims))
+            vecs.append((scale * rng.normal(size=d), dims))
+    for vec, dims in vecs:
+        fast = DensityMatrix.from_state_vector(vec, dims)
+        slow = _reference_pure_state(vec, dims)
+        assert type(fast) is DensityMatrix
+        assert fast.dims == slow.dims
+        assert fast.entries.tobytes() == slow.entries.tobytes()
+        assert not fast.entries.flags.writeable
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vec, match", [
+    ([math.nan, 1.0], "finite"),
+    ([1.0, complex(0.0, math.nan)], "finite"),
+    ([math.inf, 1.0], "finite"),
+    ([-math.inf, 0.0], "finite"),
+    ([1e308, 1e308], "trace"),      # the norm overflows to inf
+    ([1e-160, 0.0], "trace"),       # the norm underflows and loses digits
+    ([0.0, 0.0], "nonzero"),
+])
+def test_from_state_vector_rejects_what_cannot_be_normalised(vec, match):
+    with pytest.raises(ValueError, match=match):
+        DensityMatrix.from_state_vector(vec, (2,))
+
+
+def test_from_state_vector_takes_no_spectrum(monkeypatch):
+    calls = []
+    monkeypatch.setattr(ComplexOperator, "min_eigenvalue", lambda self: calls.append(self))
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(a))
+    for th in np.linspace(0.0, math.pi / 2, 9):
+        DensityMatrix.from_state_vector([math.cos(th), math.sin(th)], (2,))
+    assert calls == []
 
 
 def test_entropy_oracles():
@@ -123,31 +177,11 @@ def test_bell_state_marginal_is_mixed():
     np.testing.assert_allclose(marg.entries, np.eye(2) / 2, atol=1e-12)
 
 
-@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
-def test_bit_flip_channel(p):
-    out = apply_channel(Channel.bit_flip(p), projector(ket(0)))
-    np.testing.assert_allclose(np.diag(out.entries).real, [1 - p, p], atol=1e-12)
-
-
-def test_depolarizing_oracle():
-    out = apply_channel(Channel.depolarizing(0.5), projector(ket(0)))
-    np.testing.assert_allclose(out.entries, np.diag([0.75, 0.25]), atol=1e-12)
-    full = apply_channel(Channel.depolarizing(1.0), projector(ket(0)))
-    np.testing.assert_allclose(full.entries, np.eye(2) / 2, atol=1e-12)
-
-
-def test_identity_channel_is_identity():
-    rng = np.random.default_rng(5)
-    rho = random_density_matrix(2, rng)
-    out = apply_channel(Channel.identity(2), rho)
-    np.testing.assert_allclose(out.entries, rho.entries, atol=1e-12)
-
-
 def test_unitary_channel_matches_conjugation():
     rng = np.random.default_rng(6)
     u = random_unitary(3, rng)
     rho = random_density_matrix(3, rng)
-    out = apply_channel(Channel.from_unitary(u), rho)
+    out = _apply(Channel.from_kraus([u]), rho)
     np.testing.assert_allclose(out.entries, u @ rho.entries @ u.conj().T, atol=1e-12)
 
 
@@ -161,7 +195,7 @@ def test_random_channels_preserve_trace_and_positivity():
     for _ in range(10):
         c = random_channel(2, 2, rng)
         rho = random_density_matrix(2, rng)
-        out = apply_channel(c, rho)
+        out = _apply(c, rho)
         assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-10)
         assert out.min_eigenvalue() > -1e-10
 
@@ -169,7 +203,7 @@ def test_random_channels_preserve_trace_and_positivity():
 def test_rectangular_channel_dims():
     rng = np.random.default_rng(9)
     c = random_channel(2, 3, rng)
-    out = apply_channel(c, random_density_matrix(2, rng))
+    out = _apply(c, random_density_matrix(2, rng))
     assert out.dim == 3
     assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-10)
 
@@ -179,12 +213,6 @@ def test_spectral_norm_matches_singular_value():
     m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0], rel=1e-12)
     assert spectral_norm(np.zeros((3, 3))) == 0.0
-
-
-def test_dagger_involution():
-    rng = np.random.default_rng(12)
-    m = ComplexOperator(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)), (2, 2))
-    np.testing.assert_allclose(dagger(dagger(m)).entries, m.entries)
 
 
 def test_pauli_anticommutation():
