@@ -1,7 +1,8 @@
 """Command line front end for the simulation experiments.
 
 Every subcommand runs one experiment, prints its headline metrics, and
-can write the full report as JSON, CSV, or a standalone SVG plot.  All
+can write the full report as JSON, CSV, or a standalone SVG plot (``-``
+for stdout); every output target is checked before the run.  All
 runs are seeded, reports carry no timestamps, and JSON keys are sorted,
 so the same invocation always produces byte-identical output.
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import os
@@ -32,29 +34,17 @@ from . import photonclock, piflink, process, qcore
 # report writers
 # ---------------------------------------------------------------------------
 
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value)
-    if value is None or isinstance(value, str):
-        return value
-    return str(value)
-
-
-def write_json(report: dict, path: str) -> None:
-    text = json.dumps(_jsonable(report), indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _emit(text: str, path: str) -> None:
+    """Write a rendered report to ``path``, or to stdout when ``path`` is ``-``."""
     if path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
+        with open(path, "w", newline="") as fh:
             fh.write(text)
+
+
+def write_json(report: dict, path: str) -> None:
+    _emit(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def write_csv(report: dict, path: str) -> None:
@@ -66,11 +56,11 @@ def write_csv(report: dict, path: str) -> None:
         metrics = report.get("metrics") or {}
         keys = sorted(metrics)
         rows = [tuple(metrics[k] for k in keys)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_jsonable(v) for v in row])
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(keys)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), path)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -86,12 +76,11 @@ def write_svg(report: dict, path: str) -> None:
     series = {k: [float(v) for v in vs] for k, vs in (report.get("series") or {}).items()}
     if not series:
         # nothing to plot (e.g. the list report); keep --format svg total
-        with open(path, "w") as fh:
-            fh.write('<svg xmlns="http://www.w3.org/2000/svg" width="720" height="60" '
-                     'viewBox="0 0 720 60" font-family="sans-serif" font-size="14">\n'
-                     '<rect width="720" height="60" fill="white"/>\n'
-                     f'<text x="16" y="36">{_svg_escape(report.get("experiment", ""))}: '
-                     'no series to plot</text>\n</svg>\n')
+        _emit('<svg xmlns="http://www.w3.org/2000/svg" width="720" height="60" '
+              'viewBox="0 0 720 60" font-family="sans-serif" font-size="14">\n'
+              '<rect width="720" height="60" fill="white"/>\n'
+              f'<text x="16" y="36">{_svg_escape(report.get("experiment", ""))}: '
+              'no series to plot</text>\n</svg>\n', path)
         return
     x_key = next((k for k in _X_KEYS if k in series), sorted(series)[0])
     xs = series.pop(x_key)
@@ -146,8 +135,7 @@ def write_svg(report: dict, path: str) -> None:
         parts.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
                      f'fill="{color}">{_svg_escape(name)}</text>')
     parts.append("</svg>")
-    with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+    _emit("\n".join(parts) + "\n", path)
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +211,7 @@ def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(bool(value))
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.6g}"
-    return str(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 _EXPERIMENTS: dict[str, Experiment] = {}
@@ -368,7 +352,7 @@ def _cascade(cfg):
     rep = photonclock.cascade(cfg["sites"], cfg["noise"], cfg["horizon"])
     fids = rep.fidelities
     return ({"best_fidelity": rep.best_fidelity, "best_step": rep.best_step},
-            {"step": list(range(1, rep.horizon + 1)), "fidelity": list(fids)},
+            {"step": list(range(1, len(fids) + 1)), "fidelity": list(fids)},
             [Check("fidelity_in_unit_interval", [min(fids), max(fids)], 1e-12,
                    all(-1e-12 <= f <= 1 + 1e-12 for f in fids))])
 
@@ -521,13 +505,28 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--" + key.replace("_", "-"), type=type(spec.default),
                            choices=spec.choices or None, help=spec.help)
         p.add_argument("--json", metavar="PATH", help="write the report as JSON ('-' for stdout)")
-        p.add_argument("--csv", metavar="PATH", help="write the report series as CSV")
-        p.add_argument("--svg", metavar="PATH", help="plot the report series to an SVG file")
+        p.add_argument("--csv", metavar="PATH",
+                       help="write the report series as CSV ('-' for stdout)")
+        p.add_argument("--svg", metavar="PATH",
+                       help="plot the report series as SVG ('-' for stdout)")
         p.add_argument("--out", metavar="DIR", help="directory for --format outputs (default .)")
         p.add_argument("--format", metavar="LIST",
                        help="comma-separated output formats: json,csv,svg")
         p.add_argument("--config", metavar="PATH", help="JSON file with option defaults")
     return parser
+
+
+def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
+    """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format."""
+    targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt)]
+    if ns.out and not ns.format:
+        raise ValueError("--out needs --format")
+    for fmt in ns.format.split(",") if ns.format else ():
+        fmt = fmt.strip()
+        if fmt not in formats:
+            raise ValueError(f"unknown output format {fmt!r}; pick from {','.join(formats)}")
+        targets.append((fmt, os.path.join(ns.out or ".", f"{ns.command}.{fmt}")))
+    return targets
 
 
 def main(argv=None) -> int:
@@ -536,8 +535,10 @@ def main(argv=None) -> int:
     if ns.command is None:
         parser.print_help()
         return 2
+    # looked up per call, so a writer rebound on the module is the one used
     writers = {"json": write_json, "csv": write_csv, "svg": write_svg}
     try:
+        targets = _targets(ns, writers)
         cfg = _config(ns, _EXPERIMENTS[ns.command].params)
         metrics, series, checks = _EXPERIMENTS[ns.command].run(cfg)
         failed = [c for c in checks if not c.ok]
@@ -546,20 +547,12 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
                   "series": series, "checks": [asdict(c) for c in checks]}
-        for fmt, write in writers.items():
-            if getattr(ns, fmt):
-                write(report, getattr(ns, fmt))
-        if ns.format:
-            out = ns.out or "."
-            for fmt in ns.format.split(","):
-                fmt = fmt.strip()
-                if fmt not in writers:
-                    raise ValueError(f"unknown output format {fmt!r}; pick from json,csv,svg")
-                writers[fmt](report, os.path.join(out, f"{ns.command}.{fmt}"))
+        for fmt, path in targets:
+            writers[fmt](report, path)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if ns.json != "-":
+    if all(path != "-" for _, path in targets):
         print(f"experiment: {ns.command}")
         for key in sorted(metrics):
             print(f"  {key} = {_fmt(metrics[key])}")

@@ -138,14 +138,6 @@ class BreakOutcome(Enum):
     SIMULTANEOUS_ABSORPTION = "simultaneous_absorption"
 
 
-_OUTCOME_ORDER = (
-    BreakOutcome.FORWARD_DIAMOND,
-    BreakOutcome.REVERSED_DIAMOND,
-    BreakOutcome.SIMULTANEOUS_EMISSION,
-    BreakOutcome.SIMULTANEOUS_ABSORPTION,
-)
-
-
 @dataclass(frozen=True)
 class BoundaryConditions:
     """Outcome weights supplied by the environment at a symmetry break."""
@@ -282,8 +274,8 @@ def break_symmetry(box: CausalBox, boundary: BoundaryConditions) -> BreakOutcome
     which closes the open run without adding elapsed time of its own.
     """
     rng = box._event_rng()
-    idx = int(rng.choice(len(_OUTCOME_ORDER), p=boundary.weights()))
-    outcome = _OUTCOME_ORDER[idx]
+    # the weights follow the outcomes in definition order
+    outcome = tuple(BreakOutcome)[int(rng.choice(len(BreakOutcome), p=boundary.weights()))]
     if outcome is BreakOutcome.FORWARD_DIAMOND:
         box.ledger.append(+1, True)
     elif outcome is BreakOutcome.REVERSED_DIAMOND:
@@ -347,7 +339,6 @@ def _rcp_matrix(op: RcpOperator, t: float) -> np.ndarray:
 class RcpInvariantReport:
     """Trajectory of <psi| R(t)^dag R(t) |psi> over the sample grid."""
 
-    ts: tuple[float, ...]
     values: tuple[float, ...]
     constant: bool
     drift: float
@@ -374,7 +365,6 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
         values.append(float(np.real(np.vdot(rv, rv))))
     drift = max(values) - min(values)
     return RcpInvariantReport(
-        ts=tuple(float(t) for t in ts),
         values=tuple(values),
         constant=drift < RCP_TOL,
         drift=drift,
@@ -390,9 +380,6 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
 class CascadeReport:
     """Return-fidelity trace of an excitation hopping down a chain."""
 
-    sites: int
-    noise: float
-    horizon: int
     fidelities: tuple[float, ...]   # fidelity after step k = 1..horizon
     best_fidelity: float
     best_step: int
@@ -433,9 +420,6 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
 
     best_idx = int(np.argmax(fids))
     return CascadeReport(
-        sites=n,
-        noise=noise,
-        horizon=horizon,
         fidelities=tuple(fids),
         best_fidelity=fids[best_idx],
         best_step=best_idx + 1,

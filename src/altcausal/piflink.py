@@ -290,7 +290,6 @@ class LinkReport:
     left to right, so it is reproducible to the last bit.
     """
 
-    config: LinkConfig
     ledger: InfoLedger
     cycles: CycleColumns
     detected_mismatches: int
@@ -428,7 +427,6 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     joint = JointDistribution.from_counts(counts)
 
     return LinkReport(
-        config=cfg,
         ledger=ledger,
         cycles=cycles,
         detected_mismatches=detected,

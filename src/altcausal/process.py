@@ -34,6 +34,7 @@ from .qcore import (
     Channel,
     ComplexOperator,
     DensityMatrix,
+    _choi,
     identity,
     ket,
     partial_trace,
@@ -142,8 +143,7 @@ def _permute_subsystems(entries: np.ndarray, dims: Sequence[int],
     return t.reshape(side, side)
 
 
-def from_channel_order(c: Channel, order: str = "AB",
-                       tau: DensityMatrix | None = None) -> ProcessMatrix:
+def from_channel_order(c: Channel, order: str = "AB") -> ProcessMatrix:
     """Build the definite-order process matrix carrying ``c``.
 
     Parameters
@@ -153,20 +153,16 @@ def from_channel_order(c: Channel, order: str = "AB",
         receiver's delivery wire.
     order : {"AB", "BA"}
         "AB" routes A's emission through ``c`` to B, "BA" the reverse.
-    tau : DensityMatrix, optional
-        State placed on the sender-side delivery wire (defaults to the
-        maximally mixed state of the sender's dimension).
 
-    The result passes ``validate_ocb`` for every trace-preserving ``c``.
+    The sender-side delivery wire carries the maximally mixed state of
+    the sender's dimension.  The result passes ``validate_ocb`` for
+    every trace-preserving ``c``.
     """
     if order not in ("AB", "BA"):
         raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
     # The sender's wires carry the channel input dimension, the
     # receiver's its output dimension.
-    if tau is None:
-        tau = DensityMatrix.maximally_mixed((c.in_dim,))
-    if tau.dim != c.in_dim:
-        raise ValueError(f"tau dimension {tau.dim} does not match sender dimension {c.in_dim}")
+    tau = DensityMatrix.maximally_mixed((c.in_dim,))
     ident = identity((c.out_dim,))
 
     if order == "AB":
@@ -411,18 +407,12 @@ def traced_target_channel(model: SwitchModel, control: DensityMatrix) -> Channel
         raise ValueError("control must be a qubit state")
     d = model.target_dim
     s = switch_unitary(model).entries
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            joint = s @ np.kron(unit, control.entries) @ s.conj().T
-            block = joint.reshape(d, 2, d, 2)
-            out = np.einsum("acbc->ab", block)
-            eij = np.zeros((d, d), dtype=complex)
-            eij[i, j] = 1.0
-            choi += np.kron(eij, out)
-    return Channel(ComplexOperator(choi, (d, d)), d, d)
+
+    def image(unit: np.ndarray) -> np.ndarray:
+        joint = s @ np.kron(unit, control.entries) @ s.conj().T
+        return np.einsum("acbc->ab", joint.reshape(d, 2, d, 2))
+
+    return Channel(ComplexOperator(_choi(d, d, image), (d, d)), d, d)
 
 
 def switch_process_matrix(model: SwitchModel, control: DensityMatrix) -> ProcessMatrix:
@@ -450,8 +440,6 @@ class ComparisonReport:
     Which protocol accumulates less entropy is reported, never asserted.
     """
 
-    noise: float
-    steps: int
     ac_entropies: tuple[float, ...]
     ico_entropies: tuple[float, ...]
 
@@ -464,8 +452,7 @@ class ComparisonReport:
         return self.ico_entropies[-1]
 
 
-def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int,
-                      target: DensityMatrix | None = None) -> ComparisonReport:
+def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     """Compare alternating definite order against the coherent switch.
 
     The alternating protocol applies the composite unitaries
@@ -474,7 +461,7 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int,
     target (x) control prepared with a balanced control.  Both see the
     same joint depolarizing noise of strength ``noise`` after every
     step, so any entropy gap is attributable to how the order is
-    carried.
+    carried.  The target starts in |0>.
     """
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
@@ -482,10 +469,7 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int,
         raise ValueError(f"steps must be >= 1, got {steps}")
     model = build_quantum_switch(u_a, u_b)
     d = model.target_dim
-    if target is None:
-        target = projector(ket(0, d))
-    if target.dim != d:
-        raise ValueError("target state dimension does not match the unitaries")
+    target = projector(ket(0, d))
 
     dim = 2 * d
     mix = np.eye(dim, dtype=complex) / dim
@@ -516,8 +500,6 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int,
         ico_series.append(entropy(ico_state))
 
     return ComparisonReport(
-        noise=noise,
-        steps=steps,
         ac_entropies=tuple(ac_series),
         ico_entropies=tuple(ico_series),
     )

@@ -144,16 +144,21 @@ class DensityMatrix(ComplexOperator):
 
         The outer product of a unit vector is Hermitian and rank one, so
         only what can fail is checked: a finite, nonzero ``vec`` and the
-        unit trace, which a norm that under- or overflows breaks.
+        unit trace.  The norm squares the entries, so a vector whose
+        largest part lies outside [1e-150, 1e150] is first scaled by the
+        exact power of two that brings that part into [0.5, 1).
         """
-        v = np.asarray(vec, dtype=complex).reshape(-1)
+        v = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
         if not np.isfinite(v).all():
             raise ValueError("state vector must be finite")
-        with np.errstate(over="ignore"):   # an infinite norm leaves trace 0, refused below
-            norm = np.linalg.norm(v)
-        if norm == 0:
+        parts = v.view(float)
+        largest = np.abs(parts).max(initial=0.0)
+        if largest == 0:
             raise ValueError("state vector must be nonzero")
-        v = v / norm
+        if not 1e-150 <= largest <= 1e150:
+            v = np.ldexp(parts, -np.frexp(largest)[1]).view(complex)
+        with np.errstate(over="ignore"):   # an infinite norm leaves trace 0, refused below
+            v = v / np.linalg.norm(v)
         rho = cls._trusted(np.outer(v, v.conj()), dims)
         rho._check_trace()
         return rho
@@ -199,16 +204,19 @@ class Channel:
         if not ops:
             raise ValueError("at least one Kraus operator is required")
         out_dim, in_dim = ops[0].shape
-        choi = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
-        for i in range(in_dim):
-            for j in range(in_dim):
-                unit = np.zeros((in_dim, in_dim), dtype=complex)
-                unit[i, j] = 1.0
-                block = sum(k @ unit @ k.conj().T for k in ops)
-                eij = np.zeros((in_dim, in_dim), dtype=complex)
-                eij[i, j] = 1.0
-                choi += np.kron(eij, block)
+        choi = _choi(in_dim, out_dim, lambda unit: sum(k @ unit @ k.conj().T for k in ops))
         return cls(ComplexOperator(choi, (in_dim, out_dim)), in_dim, out_dim)
+
+
+def _choi(in_dim: int, out_dim: int, image) -> np.ndarray:
+    """``sum_ij |i><j| (x) image(|i><j|)``: the Choi matrix of the map ``image``."""
+    choi = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
+    for i in range(in_dim):
+        for j in range(in_dim):
+            unit = np.zeros((in_dim, in_dim), dtype=complex)
+            unit[i, j] = 1.0
+            choi += np.kron(unit, image(unit))
+    return choi
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +334,16 @@ def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q * phase
 
 
-def random_density_matrix(dim: int, rng: np.random.Generator,
-                          rank: int | None = None) -> DensityMatrix:
-    rank = dim if rank is None else rank
-    g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+def random_density_matrix(dim: int, rng: np.random.Generator) -> DensityMatrix:
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     m = g @ g.conj().T
     return DensityMatrix(m / m.trace(), (dim,))
 
 
-def random_channel(in_dim: int, out_dim: int, rng: np.random.Generator,
-                   kraus_rank: int | None = None) -> Channel:
-    """Random CPTP map from a Haar-random Stinespring isometry."""
-    rank = in_dim if kraus_rank is None else kraus_rank
-    big = random_unitary(out_dim * rank, rng)
+def random_channel(in_dim: int, out_dim: int, rng: np.random.Generator) -> Channel:
+    """Random CPTP map of Kraus rank ``in_dim`` from a Haar-random Stinespring isometry."""
+    big = random_unitary(out_dim * in_dim, rng)
     # Isometry = first in_dim columns; Kraus blocks are its row groups.
     iso = big[:, :in_dim]
-    kraus = [iso[e * out_dim:(e + 1) * out_dim, :] for e in range(rank)]
+    kraus = [iso[e * out_dim:(e + 1) * out_dim, :] for e in range(in_dim)]
     return Channel.from_kraus(kraus)

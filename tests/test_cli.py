@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from altcausal import photonclock, piflink
+from altcausal import cli, photonclock, piflink
 from altcausal.cli import _EXPERIMENTS, build_parser, main, write_json
 
 FAST_ARGS = {
@@ -51,6 +52,103 @@ def test_bad_domain_input_exits_one(capsys):
 def test_bad_format_exits_one(tmp_path, capsys):
     assert main(["wfecho", "--format", "bogus", "--out", str(tmp_path)]) == 1
     assert "unknown output format" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--format", "bogus", "--out", "d"], "unknown output format"),
+    (["--json", "a.json", "--format", "json,bogus", "--out", "d"], "unknown output format"),
+    (["--csv", "a.csv", "--out", "d"], "--out needs --format"),
+    (["--out", "d"], "--out needs --format"),
+])
+def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, tmp_path,
+                                                    capsys):
+    def refuse(cfg):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho",
+                        dataclasses.replace(_EXPERIMENTS["wfecho"], run=refuse))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    assert main(["wfecho", *args]) == 1
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.rglob("*")) == [tmp_path / "d"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "svg"])
+def test_dash_writes_every_format_to_stdout(fmt, monkeypatch, tmp_path, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["wfecho", "--format", fmt]) == 0
+    written = (tmp_path / f"wfecho.{fmt}").read_bytes().decode()
+    capsys.readouterr()
+    (tmp_path / f"wfecho.{fmt}").unlink()
+    assert main(["wfecho", f"--{fmt}", "-"]) == 0
+    out = capsys.readouterr().out
+    assert out == written               # the report only: no summary
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_main_writes_through_the_module_writer(monkeypatch, tmp_path):
+    paths = []
+    monkeypatch.setattr(cli, "write_json", lambda report, path: paths.append(path))
+    assert main(["wfecho", "--json", str(tmp_path / "a.json"),
+                 "--format", "json", "--out", str(tmp_path)]) == 0
+    assert paths == [str(tmp_path / "a.json"), str(tmp_path / "wfecho.json")]
+    assert list(tmp_path.iterdir()) == []
+
+
+def _reference_jsonable(value):
+    """The former conversion pass of write_json, kept as the oracle of its bytes."""
+    if isinstance(value, dict):
+        return {str(k): _reference_jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_reference_jsonable(v) for v in value]
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        return float(value)
+    if value is None or isinstance(value, str):
+        return value
+    return str(value)
+
+
+def _foreign(value, where="report"):
+    """Where ``value`` holds anything but exact builtin JSON types and str keys."""
+    if type(value) is dict:
+        found = [f"{where} key {k!r}" for k in value if type(k) is not str]
+        for k, v in value.items():
+            found += _foreign(v, f"{where}[{k!r}]")
+        return found
+    if type(value) in (list, tuple):
+        return [f for i, v in enumerate(value) for f in _foreign(v, f"{where}[{i}]")]
+    if value is None or type(value) in (str, int, float, bool):
+        return []
+    return [f"{where}: {type(value).__name__}"]
+
+
+REPORT_CASES = [[name] for name in FAST_ARGS] + [
+    ["duality", "--skew", "1e-3"],
+    ["duality", "--dim", "3"],
+    ["rcp", "--epsilon", "0"],
+    ["capacity", "--flip-backward", "0.2"],
+    ["switch", "--case", "commute"],
+    ["pif", "--slices", "3000", "--echo-loss", "0.1"],
+]
+
+
+@pytest.mark.parametrize("args", REPORT_CASES, ids=" ".join)
+def test_reports_reach_the_writer_as_plain_json(args, monkeypatch, tmp_path):
+    reports = []
+    monkeypatch.setattr(cli, "write_json", lambda report, path: reports.append(report))
+    assert main([*args, "--json", "-"]) == 0
+    report, = reports
+    assert _foreign(report) == []
+    out = tmp_path / "r.json"
+    write_json(report, str(out))
+    expected = json.dumps(_reference_jsonable(report), indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    assert out.read_bytes() == expected.encode()
 
 
 def test_json_to_stdout_suppresses_summary(capsys):

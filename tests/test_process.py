@@ -290,6 +290,37 @@ def test_definite_control_reduces_to_composition():
     np.testing.assert_allclose(out1.entries, v @ rho.entries @ v.conj().T, atol=1e-12)
 
 
+def _reference_traced_target_choi(model, control):
+    """traced_target_channel's former loop over the target's unit matrices."""
+    d = model.target_dim
+    s = switch_unitary(model).entries
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            joint = s @ np.kron(unit, control.entries) @ s.conj().T
+            out = np.einsum("acbc->ab", joint.reshape(d, 2, d, 2))
+            eij = np.zeros((d, d), dtype=complex)
+            eij[i, j] = 1.0
+            choi += np.kron(eij, out)
+    return choi
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_traced_target_channel_matches_the_reference_loop_bit_for_bit(dim):
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    # the controls of acceptance criterion c02
+    controls = (projector(ket(0)), projector(ket(1)),
+                DensityMatrix(np.outer(plus, plus.conj()), (2,)))
+    for i in range(10):
+        rng = np.random.default_rng(2100 + i)
+        model = build_quantum_switch(random_unitary(dim, rng), random_unitary(dim, rng))
+        for control in controls:
+            got = traced_target_channel(model, control).choi.entries
+            assert got.tobytes() == _reference_traced_target_choi(model, control).tobytes()
+
+
 def test_switch_process_matrix_is_valid():
     rng = np.random.default_rng(19)
     model = build_quantum_switch(random_unitary(2, rng), random_unitary(2, rng))

@@ -76,6 +76,11 @@ def test_from_state_vector_matches_validated_reference_bit_for_bit():
         for scale in (1.0, 1e-100, 1e-5, 7.0, 1e100):
             vecs.append((scale * (rng.normal(size=d) + 1j * rng.normal(size=d)), dims))
             vecs.append((scale * rng.normal(size=d), dims))
+        for largest in (1e-150, 3e-120, 9e99, 1e150):   # in range, the edges included
+            u = rng.normal(size=d) + 1j * rng.normal(size=d)
+            u *= largest / np.abs(u.view(float)).max()
+            assert 1e-150 <= np.abs(u.view(float)).max() <= 1e150
+            vecs.append((u, dims))
     for vec, dims in vecs:
         fast = DensityMatrix.from_state_vector(vec, dims)
         slow = _reference_pure_state(vec, dims)
@@ -91,13 +96,42 @@ def test_from_state_vector_matches_validated_reference_bit_for_bit():
     ([1.0, complex(0.0, math.nan)], "finite"),
     ([math.inf, 1.0], "finite"),
     ([-math.inf, 0.0], "finite"),
-    ([1e308, 1e308], "trace"),      # the norm overflows to inf
-    ([1e-160, 0.0], "trace"),       # the norm underflows and loses digits
     ([0.0, 0.0], "nonzero"),
+    ([0.0, -0.0j], "nonzero"),
 ])
 def test_from_state_vector_rejects_what_cannot_be_normalised(vec, match):
     with pytest.raises(ValueError, match=match):
         DensityMatrix.from_state_vector(vec, (2,))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("vec, expected", [
+    ([1e308, 1e308], [0.5, 0.5]),               # the unscaled norm overflows to inf
+    ([1e-160, 0.0], [1.0, 0.0]),                # the unscaled norm loses digits
+    ([1e-200, 0.0], [1.0, 0.0]),                # the unscaled norm underflows to 0
+    ([1e200, 0.0], [1.0, 0.0]),
+    ([5e-324, 0.0], [1.0, 0.0]),                # the smallest subnormal
+    ([0.0, complex(1.7e308, -1.7e308)], [0.0, 1.0]),
+    ([3e-170, 4e-170j], [0.36, 0.64]),
+])
+def test_from_state_vector_accepts_every_finite_nonzero_vector(vec, expected):
+    rho = DensityMatrix.from_state_vector(vec, (2,))
+    np.testing.assert_allclose(np.diag(rho.entries).real, expected, rtol=1e-15, atol=1e-16)
+    assert abs(np.trace(rho.entries) - 1.0) <= 1e-15
+
+
+def test_from_state_vector_is_invariant_under_powers_of_two():
+    # entries of comparable size stay normal floats at every scale tried,
+    # so a rescaled vector normalises to the same bytes
+    rng = np.random.default_rng(15)
+    for dims in [(2,), (3,), (2, 2)]:
+        d = math.prod(dims)
+        for vec in (rng.uniform(0.5, 2.0, d) * rng.choice([-1.0, 1.0], d),
+                    rng.uniform(0.5, 2.0, d) * np.exp(1j * rng.uniform(0.0, 2 * math.pi, d))):
+            want = DensityMatrix.from_state_vector(vec, dims).entries.tobytes()
+            for k in range(-1000, 1001, 37):
+                got = DensityMatrix.from_state_vector(vec * 2.0 ** k, dims)
+                assert got.entries.tobytes() == want, (dims, k)
 
 
 def test_from_state_vector_takes_no_spectrum(monkeypatch):
@@ -198,6 +232,31 @@ def test_random_channels_preserve_trace_and_positivity():
         out = _apply(c, rho)
         assert np.trace(out.entries).real == pytest.approx(1.0, abs=1e-10)
         assert out.min_eigenvalue() > -1e-10
+
+
+def _reference_kraus_choi(ops):
+    """Channel.from_kraus's former loop: sum_ij |i><j| (x) sum_k K |i><j| K^dagger."""
+    out_dim, in_dim = ops[0].shape
+    choi = np.zeros((in_dim * out_dim, in_dim * out_dim), dtype=complex)
+    for i in range(in_dim):
+        for j in range(in_dim):
+            unit = np.zeros((in_dim, in_dim), dtype=complex)
+            unit[i, j] = 1.0
+            block = sum(k @ unit @ k.conj().T for k in ops)
+            eij = np.zeros((in_dim, in_dim), dtype=complex)
+            eij[i, j] = 1.0
+            choi += np.kron(eij, block)
+    return choi
+
+
+@pytest.mark.parametrize("in_dim, out_dim", [(2, 2), (3, 3), (2, 3)])
+def test_random_channel_choi_matches_the_reference_loop_bit_for_bit(in_dim, out_dim):
+    for seed in range(5):
+        # random_channel's Kraus operators: row blocks of a Stinespring isometry
+        iso = random_unitary(out_dim * in_dim, np.random.default_rng(seed))[:, :in_dim]
+        kraus = [iso[e * out_dim:(e + 1) * out_dim, :] for e in range(in_dim)]
+        got = random_channel(in_dim, out_dim, np.random.default_rng(seed)).choi.entries
+        assert got.tobytes() == _reference_kraus_choi(kraus).tobytes()
 
 
 def test_rectangular_channel_dims():
