@@ -144,10 +144,15 @@ def write_svg(report: dict, path: str) -> None:
 
 @dataclass(frozen=True)
 class Param:
-    """One experiment option.  Its type is the type of ``default``."""
+    """One experiment option.  Its type is the type of ``default``.
+
+    ``low`` and ``high`` bound it inclusively; a size's ``high`` keeps
+    the run's memory under about 1 GB.
+    """
 
     default: int | float | str
     low: int | float | None = None
+    high: int | float | None = None
     choices: tuple[str, ...] = ()
     help: str | None = None
 
@@ -186,6 +191,8 @@ def _checked(name: str, spec: Param, value):
         raise ValueError(f"{name} must be finite, got {value!r}")
     if spec.low is not None and value < spec.low:
         raise ValueError(f"{name} must be >= {spec.low}, got {value!r}")
+    if spec.high is not None and value > spec.high:
+        raise ValueError(f"{name} must be <= {spec.high}, got {value!r}")
     if spec.choices and value not in spec.choices:
         raise ValueError(f"{name} must be one of {', '.join(spec.choices)}, got {value!r}")
     return value
@@ -226,7 +233,7 @@ def _experiment(name: str, help: str, **params: Param):
 
 
 @_experiment("duality", "forward/backward process family and its time-reversal duality",
-             dim=Param(2, low=1), omega=Param(1.0), tmax=Param(2 * math.pi),
+             dim=Param(2, low=1, high=6), omega=Param(1.0), tmax=Param(2 * math.pi),
              points=Param(25, low=1),
              skew=Param(0.0, low=0, help="size of the deliberate dual-pair offset"),
              seed=Param(7, low=0),
@@ -311,14 +318,14 @@ def _ac_vs_ico(cfg):
 
 
 @_experiment("photonclock", "bouncing-photon clock, decoherence, and extracted classical time",
-             bounces=Param(16, low=1), decoherence=Param(0.25), seed=Param(3, low=0),
+             bounces=Param(16, low=1, high=1_000_000), decoherence=Param(0.25),
+             seed=Param(3, low=0),
              tick_seconds=Param(1.0, low=0,
                                 help="physical duration of one traversal, scales the report only"))
 def _photonclock(cfg):
     box = photonclock.CausalBox(decoherence_per_bounce=cfg["decoherence"],
                                 rng_seed=cfg["seed"])
-    for _ in range(cfg["bounces"]):
-        photonclock.bounce(box)
+    photonclock.run_bounces(box, cfg["bounces"])
     cumulative = photonclock.classical_time_series(box.ledger)
 
     coherent_probe = photonclock.CausalBox(rng_seed=cfg["seed"])
@@ -371,8 +378,9 @@ def _wfecho(cfg):
                    reflected + delta_s == cfg["transmitted"])])
 
 
-_LINK = {"slices": Param(2000, low=1), "flip_forward": Param(0.0), "flip_backward": Param(0.0),
-         "echo_loss": Param(0.0), "seed": Param(11, low=0), "temperature": Param(300.0)}
+_LINK = {"slices": Param(2000, low=1, high=1_000_000), "flip_forward": Param(0.0),
+         "flip_backward": Param(0.0), "echo_loss": Param(0.0), "seed": Param(11, low=0),
+         "temperature": Param(300.0)}
 
 
 def _link(cfg, mode: piflink.LinkMode) -> piflink.LinkConfig:
@@ -517,7 +525,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
-    """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format."""
+    """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format.
+
+    Refuses a file target whose directory does not exist, so a bad
+    target stops the run before any file is written.
+    """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt)]
     if ns.out and not ns.format:
         raise ValueError("--out needs --format")
@@ -526,6 +538,10 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
         if fmt not in formats:
             raise ValueError(f"unknown output format {fmt!r}; pick from {','.join(formats)}")
         targets.append((fmt, os.path.join(ns.out or ".", f"{ns.command}.{fmt}")))
+    for _, path in targets:
+        directory = os.path.dirname(path) or "."
+        if path != "-" and not os.path.isdir(directory):
+            raise ValueError(f"output directory {directory!r} does not exist")
     return targets
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .qcore import (
     DEFAULT_TOL,
+    _STACK_ENTRIES,
     ComplexOperator,
     DensityMatrix,
     PAULI_X,
@@ -42,6 +43,7 @@ __all__ = [
     "RcpInvariantReport",
     "CascadeReport",
     "bounce",
+    "run_bounces",
     "classical_time",
     "classical_time_series",
     "bare_classical_time",
@@ -237,6 +239,121 @@ def bounce(box: CausalBox) -> CausalBox:
     return box
 
 
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# PCG64 seeding takes two steps and the first output a third; together
+# they map the state seed s and increment inc to s A + inc B (mod 2^128).
+_PCG_A = _PCG_MULT ** 2 & _MASK128
+_PCG_B = (_PCG_MULT ** 2 + _PCG_MULT + 1) & _MASK128
+
+# events drawn per block in run_bounces, so memory does not grow with n
+_DRAW_CHUNK = 65_536
+
+
+def _seed_words(n: int) -> list[int]:
+    """``n`` as SeedSequence reads it: 32-bit little-endian words, ``[0]`` for 0."""
+    words = [n & _MASK32]
+    while n >> 32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
+    """``np.random.default_rng((seed, k)).random()`` for k in [start, start + n), bit for bit.
+
+    Replays SeedSequence's entropy pool for every k at once on uint32
+    arrays (its hash constants do not depend on the data), then PCG64's
+    seeding and first XSL-RR output in Python ints.  An event index needs
+    to fit one 32-bit word.
+    """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if start < 0 or start + n > 1 << 32:
+        raise ValueError(f"event indices [{start}, {start + n}) leave [0, 2**32)")
+    entropy = [np.array([w], dtype=np.uint32) for w in _seed_words(seed)]
+    entropy.append(np.arange(start, start + n, dtype=np.uint64).astype(np.uint32))
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return r ^ (r >> 16)
+
+    zero = np.zeros(1, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for word in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(word))
+
+    # generate_state(4, uint64): eight words cycled from the pool
+    hash_const = _INIT_B
+    words = []
+    for i in range(8):
+        value = pool[i % _POOL_SIZE] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append((value ^ (value >> 16)).astype(np.uint64))
+    # little-endian pairs make the four uint64 words: state seed, then increment
+    halves = [(words[i] | words[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        inc = (i_hi << 64 | i_lo) << 1 | 1
+        state = ((s_hi << 64 | s_lo) * _PCG_A + inc * _PCG_B) & _MASK128
+        x = ((state >> 64) ^ state) & _MASK64
+        rot = state >> 122
+        out.append(((x >> rot | x << (-rot & 63)) & _MASK64) >> 11)
+    return np.array(out, dtype=np.float64) * 2.0 ** -53
+
+
+def run_bounces(box: CausalBox, n: int) -> CausalBox:
+    """``n`` bounces in one pass, leaving ``box`` as ``n`` calls to ``bounce`` would.
+
+    The decoherence flags are replayed in blocks by ``_event_draws``; the
+    photon is evolved on raw arrays in ``bounce``'s operation order and
+    wrapped once at the end.  Mutates ``box`` and returns it.
+    """
+    if n < 0:
+        raise ValueError(f"bounce count must be >= 0, got {n}")
+    p = box.decoherence_per_bounce
+    increments = box.ledger.increments
+    for lo in range(0, n, _DRAW_CHUNK):
+        draws = _event_draws(box.rng_seed, box._event_count + lo, min(_DRAW_CHUNK, n - lo))
+        # the sign alternates with the ledger length, as current_direction reads it
+        signs = 1 - 2 * ((len(increments) + np.arange(draws.size)) % 2)
+        increments.extend(map(TickRecord, signs.tolist(), (draws < p).tolist()))
+
+    dims = box.photon.dims
+    x_full, x_dag = _direction_flip(box.photon.dim)
+    keep = 1 - p
+    mixed = p * (np.eye(box.photon.dim, dtype=complex) / box.photon.dim)
+    rho = box.photon.entries
+    for _ in range(n):
+        rho = x_full @ rho @ x_dag
+        if p != 0.0:
+            rho = keep * rho + mixed
+    box.photon = DensityMatrix._trusted(rho, dims)
+    box._event_count += n
+    return box
+
+
 def check_nondiscernability(box: CausalBox, k_cycles: int) -> bool:
     """True iff every completed round trip restores the photon exactly.
 
@@ -318,23 +435,6 @@ class RcpOperator:
         return self.t_plus.dim
 
 
-def _rcp_matrix(op: RcpOperator, t: float) -> np.ndarray:
-    """R(t) = T_plus(t) + T_minus(-t)^dagger with damped reverse family.
-
-    The families are T_plus(s) = exp(-i s H_plus) / 2 and
-    T_minus(s) = exp(-i s H_minus - eps |s| I) / 2; damping attenuates
-    both temporal directions so R(0) is the identity and the norm decays
-    for t > 0 whenever eps > 0.
-    """
-    h_plus = op.t_plus.entries
-    h_minus = op.t_minus.entries
-    g = np.eye(op.dim, dtype=complex)
-    from scipy.linalg import expm   # imported on first use: it is most of the import time
-    fwd = expm(-1j * t * h_plus) / 2
-    rev = expm(1j * t * h_minus - op.epsilon * abs(t) * g) / 2
-    return fwd + rev.conj().T
-
-
 @dataclass(frozen=True)
 class RcpInvariantReport:
     """Trajectory of <psi| R(t)^dag R(t) |psi> over the sample grid."""
@@ -348,6 +448,13 @@ class RcpInvariantReport:
 def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpInvariantReport:
     """Evaluate the norm invariant along ``ts``.
 
+    R(t) = T_plus(t) + T_minus(-t)^dagger, with the families
+    T_plus(s) = exp(-i s H_plus) / 2 and T_minus(s) = exp(-i s H_minus
+    - eps |s| I) / 2; damping attenuates both temporal directions, so
+    R(0) is the identity and the norm decays for t > 0 whenever eps > 0.
+    Each family is exponentiated in one stacked call per block of
+    sample times.
+
     ``drift`` is max - min of the series; ``constant`` holds iff the
     drift stays below ``RCP_TOL``, which happens exactly when the reverse
     family is the dagger dual of the forward one and epsilon is zero.
@@ -359,10 +466,26 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
     if norm == 0:
         raise ValueError("state vector must be nonzero")
     v = v / norm
+    ts = [float(t) for t in ts]
+    h_plus = op.t_plus.entries
+    h_minus = op.t_minus.entries
+    g = np.eye(op.dim, dtype=complex)
+    from scipy.linalg import expm   # imported on first use: it is most of the import time
+    per_block = max(1, _STACK_ENTRIES // op.dim ** 2)
     values = []
-    for t in ts:
-        rv = _rcp_matrix(op, float(t)) @ v
-        values.append(float(np.real(np.vdot(rv, rv))))
+    for lo in range(0, len(ts), per_block):
+        block = ts[lo:lo + per_block]
+        # in-place steps keep the peak at about three stacks
+        gen = np.array([-1j * t for t in block])[:, None, None] * h_plus
+        fwd = expm(gen)
+        fwd /= 2
+        np.multiply(np.array([1j * t for t in block])[:, None, None], h_minus, out=gen)
+        gen -= np.array([op.epsilon * abs(t) for t in block])[:, None, None] * g
+        rev = expm(gen)
+        rev /= 2
+        for f, r in zip(fwd, rev):
+            rv = (f + r.conj().T) @ v
+            values.append(float(np.real(np.vdot(rv, rv))))
     drift = max(values) - min(values)
     return RcpInvariantReport(
         values=tuple(values),

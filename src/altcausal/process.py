@@ -23,8 +23,9 @@ orientations stay valid at every instant and the duality holds exactly.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -34,14 +35,15 @@ from .qcore import (
     Channel,
     ComplexOperator,
     DensityMatrix,
+    _STACK_ENTRIES,
     _choi,
+    _entropies,
     identity,
     ket,
     partial_trace,
     projector,
     spectral_norm,
     tensor,
-    von_neumann_entropy,
 )
 
 __all__ = [
@@ -249,10 +251,14 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
         g = _out_wire_phase_generator(dims)
         gap = g[:, None] - g[None, :]
         widest = float(np.abs(gap).max())
+        # gap takes few distinct values (13 at d = 4): exponentiate those
+        # and gather, rather than one exponential per entry
+        levels, where = np.unique(gap, return_inverse=True)
+        where = where.reshape(gap.shape)
 
         def member(t: float) -> np.ndarray:
             _check_phase(omega, t, widest)
-            return base * np.exp(-1j * omega * t * gap)
+            return base * np.exp(-1j * omega * t * levels)[where]
     else:
         if dims[0] != dims[2] or dims[1] != dims[3]:
             raise ValueError("discrete swap requires equal A and B wire dimensions")
@@ -330,10 +336,28 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
 
 @dataclass(frozen=True)
 class SwitchModel:
-    """Coherent order switch for two unitaries on a shared target."""
+    """Coherent order switch for two unitaries on a shared target.
+
+    ``joint`` is the switch unitary on target (x) control and
+    ``joint_dag`` its dagger, both built once with the model: control
+    |0> applies u_b u_a, control |1> applies u_a u_b.
+    """
 
     u_a: ComplexOperator
     u_b: ComplexOperator
+    joint: ComplexOperator = field(init=False, repr=False, compare=False)
+    joint_dag: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        u0 = self.u_b.entries @ self.u_a.entries
+        u1 = self.u_a.entries @ self.u_b.entries
+        p0 = np.outer(ket(0), ket(0).conj())
+        p1 = np.outer(ket(1), ket(1).conj())
+        joint = ComplexOperator(np.kron(u0, p0) + np.kron(u1, p1), (self.target_dim, 2))
+        joint_dag = joint.entries.conj().T
+        joint_dag.setflags(write=False)
+        object.__setattr__(self, "joint", joint)
+        object.__setattr__(self, "joint_dag", joint_dag)
 
     @property
     def target_dim(self) -> int:
@@ -359,16 +383,20 @@ def build_quantum_switch(u_a, u_b) -> SwitchModel:
 
 
 def switch_unitary(model: SwitchModel) -> ComplexOperator:
-    """Joint unitary on target (x) control.
+    """Joint unitary on target (x) control."""
+    return model.joint
 
-    Control |0> applies u_b u_a, control |1> applies u_a u_b.
-    """
-    d = model.target_dim
-    u0 = model.u_b.entries @ model.u_a.entries
-    u1 = model.u_a.entries @ model.u_b.entries
-    p0 = np.outer(ket(0), ket(0).conj())
-    p1 = np.outer(ket(1), ket(1).conj())
-    return ComplexOperator(np.kron(u0, p0) + np.kron(u1, p1), (d, 2))
+
+@functools.lru_cache(maxsize=8)
+def _control_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """I (x) |+><+| and I (x) |-><-| on target (x) control, both read-only."""
+    projs = []
+    for v in (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
+              np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)):
+        proj = np.kron(np.eye(d, dtype=complex), np.outer(v, v.conj()))
+        proj.setflags(write=False)
+        projs.append(proj)
+    return tuple(projs)
 
 
 def switch_output(model: SwitchModel, target: DensityMatrix,
@@ -376,10 +404,13 @@ def switch_output(model: SwitchModel, target: DensityMatrix,
     """Joint output state for the given target and control inputs."""
     if target.dim != model.target_dim or control.dim != 2:
         raise ValueError("target/control dimensions do not match the switch")
-    s = switch_unitary(model).entries
-    joint = np.kron(target.entries, control.entries)
+    # np.kron(target, control) as np.kron forms it, without its per-call set-up
+    side = 2 * model.target_dim
+    joint = (target.entries[:, None, :, None]
+             * control.entries[None, :, None, :]).reshape(side, side)
     # a unitary conjugate of two validated states: valid without a recheck
-    return DensityMatrix._trusted(s @ joint @ s.conj().T, (model.target_dim, 2))
+    return DensityMatrix._trusted(model.joint.entries @ joint @ model.joint_dag,
+                                  (model.target_dim, 2))
 
 
 def control_interference_probabilities(model: SwitchModel, target: DensityMatrix,
@@ -389,15 +420,9 @@ def control_interference_probabilities(model: SwitchModel, target: DensityMatrix
     Anticommuting unitaries with a balanced control make the "-" outcome
     certain; commuting ones make "+" certain.
     """
-    out = switch_output(model, target, control)
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)
-    d = model.target_dim
-    p = []
-    for v in (plus, minus):
-        proj = np.kron(np.eye(d, dtype=complex), np.outer(v, v.conj()))
-        p.append(float(np.real(np.trace(proj @ out.entries))))
-    p_plus, p_minus = p
+    out = switch_output(model, target, control).entries
+    p_plus, p_minus = (float(np.real(np.trace(proj @ out)))
+                       for proj in _control_projectors(model.target_dim))
     return p_plus, p_minus
 
 
@@ -406,10 +431,9 @@ def traced_target_channel(model: SwitchModel, control: DensityMatrix) -> Channel
     if control.dim != 2:
         raise ValueError("control must be a qubit state")
     d = model.target_dim
-    s = switch_unitary(model).entries
 
     def image(unit: np.ndarray) -> np.ndarray:
-        joint = s @ np.kron(unit, control.entries) @ s.conj().T
+        joint = model.joint.entries @ np.kron(unit, control.entries) @ model.joint_dag
         return np.einsum("acbc->ab", joint.reshape(d, 2, d, 2))
 
     return Channel(ComplexOperator(_choi(d, d, image), (d, d)), d, d)
@@ -476,28 +500,31 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     ident_c = np.eye(2, dtype=complex)
     m_even = np.kron(model.u_a.entries @ model.u_b.entries, ident_c)
     m_odd = np.kron(model.u_b.entries @ model.u_a.entries, ident_c)
-    s = switch_unitary(model).entries
+    alternation = ((m_even, m_even.conj().T), (m_odd, m_odd.conj().T))
+    s, s_dag = model.joint.entries, model.joint_dag
 
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     ac_state = np.kron(target.entries, np.outer(ket(0), ket(0).conj()))
     ico_state = np.kron(target.entries, np.outer(plus, plus.conj()))
 
     # Every state is a unitary conjugate or depolarizing mix of the
-    # validated target, so it is not validated again; the entropy keeps
-    # its own negative-eigenvalue check.
-    def entropy(m: np.ndarray) -> float:
-        return von_neumann_entropy(DensityMatrix._trusted(m, (d, 2)))
-
-    ac_series = [entropy(ac_state)]
-    ico_series = [entropy(ico_state)]
-    for k in range(steps):
-        u = m_even if k % 2 == 0 else m_odd
-        ac_state = u @ ac_state @ u.conj().T
-        ac_state = (1 - noise) * ac_state + noise * mix
-        ico_state = s @ ico_state @ s.conj().T
-        ico_state = (1 - noise) * ico_state + noise * mix
-        ac_series.append(entropy(ac_state))
-        ico_series.append(entropy(ico_state))
+    # validated target, so none is validated again; the entropies keep
+    # their own negative-eigenvalue check.  The states are stacked in
+    # blocks and each block's entropies are taken at once.
+    block = min(steps + 1, max(1, _STACK_ENTRIES // dim ** 2))
+    ac = np.empty((block, dim, dim), dtype=complex)
+    ico = np.empty_like(ac)
+    ac_series, ico_series = [], []
+    for k in range(steps + 1):
+        if k:
+            u, u_dag = alternation[(k - 1) % 2]
+            ac_state = (1 - noise) * (u @ ac_state @ u_dag) + noise * mix
+            ico_state = (1 - noise) * (s @ ico_state @ s_dag) + noise * mix
+        filled = k % block + 1
+        ac[filled - 1], ico[filled - 1] = ac_state, ico_state
+        if filled == block or k == steps:
+            ac_series += _entropies(ac[:filled])
+            ico_series += _entropies(ico[:filled])
 
     return ComparisonReport(
         ac_entropies=tuple(ac_series),

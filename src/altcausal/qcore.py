@@ -45,6 +45,10 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 
+# Entries in the largest stack of matrices a batched computation builds at
+# once (4 MB of complex128), so its memory does not grow with its length.
+_STACK_ENTRIES = 1 << 18
+
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
@@ -225,8 +229,9 @@ def _choi(in_dim: int, out_dim: int, image) -> np.ndarray:
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
     # Eigendecompositions are always taken on the symmetrized matrix so
-    # that float-level asymmetry cannot leak into eigenvalues.
-    return (m + m.conj().T) / 2
+    # that float-level asymmetry cannot leak into eigenvalues.  Works on
+    # a stack of matrices too.
+    return (m + np.swapaxes(m.conj(), -1, -2)) / 2
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -275,13 +280,30 @@ def partial_trace(m: ComplexOperator, keep: Sequence[int]) -> ComplexOperator:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam log2 lam) in bits, with 0 log 0 = 0."""
-    lam = np.linalg.eigvalsh(_symmetrized(rho.entries))
-    if lam[0] < -DEFAULT_TOL:
-        raise ValueError(f"state has negative eigenvalue {lam[0]:.3e}")
+    return _entropies(rho.entries)[0]
+
+
+def _entropies(states: np.ndarray) -> list[float]:
+    """``von_neumann_entropy`` of each matrix in a (..., n, n) stack, one eigvalsh for all.
+
+    Each entropy sums only its positive eigenvalues, as a row of its own,
+    so every value has the bits a one-state evaluation gives.
+    """
+    n = states.shape[-1]
+    lam = np.linalg.eigvalsh(_symmetrized(states)).reshape(-1, n)
+    bad = np.flatnonzero(lam[:, 0] < -DEFAULT_TOL)
+    if bad.size:
+        raise ValueError(f"state has negative eigenvalue {lam[bad[0], 0]:.3e}")
     lam = np.clip(lam.real, 0.0, None)
-    lam = lam[lam > 0]
+    # eigvalsh sorts ascending, so the positive eigenvalues end each row
+    positive = (lam > 0).sum(axis=1)
+    out = np.empty(len(lam))
+    for k in np.unique(positive):
+        rows = positive == k
+        part = lam[rows, n - k:]
+        out[rows] = -(part * np.log2(part)).sum(axis=1)
     # the +0.0 turns the -0.0 of exactly pure states into +0.0
-    return float(-(lam * np.log2(lam)).sum()) + 0.0
+    return (out + 0.0).tolist()
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -1,15 +1,19 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from altcausal import cli, photonclock, piflink
-from altcausal.cli import _EXPERIMENTS, build_parser, main, write_json
+from altcausal.cli import _EXPERIMENTS, _config, build_parser, main, write_json
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 FAST_ARGS = {
     "duality": ["--points", "9"],
@@ -59,6 +63,9 @@ def test_bad_format_exits_one(tmp_path, capsys):
     (["--json", "a.json", "--format", "json,bogus", "--out", "d"], "unknown output format"),
     (["--csv", "a.csv", "--out", "d"], "--out needs --format"),
     (["--out", "d"], "--out needs --format"),
+    (["--json", "a.json", "--format", "json", "--out", "missing"], "does not exist"),
+    (["--json", "a.json", "--csv", "missing/x.csv"], "does not exist"),
+    (["--svg", "d/missing/x.svg", "--json", "-"], "does not exist"),
 ])
 def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, tmp_path,
                                                     capsys):
@@ -309,6 +316,19 @@ def test_photonclock_series_matches_a_reading_after_every_bounce(tmp_path):
     assert report["metrics"]["classical_time_seconds"] == readings[-1] * 2.0
 
 
+def test_photonclock_sweep_bounces_in_one_pass(monkeypatch, tmp_path):
+    # only check_nondiscernability's 3 cycles still call bounce
+    calls = []
+    per_event = photonclock.bounce
+    monkeypatch.setattr(photonclock, "bounce",
+                        lambda box: calls.append(1) or per_event(box))
+    for bounces in (8, 800):
+        calls.clear()
+        assert main(["photonclock", "--bounces", str(bounces),
+                     "--json", str(tmp_path / "p.json")]) == 0
+        assert len(calls) == 6
+
+
 def test_duality_deviation_is_tiny(tmp_path):
     out = tmp_path / "dual.json"
     assert main(["duality", "--points", "16", "--json", str(out)]) == 0
@@ -360,6 +380,52 @@ def test_bad_input_is_rejected_at_the_boundary(args, config, param, tmp_path, ca
     assert main([*args, *extra, "--json", str(out)]) == 1
     assert param in capsys.readouterr().err
     assert not out.exists()
+
+
+CEILINGS = [("pif", "slices", 1_000_000), ("fito-vs-pif", "slices", 1_000_000),
+            ("photonclock", "bounces", 1_000_000), ("duality", "dim", 6)]
+
+
+@pytest.mark.parametrize("command, key, ceiling", CEILINGS)
+def test_size_ceilings_are_refused_at_the_boundary(command, key, ceiling, tmp_path):
+    # through _config alone: a size at the ceiling is accepted, never run
+    params = _EXPERIMENTS[command].params
+    parser = build_parser()
+    flag = "--" + key.replace("_", "-")
+    assert _config(parser.parse_args([command, flag, str(ceiling)]), params)[key] == ceiling
+    with pytest.raises(ValueError, match=f"{key} must be <= {ceiling}, got {ceiling + 1}"):
+        _config(parser.parse_args([command, flag, str(ceiling + 1)]), params)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: ceiling + 1}))
+    with pytest.raises(ValueError, match=f"{key} must be <= {ceiling}"):
+        _config(parser.parse_args([command, "--config", str(cfg)]), params)
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    """``bench/workloads.py``, read and never changed."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    return importlib.import_module("workloads")
+
+
+def test_every_benchmark_invocation_is_accepted(workloads):
+    parser = build_parser()
+    for workload in workloads.WORKLOADS:
+        for seed, small in ((0, False), (4242, False), (0, True)):
+            for args in workloads.invocations(workload, seed, small):
+                ns = parser.parse_args(args)
+                _config(ns, _EXPERIMENTS[ns.command].params)
+
+
+# duality --dim 4 is left out: its last bits depend on the BLAS thread count
+@pytest.mark.parametrize("command", ["photonclock", "switch", "ac-vs-ico", "rcp", "cascade"])
+def test_operator_sweeps_match_the_benchmark_references(command, workloads, tmp_path):
+    args, = [a for a in workloads.invocations("operators", workloads.REFERENCE_SEED)
+             if a[0] == command]
+    out = tmp_path / "r.json"
+    assert main([*args, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert workloads.report_hash(report) == workloads.references()[workloads.key(args)]
 
 
 @pytest.mark.filterwarnings("error")

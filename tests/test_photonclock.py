@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from altcausal.photonclock import (
     MAX_CASCADE_SITES,
     RcpOperator,
     TickLedger,
-    _rcp_matrix,
+    _event_draws,
     bare_classical_time,
     bounce,
     break_symmetry,
@@ -31,8 +32,10 @@ from altcausal.photonclock import (
     classical_time,
     classical_time_series,
     rcp_invariant,
+    run_bounces,
     wf_echo,
 )
+from altcausal import photonclock
 
 
 def _ledger(seq):
@@ -230,6 +233,96 @@ def test_bounce_matches_validated_reference_bit_for_bit(photon, p):
     assert fast._event_count == slow._event_count == 40
 
 
+# ---------------------------------------------------------------------------
+# bulk bounces and the replayed event draws
+# ---------------------------------------------------------------------------
+
+def _default_rng_draw(seed, k):
+    return np.random.default_rng((seed, k)).random()
+
+
+def test_event_draws_match_default_rng_on_random_pairs():
+    # numpy promises stable SeedSequence and PCG64 streams (NEP 19); if that
+    # ever changes, the replica must fail here rather than drift silently
+    rnd = random.Random(8)
+    for _ in range(2000):
+        seed = rnd.randrange(1 << rnd.choice((8, 31, 32, 64, 96, 128, 160)))
+        k = rnd.randrange(1 << rnd.choice((4, 16, 32)))
+        assert _event_draws(seed, k, 1).tolist() == [_default_rng_draw(seed, k)], (seed, k)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 1, 2**128 + 3])
+def test_event_draws_match_default_rng_at_fixed_seeds(seed):
+    # 2**96 + 1 and 2**128 + 3 fill the pool of four words, so the event
+    # index enters through the trailing mix
+    for start in (0, 12345, 2**32 - 64):
+        got = _event_draws(seed, start, 64)
+        want = np.array([_default_rng_draw(seed, k) for k in range(start, start + 64)])
+        assert got.tobytes() == want.tobytes()
+
+
+def test_event_draws_cover_the_last_one_word_index_and_refuse_the_next():
+    assert _event_draws(5, 2**32 - 1, 1).tolist() == [_default_rng_draw(5, 2**32 - 1)]
+    with pytest.raises(ValueError):
+        _event_draws(5, 2**32, 1)
+    with pytest.raises(ValueError):
+        _event_draws(5, 2**32 - 1, 2)
+    with pytest.raises(ValueError):
+        _event_draws(-1, 0, 1)
+
+
+def _bounced_pair(photon, p, seed, n, warm_up=False):
+    """The same box after ``run_bounces`` and after ``n`` calls to ``bounce``."""
+    boxes = [CausalBox(photon=photon, decoherence_per_bounce=p, rng_seed=seed)
+             for _ in range(2)]
+    if warm_up:
+        for box in boxes:
+            break_symmetry(box, BoundaryConditions(0.25, 0.25, 0.25, 0.25))
+            bounce(box)
+    fast, slow = boxes
+    assert run_bounces(fast, n) is fast
+    for _ in range(n):
+        bounce(slow)
+    return fast, slow
+
+
+def _assert_same_box(fast, slow):
+    assert fast.ledger.increments == slow.ledger.increments
+    assert [type(v) for inc in fast.ledger.increments for v in inc] == \
+        [type(v) for inc in slow.ledger.increments for v in inc]
+    assert type(fast.photon) is DensityMatrix
+    assert fast.photon.dims == slow.photon.dims
+    assert fast.photon.entries.tobytes() == slow.photon.entries.tobytes()
+    assert not fast.photon.entries.flags.writeable
+    assert fast._event_count == slow._event_count
+
+
+@pytest.mark.parametrize("n, p", [(2000, 0.25), (16, 0.25), (100, 0.0), (99, 1.0),
+                                  (1, 0.0), (1, 1.0), (1, 0.25), (0, 0.25)])
+def test_run_bounces_matches_the_bounce_loop_bit_for_bit(n, p):
+    _assert_same_box(*_bounced_pair(projector(ket(0)), p, 3, n))
+
+
+@pytest.mark.parametrize("photon", sorted(_photons()))
+@pytest.mark.parametrize("n, p", [(1, 0.0), (1, 1.0), (37, 0.25)])
+def test_run_bounces_continues_a_used_box_bit_for_bit(photon, n, p):
+    # break_symmetry and a bounce first: the draws start past event 0 and
+    # the ledger length is odd, so the first new tick is -1
+    fast, slow = _bounced_pair(_photons()[photon], p, 2**64 + 5, n, warm_up=True)
+    assert fast._event_count == n + 2
+    _assert_same_box(fast, slow)
+
+
+def test_run_bounces_draws_in_blocks(monkeypatch):
+    monkeypatch.setattr(photonclock, "_DRAW_CHUNK", 7)
+    _assert_same_box(*_bounced_pair(projector(ket(0)), 0.5, 11, 50, warm_up=True))
+
+
+def test_run_bounces_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        run_bounces(CausalBox(), -1)
+
+
 def test_nondiscernability_holds_for_closed_box():
     assert check_nondiscernability(CausalBox(), k_cycles=1)
     assert check_nondiscernability(CausalBox(), k_cycles=1000)
@@ -285,6 +378,25 @@ def test_uniform_outcome_frequencies():
 # ---------------------------------------------------------------------------
 # combined forward/reverse propagator
 # ---------------------------------------------------------------------------
+
+def _rcp_matrix(op, t):
+    """R(t) for one t: rcp_invariant's former per-sample construction."""
+    from scipy.linalg import expm
+    g = np.eye(op.dim, dtype=complex)
+    fwd = expm(-1j * t * op.t_plus.entries) / 2
+    rev = expm(1j * t * op.t_minus.entries - op.epsilon * abs(t) * g) / 2
+    return fwd + rev.conj().T
+
+
+def _reference_rcp_values(op, psi, ts):
+    v = np.asarray(psi, dtype=complex).reshape(-1)
+    v = v / np.linalg.norm(v)
+    values = []
+    for t in ts:
+        rv = _rcp_matrix(op, float(t)) @ v
+        values.append(float(np.real(np.vdot(rv, rv))))
+    return values
+
 
 def _random_hermitian(d, rng):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -354,6 +466,51 @@ def test_rcp_closed_form_with_identity_damping():
     rep = rcp_invariant(op, psi, ts)
     want = ((1.0 + np.exp(-eps * ts)) / 2.0) ** 2
     np.testing.assert_allclose(rep.values, want, atol=1e-10)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.37])
+@pytest.mark.parametrize("dim", [2, 4])
+def test_rcp_invariant_matches_the_per_t_reference_bit_for_bit(epsilon, dim):
+    rng = np.random.default_rng(70 + dim)
+    h = _random_hermitian(dim, rng)
+    for t_minus in (h, _random_hermitian(dim, rng)):
+        op = RcpOperator(t_plus=h, t_minus=t_minus, epsilon=epsilon)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        ts = [*np.linspace(-3.0, 4.0, 57), 0.0, -0.0, 1e-300, 40.0]
+        rep = rcp_invariant(op, psi, ts)
+        assert np.array(rep.values).tobytes() == \
+            np.array(_reference_rcp_values(op, psi, ts)).tobytes()
+
+
+def test_rcp_invariant_makes_two_expm_calls(monkeypatch):
+    import scipy.linalg
+
+    calls = []
+    expm = scipy.linalg.expm
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return expm(a)
+
+    monkeypatch.setattr(scipy.linalg, "expm", counting)
+    rng = np.random.default_rng(9)
+    h = _random_hermitian(4, rng)
+    rcp_invariant(RcpOperator(t_plus=h, t_minus=h, epsilon=0.1), np.ones(4),
+                  np.linspace(0.0, 4.0, 200))
+    assert calls == [(200, 4, 4), (200, 4, 4)]
+
+
+@pytest.mark.parametrize("points", [1, 6, 7, 8, 50])
+def test_rcp_invariant_exponentiates_in_blocks(points, monkeypatch):
+    # blocks of 7 sample times at dim 4, so the stacks stay small
+    monkeypatch.setattr(photonclock, "_STACK_ENTRIES", 7 * 16 + 3)
+    rng = np.random.default_rng(10)
+    h = _random_hermitian(4, rng)
+    op = RcpOperator(t_plus=h, t_minus=_random_hermitian(4, rng), epsilon=0.2)
+    psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+    ts = np.linspace(-1.0, 5.0, points)
+    assert np.array(rcp_invariant(op, psi, ts).values).tobytes() == \
+        np.array(_reference_rcp_values(op, psi, ts)).tobytes()
 
 
 def test_rcp_rejects_bad_inputs():

@@ -14,8 +14,8 @@ from altcausal.qcore import (
     random_density_matrix,
     random_unitary,
     spectral_norm,
-    von_neumann_entropy,
 )
+from altcausal import process
 from altcausal.process import (
     ProcessMatrix,
     _out_wire_phase_generator,
@@ -145,6 +145,23 @@ def test_members_match_validated_reference_bit_for_bit(phase_mode, dim):
                 assert validate_ocb(got).valid
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_continuous_members_match_the_per_entry_phase_bit_for_bit(dim):
+    # the former member: one exponential per entry of the gap matrix
+    rng = np.random.default_rng(140 + dim)
+    w = from_channel_order(random_channel(dim, dim, rng), "AB")
+    base, dims = w.w.entries, w.dims
+    g = _out_wire_phase_generator(dims)
+    gap = g[:, None] - g[None, :]
+    for omega in (0.3, 1.0, 2.5, 7.0):
+        fam = build_alternating_family(w, omega=omega)
+        for t in [*np.linspace(-2 * math.pi, 2 * math.pi, 13), -0.0, 1e-9, -1e3]:
+            fwd = base * np.exp(-1j * omega * t * gap)
+            back = (base * np.exp(-1j * omega * -t * gap)).conj().T
+            assert fam.forward(t).w.entries.tobytes() == fwd.tobytes()
+            assert fam.backward(t).w.entries.tobytes() == back.tobytes()
+
+
 def test_trusted_values_are_read_only_copies():
     rng = np.random.default_rng(41)
     state = random_density_matrix(4, rng).entries.copy()
@@ -216,6 +233,15 @@ def test_family_rejects_bad_omega():
 # quantum switch
 # ---------------------------------------------------------------------------
 
+def _reference_switch_unitary(model):
+    """switch_unitary's former body: the joint unitary built on every call."""
+    u0 = model.u_b.entries @ model.u_a.entries
+    u1 = model.u_a.entries @ model.u_b.entries
+    p0 = np.outer(ket(0), ket(0).conj())
+    p1 = np.outer(ket(1), ket(1).conj())
+    return ComplexOperator(np.kron(u0, p0) + np.kron(u1, p1), (model.target_dim, 2))
+
+
 def _oracle_interference(u_a, u_b, target, control_vec):
     # independent dense 4-dim evolution: joint = S (target (x) ctrl) S^dag
     s = np.kron(u_b @ u_a, np.diag([1.0, 0.0])) + np.kron(u_a @ u_b, np.diag([0.0, 1.0]))
@@ -271,6 +297,9 @@ def test_switch_unitary_is_unitary():
     model = build_quantum_switch(random_unitary(2, rng), random_unitary(2, rng))
     s = switch_unitary(model).entries
     np.testing.assert_allclose(s @ s.conj().T, np.eye(4), atol=1e-12)
+    assert s.tobytes() == _reference_switch_unitary(model).entries.tobytes()
+    assert model.joint_dag.tobytes() == s.conj().T.tobytes()
+    assert not s.flags.writeable and not model.joint_dag.flags.writeable
 
 
 def test_switch_rejects_nonunitary():
@@ -293,7 +322,7 @@ def test_definite_control_reduces_to_composition():
 def _reference_traced_target_choi(model, control):
     """traced_target_channel's former loop over the target's unit matrices."""
     d = model.target_dim
-    s = switch_unitary(model).entries
+    s = _reference_switch_unitary(model).entries
     choi = np.zeros((d * d, d * d), dtype=complex)
     for i in range(d):
         for j in range(d):
@@ -356,7 +385,7 @@ def _controls(points):
 
 def _reference_switch_output(model, target, control):
     """switch_output's former body: the output built and validated as a DensityMatrix."""
-    s = switch_unitary(model).entries
+    s = _reference_switch_unitary(model).entries
     joint = np.kron(target.entries, control.entries)
     return DensityMatrix(s @ joint @ s.conj().T, (model.target_dim, 2))
 
@@ -378,6 +407,33 @@ def test_switch_output_matches_validated_reference_bit_for_bit(dim):
                 assert fast.dims == slow.dims
                 assert fast.entries.tobytes() == slow.entries.tobytes()
                 assert not fast.entries.flags.writeable
+
+
+def _reference_interference(model, target, control):
+    """control_interference_probabilities' former body, projectors built per call."""
+    out = _reference_switch_output(model, target, control)
+    d = model.target_dim
+    p = []
+    for v in (np.array([1.0, 1.0], dtype=complex) / math.sqrt(2),
+              np.array([1.0, -1.0], dtype=complex) / math.sqrt(2)):
+        proj = np.kron(np.eye(d, dtype=complex), np.outer(v, v.conj()))
+        p.append(float(np.real(np.trace(proj @ out.entries))))
+    return tuple(p)
+
+
+@pytest.mark.parametrize("pair", [(PAULI_X, PAULI_Z), (PAULI_Z, PAULI_Z)],
+                         ids=["anticommute", "commute"])
+def test_switch_sweep_matches_the_per_angle_reference_bit_for_bit(pair):
+    # the CLI's switch sweep: a maximally mixed target, controls over 200 angles
+    model = build_quantum_switch(*pair)
+    target = DensityMatrix.maximally_mixed((2,))
+    controls = _controls(200)
+    got = [control_interference_probabilities(model, target, c) for c in controls]
+    want = [_reference_interference(model, target, c) for c in controls]
+    assert np.array(got).tobytes() == np.array(want).tobytes()
+    for control in controls[::20]:
+        assert traced_target_channel(model, control).choi.entries.tobytes() == \
+            _reference_traced_target_choi(model, control).tobytes()
 
 
 def test_switch_readout_validates_nothing_per_angle(validations):
@@ -424,6 +480,15 @@ def test_ac_vs_ico_rejects_bad_args():
         ac_vs_ico_entropy(PAULI_X, PAULI_Z, noise=0.1, steps=0)
 
 
+def _reference_entropy(rho):
+    """von_neumann_entropy's former one-state body."""
+    lam = np.linalg.eigvalsh((rho.entries + rho.entries.conj().T) / 2)
+    assert lam[0] >= -1e-9
+    lam = np.clip(lam.real, 0.0, None)
+    lam = lam[lam > 0]
+    return float(-(lam * np.log2(lam)).sum()) + 0.0
+
+
 def _reference_ac_vs_ico(u_a, u_b, noise, steps):
     """ac_vs_ico_entropy's former loop: every state built and validated as a DensityMatrix."""
     model = build_quantum_switch(u_a, u_b)
@@ -431,7 +496,7 @@ def _reference_ac_vs_ico(u_a, u_b, noise, steps):
     mix = np.eye(2 * d, dtype=complex) / (2 * d)
     m_even = np.kron(model.u_a.entries @ model.u_b.entries, np.eye(2, dtype=complex))
     m_odd = np.kron(model.u_b.entries @ model.u_a.entries, np.eye(2, dtype=complex))
-    s = switch_unitary(model).entries
+    s = _reference_switch_unitary(model).entries
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     target = projector(ket(0, d)).entries
     ac = np.kron(target, np.outer(ket(0), ket(0).conj()))
@@ -442,8 +507,8 @@ def _reference_ac_vs_ico(u_a, u_b, noise, steps):
             u = m_even if k % 2 == 1 else m_odd
             ac = (1 - noise) * (u @ ac @ u.conj().T) + noise * mix
             ico = (1 - noise) * (s @ ico @ s.conj().T) + noise * mix
-        ac_series.append(von_neumann_entropy(DensityMatrix(ac, (d, 2))))
-        ico_series.append(von_neumann_entropy(DensityMatrix(ico, (d, 2))))
+        ac_series.append(_reference_entropy(DensityMatrix(ac, (d, 2))))
+        ico_series.append(_reference_entropy(DensityMatrix(ico, (d, 2))))
     return ac_series, ico_series
 
 
@@ -451,12 +516,23 @@ def _reference_ac_vs_ico(u_a, u_b, noise, steps):
 def test_ac_vs_ico_matches_validated_reference_bit_for_bit(noise):
     rng = np.random.default_rng(60)
     pairs = [(PAULI_X, PAULI_Z), (PAULI_X, PAULI_X),
-             (random_unitary(3, rng), random_unitary(3, rng))]
+             (random_unitary(3, rng), random_unitary(3, rng)),
+             (random_unitary(4, rng), random_unitary(4, rng))]
     for u_a, u_b in pairs:
         rep = ac_vs_ico_entropy(u_a, u_b, noise=noise, steps=40)
         ac, ico = _reference_ac_vs_ico(u_a, u_b, noise, 40)
         assert np.array(rep.ac_entropies).tobytes() == np.array(ac).tobytes()
         assert np.array(rep.ico_entropies).tobytes() == np.array(ico).tobytes()
+
+
+@pytest.mark.parametrize("steps", [1, 4, 5, 23, 24])
+def test_ac_vs_ico_takes_entropies_in_blocks(steps, monkeypatch):
+    # blocks of 5 states of side 4: the last block is full at steps 4 and 24
+    monkeypatch.setattr(process, "_STACK_ENTRIES", 5 * 16 + 3)
+    rep = ac_vs_ico_entropy(PAULI_X, PAULI_Z, noise=0.3, steps=steps)
+    ac, ico = _reference_ac_vs_ico(PAULI_X, PAULI_Z, 0.3, steps)
+    assert np.array(rep.ac_entropies).tobytes() == np.array(ac).tobytes()
+    assert np.array(rep.ico_entropies).tobytes() == np.array(ico).tobytes()
 
 
 def test_ac_vs_ico_validation_count_does_not_grow_with_steps(validations):

@@ -6,6 +6,7 @@ import pytest
 from altcausal.qcore import (
     Channel,
     ComplexOperator,
+    _entropies,
     DensityMatrix,
     PAULI_X,
     PAULI_Z,
@@ -148,6 +149,37 @@ def test_entropy_oracles():
     assert von_neumann_entropy(DensityMatrix.maximally_mixed((2,))) == pytest.approx(1.0, abs=1e-12)
     rho = DensityMatrix(np.diag([0.75, 0.25]), (2,))
     assert von_neumann_entropy(rho) == pytest.approx(ENTROPY_75_25, abs=1e-12)
+
+
+def _reference_entropy(m):
+    """von_neumann_entropy's former one-state body."""
+    lam = np.linalg.eigvalsh((m + m.conj().T) / 2)
+    lam = np.clip(lam.real, 0.0, None)
+    lam = lam[lam > 0]
+    return float(-(lam * np.log2(lam)).sum()) + 0.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 8, 9, 17])
+def test_stacked_entropies_match_the_one_state_body_bit_for_bit(dim):
+    # ranks from 1 to dim, so rows keep different numbers of positive eigenvalues
+    rng = np.random.default_rng(90 + dim)
+    states = []
+    for rank in [*range(1, dim + 1)] * 3:
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        m = g @ g.conj().T
+        states.append(m / m.trace())
+    states.append(np.eye(dim, dtype=complex) / dim)
+    stack = np.array(states)
+    want = [_reference_entropy(m) for m in stack]
+    assert np.array(_entropies(stack)).tobytes() == np.array(want).tobytes()
+    assert [von_neumann_entropy(DensityMatrix._trusted(m, (dim,))) for m in stack] == want
+
+
+def test_stacked_entropies_refuse_the_first_negative_state():
+    stack = np.array([np.diag([1.0, 0.0]), np.diag([1.5, -0.5]), np.diag([2.0, -1.0])],
+                     dtype=complex)
+    with pytest.raises(ValueError, match="negative eigenvalue -5.000e-01"):
+        _entropies(stack)
 
 
 def test_entropy_unitary_invariance():
