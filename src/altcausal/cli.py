@@ -43,8 +43,67 @@ def _emit(text: str, path: str) -> None:
             fh.write(text)
 
 
+_SLOT = "\0"                 # placeholder prefix; JSON writes it as "\u0000
+_SERIES_ITEM = ",\n      "   # what indent=2 puts between the items of a series list
+
+
+def _has_negative_zero(values: list) -> bool:
+    return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
+
+
+def _series_list(values) -> str | None:
+    """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, or None.
+
+    Only a non-empty list of exact ints and floats is rendered here, by
+    the C encoder, which ``indent`` rules out for the whole report.  A
+    float list that mostly repeats itself is rendered from one repr per
+    distinct value instead; ``-0.0`` equals ``0.0`` as a key, so a list
+    that holds it stays with the encoder.  NaN and inf are refused.
+    """
+    if type(values) is not list or not values:
+        return None
+    kinds = set(map(type, values))
+    if not kinds <= {int, float}:
+        return None
+    if (kinds == {float} and 2 * len(distinct := set(values)) < len(values)
+            and not (0.0 in distinct and _has_negative_zero(values))):
+        for v in distinct:
+            if not math.isfinite(v):
+                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        reprs = {v: float.__repr__(v) for v in distinct}
+        body = _SERIES_ITEM.join(map(reprs.__getitem__, values))
+    else:
+        body = json.dumps(values, allow_nan=False, separators=(_SERIES_ITEM, ": "))[1:-1]
+    return f"[\n      {body}\n    ]"
+
+
 def write_json(report: dict, path: str) -> None:
-    _emit(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
+    """Write ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``
+    and a newline, byte for byte.
+
+    Each series list that ``_series_list`` renders enters the dump as a
+    placeholder string and is spliced back in while the text is joined.
+    """
+    series = report.get("series")
+    lists, slots = [], {}
+    for key, values in (series.items() if type(series) is dict else ()):
+        rendered = _series_list(values)
+        if rendered is None:
+            slots[key] = values
+        else:
+            slots[key] = f"{_SLOT}{len(lists)}"
+            lists.append(rendered)
+    text = json.dumps({**report, "series": slots} if lists else report,
+                      indent=2, sort_keys=True, allow_nan=False)
+    head, *tails = text.split('"\\u0000')
+    if len(tails) != len(lists):   # a string of the report's own starts with NUL
+        head, tails = json.dumps(report, indent=2, sort_keys=True, allow_nan=False), []
+    pieces = [head]
+    for tail in tails:
+        index, _, rest = tail.partition('"')
+        pieces += (lists[int(index)], rest)
+    pieces.append("\n")
+    _emit("".join(pieces), path)
 
 
 def write_csv(report: dict, path: str) -> None:
@@ -447,7 +506,8 @@ def _fito_vs_pif(cfg):
 
 @_experiment("capacity", "analytic and Monte Carlo per-cycle link capacities",
              flip_forward=Param(0.11), flip_backward=Param(0.11),
-             n_bits=Param(100_000, low=1), seed=Param(17, low=0))
+             # each leg peaks at ~10 B per bit (int64 draw, float64 draw, bool copies)
+             n_bits=Param(100_000, low=1, high=50_000_000), seed=Param(17, low=0))
 def _capacity(cfg):
     link = piflink.LinkConfig(slice_count=1, bit_flip_forward=cfg["flip_forward"],
                               bit_flip_backward=cfg["flip_backward"], rng_seed=cfg["seed"])
@@ -470,7 +530,8 @@ def _capacity(cfg):
 
 
 @_experiment("rcp", "norm of the combined forward/reverse propagator under damping",
-             dim=Param(4, low=1), epsilon=Param(0.1), tmax=Param(4.0),
+             # ~17 complex d x d matrices live at once (stacks and expm work arrays)
+             dim=Param(4, low=2, high=1_500), epsilon=Param(0.1), tmax=Param(4.0),
              points=Param(33, low=1), seed=Param(5, low=0))
 def _rcp(cfg):
     rng = np.random.default_rng(cfg["seed"])

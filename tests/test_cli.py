@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import importlib
+import io
 import json
 import math
 import os
@@ -9,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from altcausal import cli, photonclock, piflink
 from altcausal.cli import _EXPERIMENTS, _config, build_parser, main, write_json
@@ -153,9 +157,124 @@ def test_reports_reach_the_writer_as_plain_json(args, monkeypatch, tmp_path):
     assert _foreign(report) == []
     out = tmp_path / "r.json"
     write_json(report, str(out))
-    expected = json.dumps(_reference_jsonable(report), indent=2, sort_keys=True,
-                          allow_nan=False) + "\n"
-    assert out.read_bytes() == expected.encode()
+    assert out.read_bytes() == _reference_json(report).encode()
+
+
+def _reference_json(report) -> str:
+    return json.dumps(_reference_jsonable(report), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
+
+
+def _written(report) -> str:
+    """What ``write_json`` sends to stdout for ``report``."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        write_json(report, "-")
+    return buf.getvalue()
+
+
+LINK_REPORTS = [
+    ["pif", "--slices", "100000", "--flip-forward", "0.01", "--flip-backward", "0.01",
+     "--echo-loss", "0.01"],
+    ["fito-vs-pif", "--slices", "100000"],
+]
+
+
+@pytest.mark.parametrize("args", LINK_REPORTS, ids=lambda a: a[0])
+def test_benchmark_size_link_reports_match_the_reference_bytes(args, monkeypatch, tmp_path,
+                                                               capsys):
+    reports = []
+    real_writer = cli.write_json
+    monkeypatch.setattr(cli, "write_json",
+                        lambda report, path: reports.append(report) or real_writer(report, path))
+    out = tmp_path / "r.json"
+    assert main([*args, "--json", str(out)]) == 0
+    capsys.readouterr()
+    assert main([*args, "--json", "-"]) == 0
+    first, second = reports
+    assert first == second
+    expected = _reference_json(first).encode()
+    assert out.read_bytes() == expected
+    assert capsys.readouterr().out.encode() == expected
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22,
+                -1e16, 0.1, 1.5, 1 / 3, sys.float_info.max]
+_floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(_EDGE_FLOATS)
+_ints = st.integers() | st.sampled_from([0, -1, 2 ** 63, 2 ** 70, -(2 ** 70)])
+_repeated_floats = st.lists(_floats, min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=300))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_floats, max_size=60) | _repeated_floats | st.lists(_ints, max_size=60)
+       | st.lists(_floats | _ints, max_size=60))
+def test_series_lists_are_written_as_the_reference(values):
+    report = {"experiment": "x", "metrics": {"n": len(values)},
+              "series": {"values": values, "index": list(range(len(values)))}}
+    assert _written(report) == _reference_json(report)
+
+
+SERIES_EDGES = {
+    "empty": [], "one float": [0.5], "one int": [7],
+    "both zeros repeated": [0.0, -0.0] * 50, "negative zeros": [-0.0] * 100,
+    "one negative zero": [1.0] * 99 + [-0.0],
+    "bools": [True, False, True], "strings": ["a", "b"], "nested": [[1.0, 2.0], [3.0]],
+    "with None": [1, 2.5, None], "tuple": (1.0, 2.0),
+}
+
+
+@pytest.mark.parametrize("values", SERIES_EDGES.values(), ids=SERIES_EDGES)
+def test_series_edge_cases_are_written_as_the_reference(values):
+    report = {"series": {"values": values, "other": [2.0] * 10}, "metrics": {}}
+    assert _written(report) == _reference_json(report)
+
+
+@pytest.mark.parametrize("key", ['quote " back \\ tab \t', "café →", "\x000",
+                                 '"\x000'])
+def test_series_keys_and_strings_that_need_escaping(key):
+    # a string of the report's own starting with NUL must not be taken for a slot
+    report = {"experiment": key, "metrics": {key: "\x001"},
+              "series": {key: [0.25] * 10, "cycle": [1, 2, 3]}}
+    assert _written(report) == _reference_json(report)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("values", [lambda bad: [1.0, bad] * 20,
+                                    lambda bad: [float(i) for i in range(40)] + [bad]],
+                         ids=["repeated", "distinct"])
+def test_series_writer_refuses_non_finite_values(values, bad, monkeypatch, tmp_path, capsys):
+    series = {"t": list(range(41)), "y": values(bad)}
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_json({"series": series}, str(tmp_path / "w.json"))
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", dataclasses.replace(
+        _EXPERIMENTS["wfecho"], run=lambda cfg: ({}, series, [])))
+    out = tmp_path / "r.json"
+    assert main(["wfecho", "--json", str(out)]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_long_series_lists_skip_the_indenting_encoder(monkeypatch, tmp_path):
+    # indent=2 forces json's pure-Python encoder: no long list may reach it
+    longest = []
+    dumps = json.dumps
+
+    def longest_list(value):
+        if isinstance(value, dict):
+            return max(map(longest_list, value.values()), default=0)
+        if isinstance(value, list):
+            return max([len(value), *map(longest_list, value)])
+        return 0
+
+    def watched(obj, *args, **kwargs):
+        if kwargs.get("indent") is not None:
+            longest.append(longest_list(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", watched)
+    assert main(["pif", "--slices", "3000", "--json", str(tmp_path / "p.json")]) == 0
+    assert longest and max(longest) <= 64
 
 
 def test_json_to_stdout_suppresses_summary(capsys):
@@ -383,7 +502,8 @@ def test_bad_input_is_rejected_at_the_boundary(args, config, param, tmp_path, ca
 
 
 CEILINGS = [("pif", "slices", 1_000_000), ("fito-vs-pif", "slices", 1_000_000),
-            ("photonclock", "bounces", 1_000_000), ("duality", "dim", 6)]
+            ("photonclock", "bounces", 1_000_000), ("duality", "dim", 6),
+            ("capacity", "n_bits", 50_000_000), ("rcp", "dim", 1_500)]
 
 
 @pytest.mark.parametrize("command, key, ceiling", CEILINGS)
@@ -399,6 +519,11 @@ def test_size_ceilings_are_refused_at_the_boundary(command, key, ceiling, tmp_pa
     cfg.write_text(json.dumps({key: ceiling + 1}))
     with pytest.raises(ValueError, match=f"{key} must be <= {ceiling}"):
         _config(parser.parse_args([command, "--config", str(cfg)]), params)
+
+
+def test_rcp_needs_two_dimensions():
+    with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+        _config(build_parser().parse_args(["rcp", "--dim", "1"]), _EXPERIMENTS["rcp"].params)
 
 
 @pytest.fixture
