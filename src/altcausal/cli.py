@@ -292,8 +292,10 @@ def _experiment(name: str, help: str, **params: Param):
 
 
 @_experiment("duality", "forward/backward process family and its time-reversal duality",
-             dim=Param(2, low=1, high=6), omega=Param(1.0), tmax=Param(2 * math.pi),
-             points=Param(25, low=1),
+             # a report keeps ~180 B per point (series, JSON, CSV and SVG text);
+             # a dim 6 run peaks at ~190 MB with its 1296 x 1296 members
+             dim=Param(2, low=2, high=6), omega=Param(1.0), tmax=Param(2 * math.pi),
+             points=Param(25, low=1, high=4_000_000),
              skew=Param(0.0, low=0, help="size of the deliberate dual-pair offset"),
              seed=Param(7, low=0),
              phase_mode=Param("continuous", choices=("continuous", "discrete")))
@@ -308,8 +310,8 @@ def _duality(cfg):
     ts = np.linspace(0.0, cfg["tmax"], cfg["points"])
     devs = process.duality_deviations(fam, ts)
     validity = process.validate_ocb(fam.forward(0.0))
-    period_dev = qcore.spectral_norm(fam.forward(fam.period).w.entries
-                                     - fam.forward(0.0).w.entries)
+    period_dev = qcore.spectral_norm(fam.forward(fam.period).entries
+                                     - fam.forward(0.0).entries)
     metrics = {
         "max_duality_deviation": max(devs),
         "period": fam.period,
@@ -332,7 +334,9 @@ _SWITCH_PAIRS = {"anticommute": (qcore.PAULI_X, qcore.PAULI_Z),
 
 @_experiment("switch",
              "quantum switch: coherently controlled operation order, read out on the control",
-             case=Param("anticommute", choices=tuple(_SWITCH_PAIRS)), points=Param(41, low=1))
+             # a report keeps ~270 B per point
+             case=Param("anticommute", choices=tuple(_SWITCH_PAIRS)),
+             points=Param(41, low=1, high=3_000_000))
 def _switch(cfg):
     model = process.build_quantum_switch(*_SWITCH_PAIRS[cfg["case"]])
     target = qcore.DensityMatrix.maximally_mixed((2,))
@@ -354,7 +358,8 @@ def _switch(cfg):
 
 
 @_experiment("ac-vs-ico", "entropy growth: alternating definite order vs coherent control",
-             noise=Param(0.3), steps=Param(6, low=1))
+             # a report keeps ~310 B per step
+             noise=Param(0.3), steps=Param(6, low=1, high=3_000_000))
 def _ac_vs_ico(cfg):
     rep = process.ac_vs_ico_entropy(qcore.PAULI_X, qcore.PAULI_Z,
                                     noise=cfg["noise"], steps=cfg["steps"])
@@ -410,7 +415,9 @@ def _photonclock(cfg):
 
 @_experiment("cascade",
              "decoherence cascade: excitation hopping down a chain, best revival in a horizon",
-             sites=Param(4, low=1), noise=Param(0.02), horizon=Param(36, low=1),
+             # a report keeps ~230 B per step
+             sites=Param(4, low=1), noise=Param(0.02),
+             horizon=Param(36, low=1, high=4_000_000),
              seed=Param(0, low=0))
 def _cascade(cfg):
     # --seed stays a flag so a seeded invocation keeps its config echo;
@@ -530,9 +537,10 @@ def _capacity(cfg):
 
 
 @_experiment("rcp", "norm of the combined forward/reverse propagator under damping",
-             # ~17 complex d x d matrices live at once (stacks and expm work arrays)
+             # ~17 complex d x d matrices live at once (stacks and expm work arrays),
+             # ~610 MB at dim 1500; a report keeps ~470 B per point
              dim=Param(4, low=2, high=1_500), epsilon=Param(0.1), tmax=Param(4.0),
-             points=Param(33, low=1), seed=Param(5, low=0))
+             points=Param(33, low=1, high=500_000), seed=Param(5, low=0))
 def _rcp(cfg):
     rng = np.random.default_rng(cfg["seed"])
     d = cfg["dim"]

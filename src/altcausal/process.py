@@ -60,7 +60,6 @@ __all__ = [
     "duality_deviations",
     "with_skew_perturbation",
     "build_quantum_switch",
-    "switch_unitary",
     "switch_output",
     "control_interference_probabilities",
     "traced_target_channel",
@@ -71,32 +70,19 @@ __all__ = [
 ROLES = ("A_in", "A_out", "B_in", "B_out")
 
 
-@dataclass(frozen=True)
-class ProcessMatrix:
-    """Hermitian positive operator on the four process wires.
+class ProcessMatrix(ComplexOperator):
+    """An operator on the four process wires (A_in, A_out, B_in, B_out).
 
-    ``validate=False`` skips the Hermiticity/positivity gate.  Family
-    members use it, being unitary conjugates or daggers of a matrix that
-    was validated when it was built; tests use it for fault injection.
+    Construction checks the wiring only; ``validate_ocb`` measures the
+    process conditions.  ``from_channel_order`` builds valid processes
+    from a validated channel, and family members are unitary conjugates
+    or daggers of those.
     """
 
-    w: ComplexOperator
-    validate: bool = True
-
-    def __post_init__(self):
-        if self.w.subsystem_count != len(ROLES):
-            raise ValueError(f"process matrix needs {len(ROLES)} wires, got {self.w.subsystem_count}")
-        if self.validate:
-            dev = self.w.hermiticity_deviation()
-            if dev > DEFAULT_TOL:
-                raise ValueError(f"process matrix is not Hermitian: deviation {dev:.3e}")
-            lo = self.w.min_eigenvalue()
-            if lo < -DEFAULT_TOL:
-                raise ValueError(f"process matrix has negative eigenvalue {lo:.3e}")
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.w.dims
+    def __init__(self, entries, dims: Sequence[int]):
+        super().__init__(entries, dims)
+        if self.subsystem_count != len(ROLES):
+            raise ValueError(f"process matrix needs {len(ROLES)} wires, got {self.subsystem_count}")
 
 
 @dataclass(frozen=True)
@@ -117,10 +103,10 @@ def validate_ocb(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     leaves the identity on the in-labelled wires, i.e. the local
     probability rule is normalised for all trace-preserving parties.
     """
-    herm = w.w.hermiticity_deviation()
-    lo = w.w.min_eigenvalue()
+    herm = w.hermiticity_deviation()
+    lo = w.min_eigenvalue()
     in_wires = [i for i, r in enumerate(ROLES) if r.endswith("_in")]
-    reduced = partial_trace(w.w, keep=in_wires).entries
+    reduced = partial_trace(w, keep=in_wires).entries
     d_in = reduced.shape[0]
     norm_dev = spectral_norm(reduced - np.eye(d_in))
     valid = herm <= tol and lo >= -tol and norm_dev <= tol
@@ -157,8 +143,8 @@ def from_channel_order(c: Channel, order: str = "AB") -> ProcessMatrix:
         "AB" routes A's emission through ``c`` to B, "BA" the reverse.
 
     The sender-side delivery wire carries the maximally mixed state of
-    the sender's dimension.  The result passes ``validate_ocb`` for
-    every trace-preserving ``c``.
+    the sender's dimension.  ``c`` was validated when it was built, so
+    the result passes ``validate_ocb`` and is not checked again.
     """
     if order not in ("AB", "BA"):
         raise ValueError(f"order must be 'AB' or 'BA', got {order!r}")
@@ -166,19 +152,14 @@ def from_channel_order(c: Channel, order: str = "AB") -> ProcessMatrix:
     # receiver's its output dimension.
     tau = DensityMatrix.maximally_mixed((c.in_dim,))
     ident = identity((c.out_dim,))
-
+    raw = tensor(tensor(c, tau), ident)
     if order == "AB":
         # kron order (A_in, B_out, A_out, B_in) -> (A_in, A_out, B_in, B_out)
-        raw = tensor(tensor(c.choi, tau), ident)
-        entries = _permute_subsystems(raw.entries, raw.dims, (0, 2, 3, 1))
-        dims = (c.in_dim, c.in_dim, c.out_dim, c.out_dim)
+        perm, dims = (0, 2, 3, 1), (c.in_dim, c.in_dim, c.out_dim, c.out_dim)
     else:
         # kron order (B_in, A_out, B_out, A_in) -> (A_in, A_out, B_in, B_out)
-        raw = tensor(tensor(c.choi, tau), ident)
-        entries = _permute_subsystems(raw.entries, raw.dims, (3, 1, 0, 2))
-        dims = (c.out_dim, c.out_dim, c.in_dim, c.in_dim)
-
-    return ProcessMatrix(ComplexOperator(entries, dims))
+        perm, dims = (3, 1, 0, 2), (c.out_dim, c.out_dim, c.in_dim, c.in_dim)
+    return ProcessMatrix(_permute_subsystems(raw.entries, raw.dims, perm), dims)
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +225,7 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     if phase_mode not in ("continuous", "discrete"):
         raise ValueError(f"phase_mode must be 'continuous' or 'discrete', got {phase_mode!r}")
     period = 2 * math.pi / omega
-    base = w_fwd.w.entries
+    base = w_fwd.entries
     dims = w_fwd.dims
 
     if phase_mode == "continuous":
@@ -268,13 +249,11 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
             _check_phase(omega, t, 1.0)
             return base if math.cos(omega * t) >= 0 else swapped
 
-    # Every member is a spectrum-preserving map of the validated w_fwd,
-    # so none is validated again.
     def forward(t: float) -> ProcessMatrix:
-        return ProcessMatrix(ComplexOperator(member(t), dims), validate=False)
+        return ProcessMatrix(member(t), dims)
 
     def backward(t: float) -> ProcessMatrix:
-        return ProcessMatrix(ComplexOperator(member(-t).conj().T, dims), validate=False)
+        return ProcessMatrix(member(-t).conj().T, dims)
 
     return ProcessFamily(forward_at=forward, backward_at=backward, period=period)
 
@@ -303,8 +282,8 @@ def duality_deviations(fam: ProcessFamily, ts: Sequence[float]) -> list[float]:
     """|| backward(t) - forward(-t)^dagger || at each time in ``ts``."""
     if len(ts) == 0:
         raise ValueError("need at least one sample time")
-    return [spectral_norm(fam.backward(float(t)).w.entries
-                          - fam.forward(-float(t)).w.entries.conj().T) for t in ts]
+    return [spectral_norm(fam.backward(float(t)).entries
+                          - fam.forward(-float(t)).entries.conj().T) for t in ts]
 
 
 def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
@@ -315,7 +294,7 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
     the returned family is ``epsilon`` up to float error.
     """
     probe = fam.forward(0.0)
-    d = probe.w.dim
+    d = probe.dim
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     skew = (g - g.conj().T) / 2
@@ -324,8 +303,7 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
 
     def backward(t: float) -> ProcessMatrix:
         back = fam.backward_at(t)
-        return ProcessMatrix(ComplexOperator(back.w.entries + offset, back.dims),
-                             validate=False)
+        return ProcessMatrix(back.entries + offset, back.dims)
 
     return ProcessFamily(forward_at=fam.forward_at, backward_at=backward, period=fam.period)
 
@@ -339,13 +317,13 @@ class SwitchModel:
     """Coherent order switch for two unitaries on a shared target.
 
     ``joint`` is the switch unitary on target (x) control and
-    ``joint_dag`` its dagger, both built once with the model: control
-    |0> applies u_b u_a, control |1> applies u_a u_b.
+    ``joint_dag`` its dagger, both read-only arrays built once with the
+    model: control |0> applies u_b u_a, control |1> applies u_a u_b.
     """
 
     u_a: ComplexOperator
     u_b: ComplexOperator
-    joint: ComplexOperator = field(init=False, repr=False, compare=False)
+    joint: np.ndarray = field(init=False, repr=False, compare=False)
     joint_dag: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -353,8 +331,9 @@ class SwitchModel:
         u1 = self.u_a.entries @ self.u_b.entries
         p0 = np.outer(ket(0), ket(0).conj())
         p1 = np.outer(ket(1), ket(1).conj())
-        joint = ComplexOperator(np.kron(u0, p0) + np.kron(u1, p1), (self.target_dim, 2))
-        joint_dag = joint.entries.conj().T
+        joint = np.kron(u0, p0) + np.kron(u1, p1)
+        joint_dag = joint.conj().T
+        joint.setflags(write=False)
         joint_dag.setflags(write=False)
         object.__setattr__(self, "joint", joint)
         object.__setattr__(self, "joint_dag", joint_dag)
@@ -382,11 +361,6 @@ def build_quantum_switch(u_a, u_b) -> SwitchModel:
     return SwitchModel(u_a=ua, u_b=ub)
 
 
-def switch_unitary(model: SwitchModel) -> ComplexOperator:
-    """Joint unitary on target (x) control."""
-    return model.joint
-
-
 @functools.lru_cache(maxsize=8)
 def _control_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     """I (x) |+><+| and I (x) |-><-| on target (x) control, both read-only."""
@@ -409,7 +383,7 @@ def switch_output(model: SwitchModel, target: DensityMatrix,
     joint = (target.entries[:, None, :, None]
              * control.entries[None, :, None, :]).reshape(side, side)
     # a unitary conjugate of two validated states: valid without a recheck
-    return DensityMatrix._trusted(model.joint.entries @ joint @ model.joint_dag,
+    return DensityMatrix._trusted(model.joint @ joint @ model.joint_dag,
                                   (model.target_dim, 2))
 
 
@@ -433,10 +407,10 @@ def traced_target_channel(model: SwitchModel, control: DensityMatrix) -> Channel
     d = model.target_dim
 
     def image(unit: np.ndarray) -> np.ndarray:
-        joint = model.joint.entries @ np.kron(unit, control.entries) @ model.joint_dag
+        joint = model.joint @ np.kron(unit, control.entries) @ model.joint_dag
         return np.einsum("acbc->ab", joint.reshape(d, 2, d, 2))
 
-    return Channel(ComplexOperator(_choi(d, d, image), (d, d)), d, d)
+    return Channel(_choi(d, d, image), (d, d))
 
 
 def switch_process_matrix(model: SwitchModel, control: DensityMatrix) -> ProcessMatrix:
@@ -501,7 +475,7 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     m_even = np.kron(model.u_a.entries @ model.u_b.entries, ident_c)
     m_odd = np.kron(model.u_b.entries @ model.u_a.entries, ident_c)
     alternation = ((m_even, m_even.conj().T), (m_odd, m_odd.conj().T))
-    s, s_dag = model.joint.entries, model.joint_dag
+    s, s_dag = model.joint, model.joint_dag
 
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     ac_state = np.kron(target.entries, np.outer(ket(0), ket(0).conj()))

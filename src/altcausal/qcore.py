@@ -1,11 +1,11 @@
 """Dense complex operators, density matrices, and channels.
 
 Everything downstream (process matrices, the photon clock, link
-simulations) is built on the three value types defined here.  Operators
-carry an explicit tensor factorisation in ``dims`` so that partial
-traces and subsystem bookkeeping stay unambiguous.  All values are
-immutable after construction: the wrapped arrays are marked read-only
-and every operation returns a fresh object.
+simulations) is built on ``ComplexOperator`` and its checked subclasses
+defined here.  Operators carry an explicit tensor factorisation in
+``dims`` so that partial traces and subsystem bookkeeping stay
+unambiguous.  All values are immutable after construction: the wrapped
+arrays are marked read-only and every operation returns a fresh object.
 
 Choi convention used throughout: for a channel ``E`` with input
 dimension ``d_in``,
@@ -92,6 +92,19 @@ class ComplexOperator:
         object.__setattr__(self, "entries", _freeze(m))
         object.__setattr__(self, "dims", dims)
 
+    @classmethod
+    def _trusted(cls, entries, dims: Sequence[int]):
+        """A value of ``cls`` derived inside the package from a validated one.
+
+        Only for maps that keep values valid, such as a unitary
+        conjugation, a depolarizing mix or a normalised outer product:
+        makes the read-only copy and shape checks of ``ComplexOperator``,
+        but skips the subclass's own eigenvalue and SVD checks.
+        """
+        op = cls.__new__(cls)
+        ComplexOperator.__init__(op, entries, dims)
+        return op
+
     @property
     def dim(self) -> int:
         return self.entries.shape[0]
@@ -123,19 +136,6 @@ class DensityMatrix(ComplexOperator):
         lo = self.min_eigenvalue()
         if lo < -DEFAULT_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
-
-    @classmethod
-    def _trusted(cls, entries, dims: Sequence[int]) -> "DensityMatrix":
-        """A state derived inside the package from a validated one.
-
-        Only for maps that keep states valid, such as a unitary
-        conjugation, a depolarizing mix or a normalised outer product:
-        makes the public constructor's read-only copy and shape checks,
-        but skips its eigenvalue and SVD checks.
-        """
-        rho = cls.__new__(cls)
-        ComplexOperator.__init__(rho, entries, dims)
-        return rho
 
     def _check_trace(self) -> None:
         tr = self.entries.trace()
@@ -173,34 +173,33 @@ class DensityMatrix(ComplexOperator):
         return cls(np.eye(d, dtype=complex) / d, dims)
 
 
-@dataclass(frozen=True)
-class Channel:
-    """A CPTP map in Choi form.
+class Channel(ComplexOperator):
+    """A CPTP map, held as its Choi operator on the two factors (in, out).
 
-    ``choi`` lives on the two factors (in, out); complete positivity is
-    checked as positivity of the Choi matrix and trace preservation as
-    ``Tr_out(choi) = I_in``, both within ``DEFAULT_TOL``.
+    Complete positivity is checked as positivity of the Choi matrix and
+    trace preservation as ``Tr_out(choi) = I_in``, both within
+    ``DEFAULT_TOL``.
     """
 
-    choi: ComplexOperator
-    in_dim: int
-    out_dim: int
-
-    def __init__(self, choi: ComplexOperator, in_dim: int, out_dim: int):
-        if not isinstance(choi, ComplexOperator):
-            choi = ComplexOperator(choi, (in_dim, out_dim))
-        if choi.dims != (in_dim, out_dim):
-            raise ValueError(f"choi dims {choi.dims} do not match ({in_dim}, {out_dim})")
-        lo = choi.min_eigenvalue()
+    def __init__(self, entries, dims: Sequence[int]):
+        super().__init__(entries, dims)
+        if self.subsystem_count != 2:
+            raise ValueError(f"a Choi matrix needs 2 factors (in, out), got dims {self.dims}")
+        lo = self.min_eigenvalue()
         if lo < -DEFAULT_TOL:
             raise ValueError(f"channel is not completely positive: min eigenvalue {lo:.3e}")
-        reduced = partial_trace(choi, keep=[0]).entries
-        dev = spectral_norm(reduced - np.eye(in_dim))
+        reduced = partial_trace(self, keep=[0]).entries
+        dev = spectral_norm(reduced - np.eye(self.in_dim))
         if dev > DEFAULT_TOL:
             raise ValueError(f"channel is not trace preserving: deviation {dev:.3e}")
-        object.__setattr__(self, "choi", choi)
-        object.__setattr__(self, "in_dim", int(in_dim))
-        object.__setattr__(self, "out_dim", int(out_dim))
+
+    @property
+    def in_dim(self) -> int:
+        return self.dims[0]
+
+    @property
+    def out_dim(self) -> int:
+        return self.dims[1]
 
     @classmethod
     def from_kraus(cls, kraus: Iterable[np.ndarray]) -> "Channel":
@@ -208,8 +207,8 @@ class Channel:
         if not ops:
             raise ValueError("at least one Kraus operator is required")
         out_dim, in_dim = ops[0].shape
-        choi = _choi(in_dim, out_dim, lambda unit: sum(k @ unit @ k.conj().T for k in ops))
-        return cls(ComplexOperator(choi, (in_dim, out_dim)), in_dim, out_dim)
+        return cls(_choi(in_dim, out_dim, lambda unit: sum(k @ unit @ k.conj().T for k in ops)),
+                   (in_dim, out_dim))
 
 
 def _choi(in_dim: int, out_dim: int, image) -> np.ndarray:
@@ -340,11 +339,9 @@ def ket(index: int, dim: int = 2) -> np.ndarray:
     return v
 
 
-def projector(vec: np.ndarray, dims: Sequence[int] | None = None) -> DensityMatrix:
+def projector(vec: np.ndarray) -> DensityMatrix:
     v = np.asarray(vec, dtype=complex).reshape(-1)
-    if dims is None:
-        dims = (v.size,)
-    return DensityMatrix.from_state_vector(v, dims)
+    return DensityMatrix.from_state_vector(v, (v.size,))
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

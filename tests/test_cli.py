@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altcausal import cli, photonclock, piflink
+from altcausal import cli, photonclock, piflink, qcore
 from altcausal.cli import _EXPERIMENTS, _config, build_parser, main, write_json
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -503,7 +503,10 @@ def test_bad_input_is_rejected_at_the_boundary(args, config, param, tmp_path, ca
 
 CEILINGS = [("pif", "slices", 1_000_000), ("fito-vs-pif", "slices", 1_000_000),
             ("photonclock", "bounces", 1_000_000), ("duality", "dim", 6),
-            ("capacity", "n_bits", 50_000_000), ("rcp", "dim", 1_500)]
+            ("capacity", "n_bits", 50_000_000), ("rcp", "dim", 1_500),
+            ("duality", "points", 4_000_000), ("switch", "points", 3_000_000),
+            ("rcp", "points", 500_000), ("ac-vs-ico", "steps", 3_000_000),
+            ("cascade", "horizon", 4_000_000)]
 
 
 @pytest.mark.parametrize("command, key, ceiling", CEILINGS)
@@ -522,8 +525,11 @@ def test_size_ceilings_are_refused_at_the_boundary(command, key, ceiling, tmp_pa
 
 
 def test_rcp_needs_two_dimensions():
-    with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
-        _config(build_parser().parse_args(["rcp", "--dim", "1"]), _EXPERIMENTS["rcp"].params)
+    # and so does duality, whose wires are qcore subsystems
+    for command in ("rcp", "duality"):
+        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
+            _config(build_parser().parse_args([command, "--dim", "1"]),
+                    _EXPERIMENTS[command].params)
 
 
 @pytest.fixture
@@ -542,7 +548,7 @@ def test_every_benchmark_invocation_is_accepted(workloads):
                 _config(ns, _EXPERIMENTS[ns.command].params)
 
 
-# duality --dim 4 is left out: its last bits depend on the BLAS thread count
+# duality --dim 4 is checked below, in a child process with the benchmark's BLAS threads
 @pytest.mark.parametrize("command", ["photonclock", "switch", "ac-vs-ico", "rcp", "cascade"])
 def test_operator_sweeps_match_the_benchmark_references(command, workloads, tmp_path):
     args, = [a for a in workloads.invocations("operators", workloads.REFERENCE_SEED)
@@ -551,6 +557,32 @@ def test_operator_sweeps_match_the_benchmark_references(command, workloads, tmp_
     assert main([*args, "--json", str(out)]) == 0
     report = json.loads(out.read_text())
     assert workloads.report_hash(report) == workloads.references()[workloads.key(args)]
+
+
+@pytest.mark.parametrize("phase_mode", ["continuous", "discrete"])
+def test_duality_sweeps_match_the_benchmark_references(phase_mode, workloads):
+    # the last bits of the 256-side decompositions depend on the BLAS thread count
+    args, = [a for a in workloads.invocations("operators", workloads.REFERENCE_SEED)
+             if a[0] == "duality" and phase_mode in a]
+    proc = subprocess.run([sys.executable, "-m", "altcausal.cli", *args, "--json", "-"],
+                          env=workloads.child_env(), capture_output=True, text=True,
+                          check=True, timeout=120)
+    report = json.loads(proc.stdout)
+    assert workloads.report_hash(report) == workloads.references()[workloads.key(args)]
+
+
+def test_duality_takes_the_process_spectrum_once(monkeypatch, tmp_path):
+    # validate_ocb alone measures the 256-side process; the channel's own
+    # check takes the spectrum of its 16-side Choi matrix
+    sides = []
+    spectrum = qcore.ComplexOperator.min_eigenvalue
+    monkeypatch.setattr(qcore.ComplexOperator, "min_eigenvalue",
+                        lambda op: sides.append(op.dim) or spectrum(op))
+    for phase_mode in ("continuous", "discrete"):
+        sides.clear()
+        assert main(["duality", "--dim", "4", "--points", "3", "--phase-mode", phase_mode,
+                     "--json", str(tmp_path / "d.json")]) == 0
+        assert sides.count(256) == 1
 
 
 @pytest.mark.filterwarnings("error")

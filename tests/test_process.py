@@ -28,7 +28,6 @@ from altcausal.process import (
     from_channel_order,
     switch_output,
     switch_process_matrix,
-    switch_unitary,
     traced_target_channel,
     validate_ocb,
     with_skew_perturbation,
@@ -41,7 +40,7 @@ def _plus():
 
 def _apply(c, rho):
     # the Choi contraction E(rho)[a, b] = sum_ij rho[i, j] choi[(i, a), (j, b)]
-    choi = c.choi.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
+    choi = c.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
     return DensityMatrix(np.einsum("ij,iajb->ab", rho.entries, choi), (c.out_dim,))
 
 
@@ -67,8 +66,8 @@ def test_validity_for_nonsquare_channel():
 
 
 def test_process_matrix_rejects_wrong_wire_count():
-    with pytest.raises(ValueError):
-        ProcessMatrix(ComplexOperator(np.eye(4), (2, 2)))
+    with pytest.raises(ValueError, match="needs 4 wires, got 2"):
+        ProcessMatrix(np.eye(4), (2, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +78,7 @@ def test_family_starts_at_forward_member():
     rng = np.random.default_rng(5)
     w = from_channel_order(random_channel(2, 2, rng), "AB")
     fam = build_alternating_family(w, omega=1.0)
-    np.testing.assert_allclose(fam.forward(0.0).w.entries, w.w.entries, atol=0)
+    np.testing.assert_allclose(fam.forward(0.0).entries, w.entries, atol=0)
 
 
 def test_duality_exact_on_grid():
@@ -96,7 +95,7 @@ def test_family_is_periodic():
     w = from_channel_order(random_channel(2, 2, rng), "AB")
     fam = build_alternating_family(w, omega=1.3)
     for t in (0.0, 0.4, 2.2):
-        gap = spectral_norm(fam.forward(t + fam.period).w.entries - fam.forward(t).w.entries)
+        gap = spectral_norm(fam.forward(t + fam.period).entries - fam.forward(t).entries)
         assert gap < 1e-12
 
 
@@ -110,8 +109,8 @@ def test_family_members_stay_valid():
 
 
 def _reference_pair(w_fwd, omega, phase_mode, t):
-    """The family's former generator: both members at ``t``, each one validated."""
-    base, dims = w_fwd.w.entries, w_fwd.dims
+    """The family's former generator: both members at ``t``, one exponential per entry."""
+    base, dims = w_fwd.entries, w_fwd.dims
     if phase_mode == "continuous":
         g = _out_wire_phase_generator(dims)
         gap = g[:, None] - g[None, :]
@@ -124,8 +123,8 @@ def _reference_pair(w_fwd, omega, phase_mode, t):
         def member(s):
             return base if math.cos(omega * s) >= 0 else swapped
 
-    fwd = ProcessMatrix(ComplexOperator(member(t), dims))
-    back = ProcessMatrix(ComplexOperator(member(-t).conj().T, dims))
+    fwd = ProcessMatrix(member(t), dims)
+    back = ProcessMatrix(member(-t).conj().T, dims)
     return fwd, back
 
 
@@ -140,7 +139,7 @@ def test_members_match_validated_reference_bit_for_bit(phase_mode, dim):
         for t in [*ts, *ts.tolist(), fam.period, 0.0, -0.0]:
             want = _reference_pair(w, omega, phase_mode, t)
             for got, ref in zip((fam.forward(t), fam.backward(t)), want):
-                assert got.w.entries.tobytes() == ref.w.entries.tobytes()
+                assert got.entries.tobytes() == ref.entries.tobytes()
                 assert got.dims == ref.dims
                 assert validate_ocb(got).valid
 
@@ -150,7 +149,7 @@ def test_continuous_members_match_the_per_entry_phase_bit_for_bit(dim):
     # the former member: one exponential per entry of the gap matrix
     rng = np.random.default_rng(140 + dim)
     w = from_channel_order(random_channel(dim, dim, rng), "AB")
-    base, dims = w.w.entries, w.dims
+    base, dims = w.entries, w.dims
     g = _out_wire_phase_generator(dims)
     gap = g[:, None] - g[None, :]
     for omega in (0.3, 1.0, 2.5, 7.0):
@@ -158,8 +157,8 @@ def test_continuous_members_match_the_per_entry_phase_bit_for_bit(dim):
         for t in [*np.linspace(-2 * math.pi, 2 * math.pi, 13), -0.0, 1e-9, -1e3]:
             fwd = base * np.exp(-1j * omega * t * gap)
             back = (base * np.exp(-1j * omega * -t * gap)).conj().T
-            assert fam.forward(t).w.entries.tobytes() == fwd.tobytes()
-            assert fam.backward(t).w.entries.tobytes() == back.tobytes()
+            assert fam.forward(t).entries.tobytes() == fwd.tobytes()
+            assert fam.backward(t).entries.tobytes() == back.tobytes()
 
 
 def test_trusted_values_are_read_only_copies():
@@ -173,8 +172,8 @@ def test_trusted_values_are_read_only_copies():
     for phase_mode in ("continuous", "discrete"):
         fam = build_alternating_family(w, omega=1.0, phase_mode=phase_mode)
         for member in (fam.forward(0.0), fam.backward(0.0), fam.forward(4.0), fam.backward(4.0)):
-            assert not member.w.entries.flags.writeable
-            assert not np.shares_memory(member.w.entries, w.w.entries)
+            assert not member.entries.flags.writeable
+            assert not np.shares_memory(member.entries, w.entries)
 
 
 @pytest.mark.filterwarnings("error")
@@ -201,7 +200,7 @@ def test_largest_finite_phase_still_builds_members():
     w = from_channel_order(random_channel(2, 2, rng), "AB")
     fam = build_alternating_family(w, omega=1.0)   # widest out-wire gap is 2
     member = fam.forward(8e307)
-    assert np.isfinite(member.w.entries).all()
+    assert np.isfinite(member.entries).all()
     assert validate_ocb(member).valid
 
 
@@ -222,6 +221,17 @@ def test_skew_perturbation_window(eps):
     assert 0.5 * eps <= dev <= 2.0 * eps
 
 
+def test_validate_ocb_reports_a_skewed_member_as_not_valid():
+    rng = np.random.default_rng(11)
+    w = from_channel_order(random_channel(2, 2, rng), "AB")
+    bent = with_skew_perturbation(build_alternating_family(w, omega=1.0), 1e-3, seed=1)
+    assert validate_ocb(bent.forward(0.5)).valid
+    rep = validate_ocb(bent.backward(0.5))
+    # the skew-Hermitian offset of norm 1e-3 is the whole anti-Hermitian part
+    assert rep.hermiticity_deviation == pytest.approx(2e-3, rel=1e-9)
+    assert not rep.valid
+
+
 def test_family_rejects_bad_omega():
     rng = np.random.default_rng(12)
     w = from_channel_order(random_channel(2, 2, rng), "AB")
@@ -234,7 +244,7 @@ def test_family_rejects_bad_omega():
 # ---------------------------------------------------------------------------
 
 def _reference_switch_unitary(model):
-    """switch_unitary's former body: the joint unitary built on every call."""
+    """The joint unitary of ``model``, built from scratch."""
     u0 = model.u_b.entries @ model.u_a.entries
     u1 = model.u_a.entries @ model.u_b.entries
     p0 = np.outer(ket(0), ket(0).conj())
@@ -295,7 +305,7 @@ def test_switch_matches_oracle_for_random_unitaries():
 def test_switch_unitary_is_unitary():
     rng = np.random.default_rng(17)
     model = build_quantum_switch(random_unitary(2, rng), random_unitary(2, rng))
-    s = switch_unitary(model).entries
+    s = model.joint
     np.testing.assert_allclose(s @ s.conj().T, np.eye(4), atol=1e-12)
     assert s.tobytes() == _reference_switch_unitary(model).entries.tobytes()
     assert model.joint_dag.tobytes() == s.conj().T.tobytes()
@@ -346,7 +356,7 @@ def test_traced_target_channel_matches_the_reference_loop_bit_for_bit(dim):
         rng = np.random.default_rng(2100 + i)
         model = build_quantum_switch(random_unitary(dim, rng), random_unitary(dim, rng))
         for control in controls:
-            got = traced_target_channel(model, control).choi.entries
+            got = traced_target_channel(model, control).entries
             assert got.tobytes() == _reference_traced_target_choi(model, control).tobytes()
 
 
@@ -432,7 +442,7 @@ def test_switch_sweep_matches_the_per_angle_reference_bit_for_bit(pair):
     want = [_reference_interference(model, target, c) for c in controls]
     assert np.array(got).tobytes() == np.array(want).tobytes()
     for control in controls[::20]:
-        assert traced_target_channel(model, control).choi.entries.tobytes() == \
+        assert traced_target_channel(model, control).entries.tobytes() == \
             _reference_traced_target_choi(model, control).tobytes()
 
 

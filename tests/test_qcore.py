@@ -30,7 +30,7 @@ FID_PURE_VS_MIXED = 0.5                  # <0| I/2 |0>
 
 def _apply(c, rho):
     # the Choi contraction E(rho)[a, b] = sum_ij rho[i, j] choi[(i, a), (j, b)]
-    choi = c.choi.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
+    choi = c.entries.reshape(c.in_dim, c.out_dim, c.in_dim, c.out_dim)
     return DensityMatrix(np.einsum("ij,iajb->ab", rho.entries, choi), (c.out_dim,))
 
 
@@ -256,6 +256,14 @@ def test_channel_rejects_non_trace_preserving_kraus():
         Channel.from_kraus([0.5 * np.eye(2)])
 
 
+def test_channel_refuses_a_choi_matrix_with_three_factors():
+    depolarizing = Channel(np.eye(4) / 2, (2, 2))
+    assert isinstance(depolarizing, ComplexOperator)
+    assert (depolarizing.in_dim, depolarizing.out_dim) == (2, 2)
+    with pytest.raises(ValueError, match="needs 2 factors"):
+        Channel(np.eye(8) / 4, (2, 2, 2))
+
+
 def test_random_channels_preserve_trace_and_positivity():
     rng = np.random.default_rng(8)
     for _ in range(10):
@@ -287,7 +295,7 @@ def test_random_channel_choi_matches_the_reference_loop_bit_for_bit(in_dim, out_
         # random_channel's Kraus operators: row blocks of a Stinespring isometry
         iso = random_unitary(out_dim * in_dim, np.random.default_rng(seed))[:, :in_dim]
         kraus = [iso[e * out_dim:(e + 1) * out_dim, :] for e in range(in_dim)]
-        got = random_channel(in_dim, out_dim, np.random.default_rng(seed)).choi.entries
+        got = random_channel(in_dim, out_dim, np.random.default_rng(seed)).entries
         assert got.tobytes() == _reference_kraus_choi(kraus).tobytes()
 
 
