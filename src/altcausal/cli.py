@@ -22,6 +22,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable
 
@@ -257,12 +258,20 @@ def _checked(name: str, spec: Param, value):
     return value
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """One JSON object's pairs as a dict; a repeated key is refused, not overwritten."""
+    repeated = [key for key, count in Counter(key for key, _ in pairs).items() if count > 1]
+    if repeated:
+        raise ValueError(f"repeated config keys: {', '.join(repeated)}")
+    return dict(pairs)
+
+
 def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
     """Defaults, then the --config file, then explicit flags, each value checked."""
     cfg = {key: spec.default for key, spec in params.items()}
     if ns.config:
         with open(ns.config) as fh:
-            loaded = json.load(fh)
+            loaded = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(loaded, dict):
             raise ValueError(f"config must be a JSON object, got {type(loaded).__name__}")
         unknown = sorted(set(loaded) - set(params))
@@ -309,9 +318,9 @@ def _duality(cfg):
         fam = process.with_skew_perturbation(fam, cfg["skew"], seed=cfg["seed"] + 1)
     ts = np.linspace(0.0, cfg["tmax"], cfg["points"])
     devs = process.duality_deviations(fam, ts)
-    validity = process.validate_ocb(fam.forward(0.0))
-    period_dev = qcore.spectral_norm(fam.forward(fam.period).entries
-                                     - fam.forward(0.0).entries)
+    origin = fam.forward(0.0)
+    validity = process.validate_ocb(origin)
+    period_dev = qcore.spectral_norm(fam.forward(fam.period).entries - origin.entries)
     metrics = {
         "max_duality_deviation": max(devs),
         "period": fam.period,
@@ -416,7 +425,7 @@ def _photonclock(cfg):
 @_experiment("cascade",
              "decoherence cascade: excitation hopping down a chain, best revival in a horizon",
              # a report keeps ~230 B per step
-             sites=Param(4, low=1), noise=Param(0.02),
+             sites=Param(4, low=2, high=photonclock.MAX_CASCADE_SITES), noise=Param(0.02),
              horizon=Param(36, low=1, high=4_000_000),
              seed=Param(0, low=0))
 def _cascade(cfg):
@@ -596,8 +605,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format.
 
-    Refuses a file target whose directory does not exist, so a bad
-    target stops the run before any file is written.
+    Refuses a missing directory and two targets that write to the same
+    place, so a bad target stops the run before any file is written.
+    JSON comes first, as only its writer refuses a report.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt)]
     if ns.out and not ns.format:
@@ -611,7 +621,11 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
         directory = os.path.dirname(path) or "."
         if path != "-" and not os.path.isdir(directory):
             raise ValueError(f"output directory {directory!r} does not exist")
-    return targets
+    places = [path if path == "-" else os.path.realpath(path) for _, path in targets]
+    repeated = [place for place in places if places.count(place) > 1]
+    if repeated:
+        raise ValueError(f"two outputs write to {repeated[0]!r}")
+    return sorted(targets, key=lambda target: target[0] != "json")
 
 
 def main(argv=None) -> int:

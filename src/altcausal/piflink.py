@@ -341,31 +341,20 @@ def _joint_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 def run_link(cfg: LinkConfig) -> LinkReport:
     """Simulate the link and return its full report.
 
-    All four noise streams are drawn in both modes from sub-seeds of
-    ``cfg.rng_seed``, so a FITO run is the exact matched baseline of the
-    PIF run with the same seed: identical payloads, identical corruption
-    pattern, only the verification leg differs.
+    Every noise stream is drawn from its own sub-seed of
+    ``cfg.rng_seed``.  Both modes draw the payload and forward streams,
+    so a FITO run is the exact matched baseline of the PIF run with the
+    same seed: identical payloads, identical forward corruption.  Only
+    PIF mode has an echo leg, so only it draws the echo-loss and
+    backward streams.
     """
     n = cfg.slice_count
     payloads = _stream(cfg.rng_seed, _STREAM_PAYLOAD).integers(
         0, 256, size=(n, SLICE_BYTES), dtype=np.uint8)
     fwd_mask = _stream(cfg.rng_seed, _STREAM_FORWARD).random((n, SLICE_BITS)) < cfg.bit_flip_forward
-    lost = _stream(cfg.rng_seed, _STREAM_LOSS).random(n) < cfg.echo_loss_probability
-    bwd_mask = _stream(cfg.rng_seed, _STREAM_BACKWARD).random((n, SLICE_BITS)) < cfg.bit_flip_backward
-
     sent = np.unpackbits(payloads, axis=1).astype(bool)
     received = sent ^ fwd_mask
-    roundtrip_mask = fwd_mask ^ _byte_reversed_mask(bwd_mask)
-    recovered = sent ^ roundtrip_mask
-
     f_fwd = fwd_mask.sum(axis=1)
-    f_bwd = bwd_mask.sum(axis=1)
-    f_rt = roundtrip_mask.sum(axis=1)
-
-    pif = cfg.mode is LinkMode.PIF
-    if not pif:
-        lost = np.zeros(n, dtype=bool)   # no echo leg exists to lose
-    returned = ~lost
 
     # Every per-cycle value depends on one count in 0..64 only, so it is
     # looked up in a table built with the scalar functions: the columns
@@ -378,7 +367,13 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     ones_out = received.sum(axis=1)
     i_plus = directed[f_fwd]
     corrupted_fwd = f_fwd > 0
+    pif = cfg.mode is LinkMode.PIF
     if pif:
+        returned = _stream(cfg.rng_seed, _STREAM_LOSS).random(n) >= cfg.echo_loss_probability
+        bwd_mask = _stream(cfg.rng_seed, _STREAM_BACKWARD).random((n, SLICE_BITS)) < cfg.bit_flip_backward
+        roundtrip_mask = fwd_mask ^ _byte_reversed_mask(bwd_mask)
+        f_bwd = bwd_mask.sum(axis=1)
+        f_rt = roundtrip_mask.sum(axis=1)
         i_minus = np.where(returned, directed[f_bwd], 0.0)
         i_reflected = np.where(returned, np.minimum(directed[f_rt], i_plus), 0.0)
         cost = np.zeros(n)
@@ -387,14 +382,16 @@ def run_link(cfg: LinkConfig) -> LinkReport:
         # opposing flips cancelled on the same bit
         undetected = int(np.count_nonzero(returned & ~mismatch & corrupted_fwd))
         injected_bwd = int(np.count_nonzero(returned & (f_bwd > 0)))
+        lost_echoes = n - int(np.count_nonzero(returned))
+        x, y = sent[returned], (sent ^ roundtrip_mask)[returned]
     else:
-        i_minus = np.zeros(n)
+        i_minus = np.zeros(n)   # no echo leg
         i_reflected = np.zeros(n)
         erasure = np.array([landauer_cost(k, cfg.temperature_kelvin) for k in levels])
         cost = erasure[f_fwd]
-        detected = 0
+        detected = injected_bwd = lost_echoes = 0
         undetected = int(np.count_nonzero(corrupted_fwd))
-        injected_bwd = 0
+        x, y = sent, received
     cycles = CycleColumns(
         i_plus=i_plus,
         i_minus=i_minus,
@@ -417,10 +414,6 @@ def run_link(cfg: LinkConfig) -> LinkReport:
         **totals,
     )
 
-    if pif:
-        x, y = sent[returned], recovered[returned]
-    else:
-        x, y = sent, received
     counts = _joint_counts(x, y)
     if counts.sum() == 0:
         counts = np.eye(2)   # degenerate run: every echo lost
@@ -430,7 +423,7 @@ def run_link(cfg: LinkConfig) -> LinkReport:
         ledger=ledger,
         cycles=cycles,
         detected_mismatches=detected,
-        lost_echoes=int(np.count_nonzero(lost)),
+        lost_echoes=lost_echoes,
         undetected_corruptions=undetected,
         injected_forward=int(np.count_nonzero(corrupted_fwd)),
         injected_backward=injected_bwd,

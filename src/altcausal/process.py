@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -166,24 +166,26 @@ def from_channel_order(c: Channel, order: str = "AB") -> ProcessMatrix:
 # duality families
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessFamily:
     """One-parameter family of paired orientations.
 
-    ``forward_at(t)`` and ``backward_at(t)`` build the member of each
-    orientation at time ``t``; ``period`` is the recurrence time of the
-    construction.
+    ``member(t)`` gives the forward entries at time ``t``; the backward
+    member follows by the dagger rule as ``member(-t)^dagger`` (plus
+    ``skew``, an injected fault).  ``period`` is the recurrence time.
     """
 
-    forward_at: Callable[[float], ProcessMatrix]
-    backward_at: Callable[[float], ProcessMatrix]
+    member: Callable[[float], np.ndarray]
+    dims: tuple[int, ...]
     period: float
+    skew: np.ndarray | None = None
 
     def forward(self, t: float) -> ProcessMatrix:
-        return self.forward_at(t)
+        return ProcessMatrix(self.member(t), self.dims)
 
     def backward(self, t: float) -> ProcessMatrix:
-        return self.backward_at(t)
+        entries = self.member(-t).conj().T
+        return ProcessMatrix(entries if self.skew is None else entries + self.skew, self.dims)
 
 
 def _out_wire_phase_generator(dims: Sequence[int]) -> np.ndarray:
@@ -249,13 +251,7 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
             _check_phase(omega, t, 1.0)
             return base if math.cos(omega * t) >= 0 else swapped
 
-    def forward(t: float) -> ProcessMatrix:
-        return ProcessMatrix(member(t), dims)
-
-    def backward(t: float) -> ProcessMatrix:
-        return ProcessMatrix(member(-t).conj().T, dims)
-
-    return ProcessFamily(forward_at=forward, backward_at=backward, period=period)
+    return ProcessFamily(member, dims, period)
 
 
 def _check_phase(omega: float, t: float, widest: float) -> None:
@@ -291,21 +287,16 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
     """Fault injection: offset the backward member by a skew-Hermitian term.
 
     The perturbation has unit spectral norm, so the duality deviation of
-    the returned family is ``epsilon`` up to float error.
+    the returned family is ``epsilon`` up to float error.  A second
+    perturbation adds to the first.
     """
-    probe = fam.forward(0.0)
-    d = probe.dim
+    d = math.prod(fam.dims)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     skew = (g - g.conj().T) / 2
     skew /= spectral_norm(skew)
     offset = epsilon * skew
-
-    def backward(t: float) -> ProcessMatrix:
-        back = fam.backward_at(t)
-        return ProcessMatrix(back.entries + offset, back.dims)
-
-    return ProcessFamily(forward_at=fam.forward_at, backward_at=backward, period=fam.period)
+    return replace(fam, skew=offset if fam.skew is None else fam.skew + offset)
 
 
 # ---------------------------------------------------------------------------

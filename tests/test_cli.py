@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altcausal import cli, photonclock, piflink, qcore
+from altcausal import cli, photonclock, piflink, process, qcore
 from altcausal.cli import _EXPERIMENTS, _config, build_parser, main, write_json
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -70,6 +70,9 @@ def test_bad_format_exits_one(tmp_path, capsys):
     (["--json", "a.json", "--format", "json", "--out", "missing"], "does not exist"),
     (["--json", "a.json", "--csv", "missing/x.csv"], "does not exist"),
     (["--svg", "d/missing/x.svg", "--json", "-"], "does not exist"),
+    (["--json", "-", "--csv", "-"], "two outputs write to '-'"),
+    (["--json", "x.json", "--csv", "x.json"], "two outputs write to"),
+    (["--json", "d/../wfecho.json", "--format", "json"], "two outputs write to"),
 ])
 def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, tmp_path,
                                                     capsys):
@@ -315,6 +318,15 @@ def test_flag_overrides_config_file(tmp_path):
     assert report["metrics"]["c_pif"] == 128.0
 
 
+def test_repeated_config_key_is_rejected(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"seed": 1, "points": 3, "seed": 2}')
+    out = tmp_path / "r.json"
+    assert main(["duality", "--config", str(cfg), "--json", str(out)]) == 1
+    assert "repeated config keys: seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_factor": 9}))
@@ -404,6 +416,14 @@ def test_non_finite_report_exits_one_without_a_file(tmp_path, capsys):
     assert main(["photonclock", "--tick-seconds", "1e308", "--json", str(out)]) == 1
     assert "not JSON compliant" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_json_is_written_first_so_a_refused_report_leaves_no_file(tmp_path, capsys):
+    args = ["photonclock", "--tick-seconds", "1e308", "--csv", str(tmp_path / "r.csv"),
+            "--out", str(tmp_path), "--format", "svg,csv,json"]
+    assert main(args) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fito_cumulative_cost_is_a_running_sum(tmp_path):
@@ -506,7 +526,7 @@ CEILINGS = [("pif", "slices", 1_000_000), ("fito-vs-pif", "slices", 1_000_000),
             ("capacity", "n_bits", 50_000_000), ("rcp", "dim", 1_500),
             ("duality", "points", 4_000_000), ("switch", "points", 3_000_000),
             ("rcp", "points", 500_000), ("ac-vs-ico", "steps", 3_000_000),
-            ("cascade", "horizon", 4_000_000)]
+            ("cascade", "horizon", 4_000_000), ("cascade", "sites", 12)]
 
 
 @pytest.mark.parametrize("command, key, ceiling", CEILINGS)
@@ -525,10 +545,10 @@ def test_size_ceilings_are_refused_at_the_boundary(command, key, ceiling, tmp_pa
 
 
 def test_rcp_needs_two_dimensions():
-    # and so does duality, whose wires are qcore subsystems
-    for command in ("rcp", "duality"):
-        with pytest.raises(ValueError, match="dim must be >= 2, got 1"):
-            _config(build_parser().parse_args([command, "--dim", "1"]),
+    # and so does duality, whose wires are qcore subsystems, and a cascade chain
+    for command, key in (("rcp", "dim"), ("duality", "dim"), ("cascade", "sites")):
+        with pytest.raises(ValueError, match=f"{key} must be >= 2, got 1"):
+            _config(build_parser().parse_args([command, f"--{key}", "1"]),
                     _EXPERIMENTS[command].params)
 
 
@@ -583,6 +603,21 @@ def test_duality_takes_the_process_spectrum_once(monkeypatch, tmp_path):
         assert main(["duality", "--dim", "4", "--points", "3", "--phase-mode", phase_mode,
                      "--json", str(tmp_path / "d.json")]) == 0
         assert sides.count(256) == 1
+
+
+@pytest.mark.parametrize("extra", [[], ["--skew", "1e-3"]])
+def test_duality_builds_each_member_once(extra, monkeypatch, tmp_path):
+    # two members per sample, the origin and the member one period on, and
+    # the base process; the backward member is derived, skewed or not
+    built = []
+    init = process.ProcessMatrix.__init__
+    monkeypatch.setattr(process.ProcessMatrix, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    for phase_mode in ("continuous", "discrete"):
+        built.clear()
+        assert main(["duality", "--points", "3", "--phase-mode", phase_mode, *extra,
+                     "--json", str(tmp_path / "d.json")]) == 0
+        assert len(built) == 2 * 3 + 2 + 1
 
 
 @pytest.mark.filterwarnings("error")

@@ -511,6 +511,20 @@ def test_columns_match_per_cycle_reference_bit_for_bit(mode, noise, slice_count)
             echo_loss_probability=loss, rng_seed=seed, mode=mode))
 
 
+@pytest.mark.parametrize("mode, tags", [(LinkMode.FITO, [0, 1]), (LinkMode.PIF, [0, 1, 2, 3])])
+def test_only_a_verified_link_draws_the_echo_leg(mode, tags, monkeypatch):
+    # FITO has no echo leg, so it draws neither the loss nor the backward stream;
+    # every stream has its own sub-seed, so the streams it does draw are unchanged
+    drawn = []
+    monkeypatch.setattr("altcausal.piflink._stream",
+                        lambda seed, tag: drawn.append(tag) or _stream(seed, tag))
+    cfg = LinkConfig(slice_count=300, bit_flip_forward=0.02, bit_flip_backward=0.02,
+                     echo_loss_probability=0.1, rng_seed=11, mode=mode)
+    run_link(cfg)
+    assert drawn == tags
+    _assert_matches_reference(cfg)
+
+
 def test_columns_match_reference_at_other_temperatures():
     for temperature in (1e-3, 4.2, 1e9):
         _assert_matches_reference(LinkConfig(

@@ -221,6 +221,40 @@ def test_skew_perturbation_window(eps):
     assert 0.5 * eps <= dev <= 2.0 * eps
 
 
+def test_second_skew_perturbation_adds_to_the_first():
+    rng = np.random.default_rng(11)
+    fam = build_alternating_family(from_channel_order(random_channel(2, 2, rng), "AB"), 1.0)
+    first = with_skew_perturbation(fam, 1e-3, seed=1)
+    twice = with_skew_perturbation(first, 2e-3, seed=2)
+    second = with_skew_perturbation(fam, 2e-3, seed=2)
+    assert twice.skew.tobytes() == (first.skew + second.skew).tobytes()
+    assert fam.skew is None and twice.member is fam.member
+    back = fam.backward(0.5).entries
+    assert twice.backward(0.5).entries.tobytes() == (back + twice.skew).tobytes()
+
+
+@pytest.mark.parametrize("phase_mode", ["continuous", "discrete"])
+def test_backward_member_is_the_dagger_of_the_time_reversed_forward(phase_mode):
+    rng = np.random.default_rng(13)
+    w = from_channel_order(random_channel(2, 2, rng), "AB")
+    fam = build_alternating_family(w, omega=1.3, phase_mode=phase_mode)
+    for t in [*np.linspace(-7, 7, 15), -0.0, 1e-9]:
+        want = fam.forward(-t).entries.conj().T
+        assert fam.backward(t).entries.tobytes() == want.tobytes()
+
+
+def test_skewed_backward_member_builds_one_process_matrix(monkeypatch):
+    rng = np.random.default_rng(11)
+    w = from_channel_order(random_channel(2, 2, rng), "AB")
+    fam = with_skew_perturbation(build_alternating_family(w, omega=1.0), 1e-3, seed=1)
+    built = []
+    init = ProcessMatrix.__init__
+    monkeypatch.setattr(ProcessMatrix, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    fam.backward(0.5)
+    assert len(built) == 1
+
+
 def test_validate_ocb_reports_a_skewed_member_as_not_valid():
     rng = np.random.default_rng(11)
     w = from_channel_order(random_channel(2, 2, rng), "AB")
