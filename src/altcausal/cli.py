@@ -354,11 +354,10 @@ def _switch(cfg):
     p_plus, p_minus = process.control_interference_probabilities(model, target, balanced)
 
     thetas = np.linspace(0.0, math.pi / 2, cfg["points"])
-    minus_curve = []
-    for th in thetas:
-        ctrl = qcore.DensityMatrix.from_state_vector(
-            np.array([math.cos(th), math.sin(th)]), (2,))
-        minus_curve.append(process.control_interference_probabilities(model, target, ctrl)[1])
+    # math.cos and math.sin, as np.cos may differ in the last bit
+    controls = np.fromiter(((math.cos(th), math.sin(th)) for th in thetas),
+                           dtype=(float, 2), count=len(thetas))
+    minus_curve = process.minus_outcome_sweep(model, target, controls)
     # an anticommuting pair makes "minus" certain, a commuting pair "plus"
     certain = p_minus if cfg["case"] == "anticommute" else p_plus
     return ({"p_plus": p_plus, "p_minus": p_minus},
@@ -522,7 +521,7 @@ def _fito_vs_pif(cfg):
 
 @_experiment("capacity", "analytic and Monte Carlo per-cycle link capacities",
              flip_forward=Param(0.11), flip_backward=Param(0.11),
-             # each leg peaks at ~10 B per bit (int64 draw, float64 draw, bool copies)
+             # a leg keeps 1 B per bit (its input bits) plus ~10 MB of block draws
              n_bits=Param(100_000, low=1, high=50_000_000), seed=Param(17, low=0))
 def _capacity(cfg):
     link = piflink.LinkConfig(slice_count=1, bit_flip_forward=cfg["flip_forward"],
@@ -606,8 +605,9 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format.
 
     Refuses a missing directory and two targets that write to the same
-    place, so a bad target stops the run before any file is written.
-    JSON comes first, as only its writer refuses a report.
+    place, stdout under a file name included, so a bad target stops the
+    run before any file is written.  JSON comes first, as only its
+    writer refuses a report.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt)]
     if ns.out and not ns.format:
@@ -625,6 +625,15 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     repeated = [place for place in places if places.count(place) > 1]
     if repeated:
         raise ValueError(f"two outputs write to {repeated[0]!r}")
+    if "-" in places:
+        try:
+            stdout = os.fstat(sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):   # no descriptor, as under a capture
+            stdout = None
+        for _, path in targets:
+            if (stdout and path != "-" and os.path.exists(path)
+                    and os.path.samestat(os.stat(path), stdout)):
+                raise ValueError(f"two outputs write to stdout: '-' and {path!r}")
     return sorted(targets, key=lambda target: target[0] != "json")
 
 

@@ -318,23 +318,43 @@ def _stream(seed: int, tag: int) -> np.random.Generator:
     return np.random.default_rng((seed, tag))
 
 
-def _byte_reversed_mask(mask: np.ndarray) -> np.ndarray:
-    # Bit positions after the byte-order reversal done by echo().
-    n = mask.shape[0]
-    return mask.reshape(n, SLICE_BYTES, 8)[:, ::-1, :].reshape(n, SLICE_BITS)
-
-
 def _directed_bits(flips: int) -> float:
     return SLICE_BITS * (1.0 - binary_entropy(flips / SLICE_BITS))
 
 
-def _joint_counts(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """2x2 table of the bit pairs (x, y) as floats: row x, column y.
+# Values per block of a large noise draw: the work arrays of a stream
+# stay ~10 MB however long it is.
+_BLOCK = 1 << 20
 
-    Three counts and integer subtraction, so every entry is exact.
+
+def _flip_words(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Flip masks of ``n`` slices, one uint64 word per slice.
+
+    Equal to ``np.packbits(rng.random((n, 64)) < p, axis=1)`` viewed as
+    words: the doubles are drawn in blocks of whole slices, and the
+    blocks continue the one stream.
     """
-    nx, ny, both = np.count_nonzero(x), np.count_nonzero(y), np.count_nonzero(x & y)
-    return np.array([[x.size - nx - ny + both, ny - both],
+    rows = _BLOCK // SLICE_BITS
+    draw = np.empty((min(n, rows), SLICE_BITS))
+    packed = np.empty((n, SLICE_BYTES), dtype=np.uint8)
+    for start in range(0, n, rows):
+        block = draw[:n - start]
+        rng.random(out=block)
+        packed[start:start + len(block)] = np.packbits(block < p, axis=1)
+    return packed.view(np.uint64).ravel()
+
+
+def _ones(words: np.ndarray) -> int:
+    return int(np.bitwise_count(words).sum())
+
+
+def _joint_counts(size: int, nx: int, ny: int, both: int) -> np.ndarray:
+    """2x2 table of ``size`` bit pairs (x, y) as floats: row x, column y.
+
+    Built from the ones in x, in y and in x & y by integer subtraction,
+    so every entry is exact.
+    """
+    return np.array([[size - nx - ny + both, ny - both],
                      [nx - both, both]], dtype=float)
 
 
@@ -351,10 +371,11 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     n = cfg.slice_count
     payloads = _stream(cfg.rng_seed, _STREAM_PAYLOAD).integers(
         0, 256, size=(n, SLICE_BYTES), dtype=np.uint8)
-    fwd_mask = _stream(cfg.rng_seed, _STREAM_FORWARD).random((n, SLICE_BITS)) < cfg.bit_flip_forward
-    sent = np.unpackbits(payloads, axis=1).astype(bool)
-    received = sent ^ fwd_mask
-    f_fwd = fwd_mask.sum(axis=1)
+    # A slice is one word: corruption is an XOR and a flip count a popcount.
+    sent = payloads.view(np.uint64).ravel()
+    fwd = _flip_words(_stream(cfg.rng_seed, _STREAM_FORWARD), n, cfg.bit_flip_forward)
+    received = sent ^ fwd
+    f_fwd = np.bitwise_count(fwd)
 
     # Every per-cycle value depends on one count in 0..64 only, so it is
     # looked up in a table built with the scalar functions: the columns
@@ -363,17 +384,18 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     directed = np.array([_directed_bits(k) for k in levels])
     entropy = np.array([SLICE_BITS * binary_entropy(k / SLICE_BITS) for k in levels])
 
-    ones_in = sent.sum(axis=1)
-    ones_out = received.sum(axis=1)
+    ones_in = np.bitwise_count(sent)
+    ones_out = np.bitwise_count(received)
     i_plus = directed[f_fwd]
     corrupted_fwd = f_fwd > 0
     pif = cfg.mode is LinkMode.PIF
     if pif:
         returned = _stream(cfg.rng_seed, _STREAM_LOSS).random(n) >= cfg.echo_loss_probability
-        bwd_mask = _stream(cfg.rng_seed, _STREAM_BACKWARD).random((n, SLICE_BITS)) < cfg.bit_flip_backward
-        roundtrip_mask = fwd_mask ^ _byte_reversed_mask(bwd_mask)
-        f_bwd = bwd_mask.sum(axis=1)
-        f_rt = roundtrip_mask.sum(axis=1)
+        bwd = _flip_words(_stream(cfg.rng_seed, _STREAM_BACKWARD), n, cfg.bit_flip_backward)
+        # echo() reverses the byte order, so a backward flip lands byte-swapped
+        roundtrip = fwd ^ bwd.byteswap()
+        f_bwd = np.bitwise_count(bwd)
+        f_rt = np.bitwise_count(roundtrip)
         i_minus = np.where(returned, directed[f_bwd], 0.0)
         i_reflected = np.where(returned, np.minimum(directed[f_rt], i_plus), 0.0)
         cost = np.zeros(n)
@@ -383,7 +405,7 @@ def run_link(cfg: LinkConfig) -> LinkReport:
         undetected = int(np.count_nonzero(returned & ~mismatch & corrupted_fwd))
         injected_bwd = int(np.count_nonzero(returned & (f_bwd > 0)))
         lost_echoes = n - int(np.count_nonzero(returned))
-        x, y = sent[returned], (sent ^ roundtrip_mask)[returned]
+        x, y = sent[returned], (sent ^ roundtrip)[returned]
     else:
         i_minus = np.zeros(n)   # no echo leg
         i_reflected = np.zeros(n)
@@ -414,7 +436,7 @@ def run_link(cfg: LinkConfig) -> LinkReport:
         **totals,
     )
 
-    counts = _joint_counts(x, y)
+    counts = _joint_counts(SLICE_BITS * len(x), _ones(x), _ones(y), _ones(x & y))
     if counts.sum() == 0:
         counts = np.eye(2)   # degenerate run: every echo lost
     joint = JointDistribution.from_counts(counts)
@@ -456,9 +478,20 @@ def capacity_monte_carlo(cfg: LinkConfig, n_bits: int = 100_000) -> tuple[float,
 
     def leg(tag: int, p: float) -> float:
         rng = _stream(cfg.rng_seed, tag)
-        x = rng.integers(0, 2, size=n_bits).astype(bool)
-        y = x ^ (rng.random(n_bits) < p)
-        return SLICE_BITS * mutual_information(JointDistribution.from_counts(_joint_counts(x, y)))
+        # Every int comes before the first float, as in one full-size draw
+        # of each; PCG64 keeps the spare 32-bit half of a draw, so the int
+        # blocks continue the stream as the float blocks do.
+        x = np.empty(n_bits, dtype=bool)
+        for start in range(0, n_bits, _BLOCK):
+            x[start:start + _BLOCK] = rng.integers(0, 2, size=min(_BLOCK, n_bits - start))
+        ny = both = 0
+        for start in range(0, n_bits, _BLOCK):
+            xs = x[start:start + _BLOCK]
+            ys = xs ^ (rng.random(len(xs)) < p)
+            ny += int(np.count_nonzero(ys))
+            both += int(np.count_nonzero(xs & ys))
+        counts = _joint_counts(n_bits, int(np.count_nonzero(x)), ny, both)
+        return SLICE_BITS * mutual_information(JointDistribution.from_counts(counts))
 
     c_forward = leg(_STREAM_MC_FORWARD, cfg.bit_flip_forward)
     c_backward = leg(_STREAM_MC_BACKWARD, cfg.bit_flip_backward)

@@ -38,6 +38,7 @@ from .qcore import (
     _STACK_ENTRIES,
     _choi,
     _entropies,
+    _pure_states,
     identity,
     ket,
     partial_trace,
@@ -62,6 +63,7 @@ __all__ = [
     "build_quantum_switch",
     "switch_output",
     "control_interference_probabilities",
+    "minus_outcome_sweep",
     "traced_target_channel",
     "switch_process_matrix",
     "ac_vs_ico_entropy",
@@ -389,6 +391,31 @@ def control_interference_probabilities(model: SwitchModel, target: DensityMatrix
     p_plus, p_minus = (float(np.real(np.trace(proj @ out)))
                        for proj in _control_projectors(model.target_dim))
     return p_plus, p_minus
+
+
+def minus_outcome_sweep(model: SwitchModel, target: DensityMatrix, controls) -> list[float]:
+    """The "-" outcome probability for each control state vector, a row of ``controls``.
+
+    Entry k equals ``control_interference_probabilities(model, target,
+    DensityMatrix.from_state_vector(controls[k], (2,)))[1]`` bit for bit:
+    the control states are built, switched and read out as stacks, a
+    block of rows at a time, so the memory does not grow with the sweep.
+    """
+    controls = np.asarray(controls)
+    if target.dim != model.target_dim or controls.ndim != 2 or controls.shape[1] != 2:
+        raise ValueError("target/control dimensions do not match the switch")
+    side = 2 * model.target_dim
+    proj = _control_projectors(model.target_dim)[1]
+    block = max(1, _STACK_ENTRIES // side ** 2)
+    p_minus = []
+    for start in range(0, len(controls), block):
+        states = _pure_states(controls[start:start + block])
+        # np.kron(target, control) per row, as switch_output forms it
+        joint = (target.entries[None, :, None, :, None]
+                 * states[:, None, :, None, :]).reshape(-1, side, side)
+        out = model.joint @ joint @ model.joint_dag
+        p_minus += np.trace(proj @ out, axis1=1, axis2=2).real.tolist()
+    return p_minus
 
 
 def traced_target_channel(model: SwitchModel, control: DensityMatrix) -> Channel:

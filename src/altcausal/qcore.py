@@ -132,40 +132,15 @@ class DensityMatrix(ComplexOperator):
         dev = self.hermiticity_deviation()
         if dev > DEFAULT_TOL:
             raise ValueError(f"density matrix is not Hermitian: deviation {dev:.3e}")
-        self._check_trace()
+        _check_unit_traces(self.entries)
         lo = self.min_eigenvalue()
         if lo < -DEFAULT_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {lo:.3e}")
 
-    def _check_trace(self) -> None:
-        tr = self.entries.trace()
-        if abs(tr - 1.0) > DEFAULT_TOL:
-            raise ValueError(f"density matrix trace {tr:.6f} differs from 1")
-
     @classmethod
     def from_state_vector(cls, vec, dims: Sequence[int]) -> "DensityMatrix":
-        """The pure state ``|v><v|`` of ``vec`` normalised.
-
-        The outer product of a unit vector is Hermitian and rank one, so
-        only what can fail is checked: a finite, nonzero ``vec`` and the
-        unit trace.  The norm squares the entries, so a vector whose
-        largest part lies outside [1e-150, 1e150] is first scaled by the
-        exact power of two that brings that part into [0.5, 1).
-        """
-        v = np.ascontiguousarray(vec, dtype=complex).reshape(-1)
-        if not np.isfinite(v).all():
-            raise ValueError("state vector must be finite")
-        parts = v.view(float)
-        largest = np.abs(parts).max(initial=0.0)
-        if largest == 0:
-            raise ValueError("state vector must be nonzero")
-        if not 1e-150 <= largest <= 1e150:
-            v = np.ldexp(parts, -np.frexp(largest)[1]).view(complex)
-        with np.errstate(over="ignore"):   # an infinite norm leaves trace 0, refused below
-            v = v / np.linalg.norm(v)
-        rho = cls._trusted(np.outer(v, v.conj()), dims)
-        rho._check_trace()
-        return rho
+        """The pure state ``|v><v|`` of ``vec`` normalised, checked as ``_pure_states`` does."""
+        return cls._trusted(_pure_states([np.ravel(vec)])[0], dims)
 
     @classmethod
     def maximally_mixed(cls, dims: Sequence[int]) -> "DensityMatrix":
@@ -209,6 +184,41 @@ class Channel(ComplexOperator):
         out_dim, in_dim = ops[0].shape
         return cls(_choi(in_dim, out_dim, lambda unit: sum(k @ unit @ k.conj().T for k in ops)),
                    (in_dim, out_dim))
+
+
+def _pure_states(vecs) -> np.ndarray:
+    """``|v><v|`` of each row ``v`` of ``vecs`` normalised, as an (n, d, d) stack.
+
+    The outer product of a unit vector is Hermitian and rank one, so
+    only what can fail is checked: finite, nonzero rows and unit traces.
+    The norm squares the entries, so a row whose largest part lies
+    outside [1e-150, 1e150] is first scaled by the exact power of two
+    that brings that part into [0.5, 1).
+    """
+    v = np.array(vecs, dtype=complex)
+    if not np.isfinite(v).all():
+        raise ValueError("state vector must be finite")
+    parts = v.view(float)
+    largest = np.abs(parts).max(axis=1, initial=0.0)
+    if not largest.all():
+        raise ValueError("state vector must be nonzero")
+    far = (largest < 1e-150) | (largest > 1e150)
+    if far.any():
+        parts[far] = np.ldexp(parts[far], -np.frexp(largest[far])[1][:, None])
+    # one norm per row: a stacked norm can round the last bit differently
+    with np.errstate(over="ignore"):   # an infinite norm leaves trace 0, refused below
+        v /= np.array([np.linalg.norm(row) for row in v])[:, None]
+    states = v[:, :, None] * v.conj()[:, None, :]
+    _check_unit_traces(states)
+    return states
+
+
+def _check_unit_traces(m: np.ndarray) -> None:
+    """Refuse a matrix, or a stack of them, with a trace off 1 by more than ``DEFAULT_TOL``."""
+    tr = np.ravel(np.trace(m, axis1=-2, axis2=-1))
+    bad = np.flatnonzero(abs(tr - 1.0) > DEFAULT_TOL)
+    if bad.size:
+        raise ValueError(f"density matrix trace {tr[bad[0]]:.6f} differs from 1")
 
 
 def _choi(in_dim: int, out_dim: int, image) -> np.ndarray:

@@ -73,6 +73,7 @@ def test_bad_format_exits_one(tmp_path, capsys):
     (["--json", "-", "--csv", "-"], "two outputs write to '-'"),
     (["--json", "x.json", "--csv", "x.json"], "two outputs write to"),
     (["--json", "d/../wfecho.json", "--format", "json"], "two outputs write to"),
+    (["--json", "d/stdout.txt", "--csv", "-"], "two outputs write to stdout"),
 ])
 def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, tmp_path,
                                                     capsys):
@@ -83,9 +84,27 @@ def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, 
                         dataclasses.replace(_EXPERIMENTS["wfecho"], run=refuse))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
-    assert main(["wfecho", *args]) == 1
+    # stdout is a file with a descriptor, so it can also be named as a target
+    with open(tmp_path / "d" / "stdout.txt", "w") as stdout, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", stdout)
+        assert main(["wfecho", *args]) == 1
     assert message in capsys.readouterr().err
-    assert list(tmp_path.rglob("*")) == [tmp_path / "d"]
+    assert sorted(tmp_path.rglob("*")) == [tmp_path / "d", tmp_path / "d" / "stdout.txt"]
+    assert (tmp_path / "d" / "stdout.txt").read_text() == ""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+def test_stdout_named_twice_is_refused_in_a_shell_redirect(tmp_path):
+    # `wfecho --json /dev/stdout --csv - > out.txt` would write both reports at offset 0
+    out = tmp_path / "out.txt"
+    with open(out, "w") as stdout:
+        proc = subprocess.run([sys.executable, "-m", "altcausal.cli", "wfecho",
+                               "--json", "/dev/stdout", "--csv", "-"],
+                              stdout=stdout, stderr=subprocess.PIPE, text=True,
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)))
+    assert proc.returncode == 1
+    assert "two outputs write to stdout" in proc.stderr
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "svg"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,8 +17,10 @@ from altcausal.piflink import (
     LinkMode,
     SLICE_BITS,
     Slice,
+    _BLOCK,
     _STREAM_MC_BACKWARD,
     _STREAM_MC_FORWARD,
+    _flip_words,
     _joint_counts,
     _stream,
     binary_entropy,
@@ -300,7 +303,8 @@ def test_joint_counts_match_four_reductions():
         for p_x, p_flip in ((0.5, 0.11), (0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (0.3, 0.5)):
             x = rng.random(shape) < p_x
             y = x ^ (rng.random(shape) < p_flip)
-            got = _joint_counts(x, y)
+            got = _joint_counts(x.size, np.count_nonzero(x), np.count_nonzero(y),
+                                np.count_nonzero(x & y))
             want = _reference_joint_counts(x, y)
             assert got.dtype == want.dtype and got.shape == (2, 2)
             assert got.tobytes() == want.tobytes()
@@ -310,23 +314,76 @@ def test_joint_counts_match_four_reductions():
 def test_joint_counts_of_a_run_with_every_echo_lost_are_empty():
     rep = run_link(LinkConfig(slice_count=50, echo_loss_probability=1.0))
     assert rep.lost_echoes == 50
-    empty = np.zeros((0, SLICE_BITS), dtype=bool)
-    assert _joint_counts(empty, empty).tobytes() == np.zeros((2, 2)).tobytes()
+    assert _joint_counts(0, 0, 0, 0).tobytes() == np.zeros((2, 2)).tobytes()
     assert rep.joint.p.tobytes() == JointDistribution.from_counts(np.eye(2)).p.tobytes()
+
+
+def _reference_capacity_monte_carlo(cfg: LinkConfig, n_bits: int) -> tuple[float, float]:
+    """The former capacity_monte_carlo: one full-size draw of each stream per leg."""
+    want = []
+    for tag, flip in ((_STREAM_MC_FORWARD, cfg.bit_flip_forward),
+                      (_STREAM_MC_BACKWARD, cfg.bit_flip_backward)):
+        rng = _stream(cfg.rng_seed, tag)
+        x = rng.integers(0, 2, size=n_bits).astype(bool)
+        y = x ^ (rng.random(n_bits) < flip)
+        joint = JointDistribution.from_counts(_reference_joint_counts(x, y))
+        want.append(SLICE_BITS * mutual_information(joint))
+    return want[0], want[0] + want[1]
 
 
 @pytest.mark.parametrize("p", [0.0, 0.11, 0.5, 1.0])
 def test_capacity_monte_carlo_matches_four_reductions_bit_for_bit(p):
     cfg = LinkConfig(slice_count=1, bit_flip_forward=p, bit_flip_backward=p / 2, rng_seed=29)
-    want = []
-    for tag, flip in ((_STREAM_MC_FORWARD, cfg.bit_flip_forward),
-                      (_STREAM_MC_BACKWARD, cfg.bit_flip_backward)):
-        rng = _stream(cfg.rng_seed, tag)
-        x = rng.integers(0, 2, size=5000).astype(bool)
-        y = x ^ (rng.random(5000) < flip)
-        joint = JointDistribution.from_counts(_reference_joint_counts(x, y))
-        want.append(SLICE_BITS * mutual_information(joint))
-    assert capacity_monte_carlo(cfg, n_bits=5000) == (want[0], want[0] + want[1])
+    assert capacity_monte_carlo(cfg, n_bits=5000) == _reference_capacity_monte_carlo(cfg, 5000)
+
+
+@pytest.mark.parametrize("n_bits", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                    3 * _BLOCK + 7])
+@pytest.mark.parametrize("seed", [0, 17, 2 ** 40 + 3])
+def test_capacity_monte_carlo_in_blocks_equals_one_full_size_draw(n_bits, seed):
+    for p in (0.0, 0.11, 0.5):
+        cfg = LinkConfig(slice_count=1, bit_flip_forward=p, bit_flip_backward=0.5 - p,
+                         rng_seed=seed)
+        got = capacity_monte_carlo(cfg, n_bits=n_bits)
+        assert _float_bits(got) == _float_bits(_reference_capacity_monte_carlo(cfg, n_bits))
+
+
+_ROWS = _BLOCK // SLICE_BITS   # slices per block of flip-mask draws
+
+
+@pytest.mark.parametrize("n", [1, _ROWS - 1, _ROWS, _ROWS + 1, 3 * _ROWS + 7])
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.5, 1.0])
+def test_flip_words_equal_one_full_size_draw_packed(n, p):
+    fast_rng, full_rng = _stream(5, 1), _stream(5, 1)
+    words = _flip_words(fast_rng, n, p)
+    want = np.packbits(full_rng.random((n, SLICE_BITS)) < p, axis=1).view(np.uint64).ravel()
+    assert words.dtype == np.uint64 and words.shape == (n,)
+    assert words.tobytes() == want.tobytes()
+    assert fast_rng.random() == full_rng.random()   # the stream goes on from the same place
+
+
+def _traced_peak_mb(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_run_link_memory_stays_bounded_by_the_block_draws():
+    # 100k slices: 0.8 MB per word column, 0.8 MB per float64 column, one
+    # 8 MB block of doubles; the bool-matrix pipeline peaked at ~82 MB
+    cfg = LinkConfig(slice_count=100_000, bit_flip_forward=0.01, bit_flip_backward=0.01,
+                     echo_loss_probability=0.01)
+    assert _traced_peak_mb(lambda: run_link(cfg)) < 25
+
+
+def test_capacity_monte_carlo_memory_stays_bounded_by_the_block_draws():
+    # 4e6 bits: 4 MB of input bits plus ~10 MB of block draws; the
+    # full-size draws peaked at ~40 MB
+    cfg = LinkConfig(slice_count=1, bit_flip_forward=0.11, bit_flip_backward=0.11, rng_seed=17)
+    assert _traced_peak_mb(lambda: capacity_monte_carlo(cfg, n_bits=4_000_000)) < 24
 
 
 def test_landauer_cost_oracles():
@@ -523,6 +580,14 @@ def test_only_a_verified_link_draws_the_echo_leg(mode, tags, monkeypatch):
     run_link(cfg)
     assert drawn == tags
     _assert_matches_reference(cfg)
+
+
+@pytest.mark.parametrize("mode", list(LinkMode))
+@pytest.mark.parametrize("slice_count", [_ROWS + 1, 2 * _ROWS + 3])
+def test_columns_match_reference_across_a_block_boundary(mode, slice_count):
+    _assert_matches_reference(LinkConfig(
+        slice_count=slice_count, bit_flip_forward=0.01, bit_flip_backward=0.02,
+        echo_loss_probability=0.1, rng_seed=7, mode=mode))
 
 
 def test_columns_match_reference_at_other_temperatures():

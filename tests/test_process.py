@@ -26,6 +26,7 @@ from altcausal.process import (
     check_duality,
     control_interference_probabilities,
     from_channel_order,
+    minus_outcome_sweep,
     switch_output,
     switch_process_matrix,
     traced_target_channel,
@@ -334,6 +335,50 @@ def test_switch_matches_oracle_for_random_unitaries():
         want = _oracle_interference(u_a, u_b, target.entries,
                                     np.array([1.0, 1.0]) / math.sqrt(2))
         assert got == pytest.approx(want, abs=1e-10)
+
+
+def _reference_minus_curve(model, target, thetas):
+    """The former per-angle sweep of ``altcausal switch``: one control state per angle."""
+    curve = []
+    for th in thetas:
+        v = np.array([math.cos(th), math.sin(th)], dtype=complex)
+        v = v / np.linalg.norm(v)
+        ctrl = DensityMatrix(np.outer(v, v.conj()), (2,))
+        curve.append(control_interference_probabilities(model, target, ctrl)[1])
+    return curve
+
+
+@pytest.mark.parametrize("pair", [(PAULI_X, PAULI_Z), (PAULI_Z, PAULI_Z)],
+                         ids=["anticommute", "commute"])
+@pytest.mark.parametrize("points", [1, 2, 41, 2000, 20001])
+def test_minus_outcome_sweep_matches_the_per_angle_loop_bit_for_bit(pair, points):
+    model = build_quantum_switch(*pair)
+    target = DensityMatrix.maximally_mixed((2,))
+    thetas = np.linspace(0.0, math.pi / 2, points)
+    controls = np.array([[math.cos(th), math.sin(th)] for th in thetas])
+    got = minus_outcome_sweep(model, target, controls)
+    assert type(got) is list and len(got) == points
+    assert np.array(got).tobytes() == np.array(_reference_minus_curve(model, target, thetas)).tobytes()
+
+
+def test_minus_outcome_sweep_matches_one_call_per_complex_control():
+    rng = np.random.default_rng(31)
+    model = build_quantum_switch(random_unitary(2, rng), random_unitary(2, rng))
+    target = random_density_matrix(2, rng)
+    controls = rng.normal(size=(300, 2)) + 1j * rng.normal(size=(300, 2))
+    want = [control_interference_probabilities(
+        model, target, DensityMatrix.from_state_vector(c, (2,)))[1] for c in controls]
+    assert np.array(minus_outcome_sweep(model, target, controls)).tobytes() == \
+        np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("target_dim, controls", [(2, np.ones((3, 3))), (2, np.ones(2)),
+                                                 (3, np.ones((3, 2)))])
+def test_minus_outcome_sweep_refuses_mismatched_dimensions(target_dim, controls):
+    # a bad row itself is refused as in from_state_vector (tests/test_qcore.py)
+    model = build_quantum_switch(PAULI_X, PAULI_Z)
+    with pytest.raises(ValueError, match="dimensions"):
+        minus_outcome_sweep(model, DensityMatrix.maximally_mixed((target_dim,)), controls)
 
 
 def test_switch_unitary_is_unitary():

@@ -7,6 +7,7 @@ from altcausal.qcore import (
     Channel,
     ComplexOperator,
     _entropies,
+    _pure_states,
     DensityMatrix,
     PAULI_X,
     PAULI_Z,
@@ -133,6 +134,29 @@ def test_from_state_vector_is_invariant_under_powers_of_two():
             for k in range(-1000, 1001, 37):
                 got = DensityMatrix.from_state_vector(vec * 2.0 ** k, dims)
                 assert got.entries.tobytes() == want, (dims, k)
+
+
+@pytest.mark.filterwarnings("error")
+def test_stacked_pure_states_match_one_vector_at_a_time_bit_for_bit():
+    # complex rows of every size class, the scaled ones among unscaled ones
+    rng = np.random.default_rng(16)
+    for d in (2, 3, 4):
+        rows = rng.normal(size=(60, d)) + 1j * rng.normal(size=(60, d))
+        rows *= rng.choice([1.0, 1e-200, 1e-140, 3e120, 1e200], size=60)[:, None]
+        before = rows.copy()
+        stacked = _pure_states(rows)
+        assert rows.tobytes() == before.tobytes()   # the caller's rows are left as they were
+        assert stacked.shape == (60, d, d)
+        for row, state in zip(rows, stacked):
+            assert state.tobytes() == DensityMatrix.from_state_vector(row, (d,)).entries.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, match", [([math.nan, 1.0], "finite"), ([0.0, 0.0], "nonzero")])
+def test_stacked_pure_states_refuse_a_bad_row_anywhere(row, match):
+    rows = np.array([[1.0, 0.0], row, [0.0, 1.0]])
+    with pytest.raises(ValueError, match=match):
+        _pure_states(rows)
 
 
 def test_from_state_vector_takes_no_spectrum(monkeypatch):
