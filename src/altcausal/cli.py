@@ -26,10 +26,6 @@ from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Callable
 
-import numpy as np
-
-from . import photonclock, piflink, process, qcore
-
 
 # ---------------------------------------------------------------------------
 # report writers
@@ -309,6 +305,10 @@ def _experiment(name: str, help: str, **params: Param):
              seed=Param(7, low=0),
              phase_mode=Param("continuous", choices=("continuous", "discrete")))
 def _duality(cfg):
+    import numpy as np
+
+    from . import process, qcore
+
     rng = np.random.default_rng(cfg["seed"])
     chan = qcore.random_channel(cfg["dim"], cfg["dim"], rng)
     base = process.from_channel_order(chan, order="AB")
@@ -337,8 +337,8 @@ def _duality(cfg):
     return metrics, {"t": ts.tolist(), "deviation": devs}, checks
 
 
-_SWITCH_PAIRS = {"anticommute": (qcore.PAULI_X, qcore.PAULI_Z),
-                 "commute": (qcore.PAULI_Z, qcore.PAULI_Z)}
+# the pair of qcore operators each case switches, by name
+_SWITCH_PAIRS = {"anticommute": ("PAULI_X", "PAULI_Z"), "commute": ("PAULI_Z", "PAULI_Z")}
 
 
 @_experiment("switch",
@@ -347,7 +347,12 @@ _SWITCH_PAIRS = {"anticommute": (qcore.PAULI_X, qcore.PAULI_Z),
              case=Param("anticommute", choices=tuple(_SWITCH_PAIRS)),
              points=Param(41, low=1, high=3_000_000))
 def _switch(cfg):
-    model = process.build_quantum_switch(*_SWITCH_PAIRS[cfg["case"]])
+    import numpy as np
+
+    from . import process, qcore
+
+    model = process.build_quantum_switch(
+        *(getattr(qcore, name) for name in _SWITCH_PAIRS[cfg["case"]]))
     target = qcore.DensityMatrix.maximally_mixed((2,))
     balanced = qcore.DensityMatrix.from_state_vector(
         np.array([1.0, 1.0]) / math.sqrt(2), (2,))
@@ -369,6 +374,8 @@ def _switch(cfg):
              # a report keeps ~310 B per step
              noise=Param(0.3), steps=Param(6, low=1, high=3_000_000))
 def _ac_vs_ico(cfg):
+    from . import process, qcore
+
     rep = process.ac_vs_ico_entropy(qcore.PAULI_X, qcore.PAULI_Z,
                                     noise=cfg["noise"], steps=cfg["steps"])
     metrics = {
@@ -395,6 +402,8 @@ def _ac_vs_ico(cfg):
              tick_seconds=Param(1.0, low=0,
                                 help="physical duration of one traversal, scales the report only"))
 def _photonclock(cfg):
+    from . import photonclock
+
     box = photonclock.CausalBox(decoherence_per_bounce=cfg["decoherence"],
                                 rng_seed=cfg["seed"])
     photonclock.run_bounces(box, cfg["bounces"])
@@ -423,11 +432,14 @@ def _photonclock(cfg):
 
 @_experiment("cascade",
              "decoherence cascade: excitation hopping down a chain, best revival in a horizon",
-             # a report keeps ~230 B per step
-             sites=Param(4, low=2, high=photonclock.MAX_CASCADE_SITES), noise=Param(0.02),
+             # a report keeps ~230 B per step; 12 is photonclock.MAX_CASCADE_SITES,
+             # written out so that the registry loads no layer
+             sites=Param(4, low=2, high=12), noise=Param(0.02),
              horizon=Param(36, low=1, high=4_000_000),
              seed=Param(0, low=0))
 def _cascade(cfg):
+    from . import photonclock
+
     # --seed stays a flag so a seeded invocation keeps its config echo;
     # the cascade itself is deterministic
     rep = photonclock.cascade(cfg["sites"], cfg["noise"], cfg["horizon"])
@@ -441,6 +453,10 @@ def _cascade(cfg):
 @_experiment("wfecho", "one-shot echo bookkeeping: reflected share and entropy balance",
              alpha=Param(0.7), transmitted=Param(64.0))
 def _wfecho(cfg):
+    import numpy as np
+
+    from . import photonclock
+
     reflected, delta_s = photonclock.wf_echo(cfg["alpha"], cfg["transmitted"])
     grid = np.linspace(0.0, 1.0, 21)
     split = [photonclock.wf_echo(float(a), cfg["transmitted"]) for a in grid]
@@ -457,16 +473,23 @@ _LINK = {"slices": Param(2000, low=1, high=1_000_000), "flip_forward": Param(0.0
          "temperature": Param(300.0)}
 
 
-def _link(cfg, mode: piflink.LinkMode) -> piflink.LinkConfig:
-    return piflink.LinkConfig(slice_count=cfg["slices"], bit_flip_forward=cfg["flip_forward"],
-                              bit_flip_backward=cfg["flip_backward"],
-                              echo_loss_probability=cfg["echo_loss"], rng_seed=cfg["seed"],
-                              temperature_kelvin=cfg["temperature"], mode=mode)
+def _link_report(cfg, mode: str):
+    """``piflink.run_link`` on the link that ``cfg`` describes, in mode ``mode``
+    (a ``piflink.LinkMode`` name)."""
+    from . import piflink
+
+    return piflink.run_link(piflink.LinkConfig(
+        slice_count=cfg["slices"], bit_flip_forward=cfg["flip_forward"],
+        bit_flip_backward=cfg["flip_backward"], echo_loss_probability=cfg["echo_loss"],
+        rng_seed=cfg["seed"], temperature_kelvin=cfg["temperature"],
+        mode=piflink.LinkMode[mode]))
 
 
 @_experiment("pif", "verified slice link with a full per-cycle information ledger", **_LINK)
 def _pif(cfg):
-    rep = piflink.run_link(_link(cfg, piflink.LinkMode.PIF))
+    from . import piflink
+
+    rep = _link_report(cfg, "PIF")
     led = rep.ledger
     conservation = piflink.conservation_check(rep.cycles) if len(rep.cycles) > 1 else 0.0
     metrics = {
@@ -500,8 +523,10 @@ def _pif(cfg):
 @_experiment("fito-vs-pif", "fire-and-forget vs verified link: corruption and erasure cost",
              **_LINK | {"flip_forward": Param(0.05)})
 def _fito_vs_pif(cfg):
-    pif_rep = piflink.run_link(_link(cfg, piflink.LinkMode.PIF))
-    fito_rep = piflink.run_link(_link(cfg, piflink.LinkMode.FITO))
+    import numpy as np
+
+    pif_rep = _link_report(cfg, "PIF")
+    fito_rep = _link_report(cfg, "FITO")
     pif_cost = pif_rep.ledger.landauer_joules
     metrics = {
         "pif_detected_mismatches": pif_rep.detected_mismatches,
@@ -524,6 +549,10 @@ def _fito_vs_pif(cfg):
              # a leg keeps 1 B per bit (its input bits) plus ~10 MB of block draws
              n_bits=Param(100_000, low=1, high=50_000_000), seed=Param(17, low=0))
 def _capacity(cfg):
+    import numpy as np
+
+    from . import piflink
+
     link = piflink.LinkConfig(slice_count=1, bit_flip_forward=cfg["flip_forward"],
                               bit_flip_backward=cfg["flip_backward"], rng_seed=cfg["seed"])
     c_one, c_pif = piflink.capacity(link)
@@ -550,6 +579,10 @@ def _capacity(cfg):
              dim=Param(4, low=2, high=1_500), epsilon=Param(0.1), tmax=Param(4.0),
              points=Param(33, low=1, high=500_000), seed=Param(5, low=0))
 def _rcp(cfg):
+    import numpy as np
+
+    from . import photonclock, qcore
+
     rng = np.random.default_rng(cfg["seed"])
     d = cfg["dim"]
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -637,7 +670,16 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     return sorted(targets, key=lambda target: target[0] != "json")
 
 
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def main(argv=None) -> int:
+    # The last bits of the larger decompositions depend on the BLAS thread
+    # count, which BLAS reads once, when numpy loads: pin one thread, over
+    # the caller's setting, so that the same invocation writes the same
+    # report everywhere.  Once numpy is loaded it is too late to pin.
+    if "numpy" not in sys.modules:
+        os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
     parser = build_parser()
     ns = parser.parse_args(argv)
     if ns.command is None:

@@ -600,14 +600,18 @@ def test_operator_sweeps_match_the_benchmark_references(command, workloads, tmp_
 
 @pytest.mark.parametrize("phase_mode", ["continuous", "discrete"])
 def test_duality_sweeps_match_the_benchmark_references(phase_mode, workloads):
-    # the last bits of the 256-side decompositions depend on the BLAS thread count
+    # the last bits of the 256-side decompositions depend on the BLAS thread
+    # count, which the CLI pins to one over the caller's setting
     args, = [a for a in workloads.invocations("operators", workloads.REFERENCE_SEED)
              if a[0] == "duality" and phase_mode in a]
-    proc = subprocess.run([sys.executable, "-m", "altcausal.cli", *args, "--json", "-"],
-                          env=workloads.child_env(), capture_output=True, text=True,
-                          check=True, timeout=120)
-    report = json.loads(proc.stdout)
-    assert workloads.report_hash(report) == workloads.references()[workloads.key(args)]
+    for threads in ("1", "2"):
+        env = dict(workloads.child_env(), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "altcausal.cli", *args, "--json", "-"],
+                              env=env, capture_output=True, text=True, check=True,
+                              timeout=120)
+        report = json.loads(proc.stdout)
+        assert workloads.report_hash(report) == workloads.references()[workloads.key(args)]
 
 
 def test_duality_takes_the_process_spectrum_once(monkeypatch, tmp_path):
@@ -659,6 +663,62 @@ def test_import_leaves_scipy_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     assert proc.stdout.strip() == "False"
+
+
+def _loaded_in_a_fresh_child(code: str) -> set[str]:
+    """numpy and the altcausal modules that a fresh interpreter holds after ``code``."""
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules"
+             " if m == 'numpy' or m.startswith('altcausal.')))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=60)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_no_layer_and_no_numpy():
+    assert _loaded_in_a_fresh_child("import altcausal.cli") == {"altcausal.cli"}
+
+
+def test_a_layer_resolves_on_first_access_to_the_package():
+    code = "import altcausal\nassert altcausal.qcore.DensityMatrix.__name__ == 'DensityMatrix'"
+    assert _loaded_in_a_fresh_child(code) == {"altcausal.qcore", "numpy"}
+
+
+# what a run loads besides the cli: numpy and its layers; help and
+# refused inputs start without numpy
+LOADED_BY = {
+    "duality": "numpy qcore process",
+    "switch": "numpy qcore process",
+    "ac-vs-ico": "numpy qcore process",
+    "photonclock": "numpy qcore photonclock",
+    "cascade": "numpy qcore photonclock",
+    "wfecho": "numpy qcore photonclock",
+    "rcp": "numpy qcore photonclock",
+    "pif": "numpy piflink",
+    "fito-vs-pif": "numpy piflink",
+    "capacity": "numpy piflink",
+    "list": "",
+    "--help": "",
+    "pif --help": "",
+    "pif --slices 0": "",
+    "duality --format xml": "",
+}
+
+
+@pytest.mark.parametrize("command", LOADED_BY)
+def test_a_run_loads_only_the_layers_it_uses(command):
+    argv = command.split() + FAST_ARGS.get(command, [])
+    code = ("import contextlib, io\nfrom altcausal.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
+    want = {"altcausal.cli"} | {m if m == "numpy" else f"altcausal.{m}"
+                                for m in LOADED_BY[command].split()}
+    assert _loaded_in_a_fresh_child(code) == want
+
+
+def test_cascade_sites_ceiling_is_the_chain_limit():
+    # written out in the registry, so that building the parser loads no layer
+    assert _EXPERIMENTS["cascade"].params["sites"].high == photonclock.MAX_CASCADE_SITES
 
 
 def test_json_int_for_a_float_option_is_stored_as_float(tmp_path):

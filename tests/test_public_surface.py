@@ -64,19 +64,34 @@ def test_every_traced_metric_reads_a_wrapped_name(tracer):
 SRC = Path(__file__).resolve().parents[1] / "src" / "altcausal"
 
 
+def _imports_by_scope(node, scope, found):
+    """Map each function, and the module, to the names imported directly in it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            _imports_by_scope(child, child, found)
+            continue
+        if isinstance(child, ast.Import):
+            found.setdefault(scope, set()).update(
+                (a.asname or a.name).split(".")[0] for a in child.names)
+        elif isinstance(child, ast.ImportFrom) and child.module != "__future__":
+            found.setdefault(scope, set()).update(a.asname or a.name for a in child.names)
+        _imports_by_scope(child, scope, found)
+    return found
+
+
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_imports_a_name_it_never_uses(path):
-    # a name counts as used when the module reads it or re-exports it in __all__
+    # a module-level import counts as used when the module reads it or
+    # re-exports it in __all__; a function's import, when that function reads it
     tree = ast.parse(path.read_text())
-    imported = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
-            imported.update(a.asname or a.name for a in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
-                                                for t in node.targets):
-            used.update(ast.literal_eval(node.value))
-    assert sorted(imported - used) == []
+    unused = []
+    for scope, imported in _imports_by_scope(tree, tree, {}).items():
+        used = {node.id for node in ast.walk(ast.Module(scope.body, []))
+                if isinstance(node, ast.Name)}
+        if scope is tree:
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                        for t in node.targets):
+                    used.update(ast.literal_eval(node.value))
+        unused += [(getattr(scope, "name", "<module>"), name) for name in imported - used]
+    assert sorted(unused) == []

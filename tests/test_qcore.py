@@ -8,6 +8,7 @@ from altcausal.qcore import (
     ComplexOperator,
     _entropies,
     _pure_states,
+    _row_norms,
     DensityMatrix,
     PAULI_X,
     PAULI_Z,
@@ -149,6 +150,26 @@ def test_stacked_pure_states_match_one_vector_at_a_time_bit_for_bit():
         assert stacked.shape == (60, d, d)
         for row, state in zip(rows, stacked):
             assert state.tobytes() == DensityMatrix.from_state_vector(row, (d,)).entries.tobytes()
+
+
+def test_row_norms_match_numpy_norm_row_by_row_bit_for_bit():
+    # np.linalg.norm per row is the reference that _row_norms replaces
+    rng = np.random.default_rng(21)
+    n = 20_001
+    cases = [rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))]
+    for d in (1, 3, 4, 8):
+        rows = rng.normal(size=(300, d)) + 1j * rng.normal(size=(300, d))
+        # largest parts just inside and outside the [1e-150, 1e150] window of
+        # _pure_states, and where it puts a rescaled row
+        scale = rng.choice([1.0, 0.9e150, 1.1e150, 0.9e-150, 1.1e-150, 0.6, 0.99], size=300)
+        cases += [rows * scale[:, None], rows.real.astype(complex)]   # and real-only rows
+    thetas = np.linspace(0.0, math.pi / 2, 2001)   # the switch's controls
+    cases.append(np.array([[math.cos(t), math.sin(t)] for t in thetas], dtype=complex))
+    cases.append(np.array([[1.0, 5e-324], [0.75, 3e-310j], [2e-308 + 5e-324j, 1e-320],
+                           [5e-324j, 0.0], [1e-300, 1e-310 + 1e-315j]]))   # subnormal parts
+    for rows in cases:
+        want = np.array([np.linalg.norm(row) for row in rows])
+        assert _row_norms(rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.filterwarnings("error")
