@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -31,25 +32,45 @@ from typing import Callable
 # report writers
 # ---------------------------------------------------------------------------
 
-def _emit(text: str, path: str) -> None:
-    """Write a rendered report to ``path``, or to stdout when ``path`` is ``-``."""
+def _emit(pieces: list[str], path: str) -> None:
+    """Write a rendered report's pieces in order to ``path``, or to stdout
+    when ``path`` is ``-``.
+
+    The pieces are never joined: the largest extra copy is the encoded
+    bytes of one piece.
+    """
     if path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 _SLOT = "\0"                 # placeholder prefix; JSON writes it as "\u0000
 _SERIES_ITEM = ",\n      "   # what indent=2 puts between the items of a series list
+_PREFIX = 1024               # items sampled before a float list's full set is built
 
 
 def _has_negative_zero(values: list) -> bool:
     return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
 
 
-def _series_list(values) -> str | None:
-    """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, or None.
+def _repeated(values: list) -> set | None:
+    """The distinct values of ``values`` if fewer than half are distinct, else None.
+
+    A prefix that is at least half distinct settles it without a set of
+    the whole list.
+    """
+    for sample in (values[:_PREFIX], values):
+        distinct = set(sample)
+        if 2 * len(distinct) >= len(sample):
+            return None
+    return distinct
+
+
+def _series_list(values) -> tuple[str, str, str] | None:
+    """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, as
+    its opening bracket, body and closing bracket, or None.
 
     Only a non-empty list of exact ints and floats is rendered here, by
     the C encoder, which ``indent`` rules out for the whole report.  A
@@ -62,7 +83,7 @@ def _series_list(values) -> str | None:
     kinds = set(map(type, values))
     if not kinds <= {int, float}:
         return None
-    if (kinds == {float} and 2 * len(distinct := set(values)) < len(values)
+    if (kinds == {float} and (distinct := _repeated(values)) is not None
             and not (0.0 in distinct and _has_negative_zero(values))):
         for v in distinct:
             if not math.isfinite(v):
@@ -71,7 +92,7 @@ def _series_list(values) -> str | None:
         body = _SERIES_ITEM.join(map(reprs.__getitem__, values))
     else:
         body = json.dumps(values, allow_nan=False, separators=(_SERIES_ITEM, ": "))[1:-1]
-    return f"[\n      {body}\n    ]"
+    return "[\n      ", body, "\n    ]"
 
 
 def write_json(report: dict, path: str) -> None:
@@ -79,7 +100,8 @@ def write_json(report: dict, path: str) -> None:
     and a newline, byte for byte.
 
     Each series list that ``_series_list`` renders enters the dump as a
-    placeholder string and is spliced back in while the text is joined.
+    placeholder string; its pieces take the placeholder's place in the
+    list of pieces written.
     """
     series = report.get("series")
     lists, slots = [], {}
@@ -98,9 +120,12 @@ def write_json(report: dict, path: str) -> None:
     pieces = [head]
     for tail in tails:
         index, _, rest = tail.partition('"')
-        pieces += (lists[int(index)], rest)
+        pieces += (*lists[int(index)], rest)
     pieces.append("\n")
-    _emit("".join(pieces), path)
+    _emit(pieces, path)
+
+
+_CSV_ROWS = 4096   # rows rendered into one piece
 
 
 def write_csv(report: dict, path: str) -> None:
@@ -115,8 +140,15 @@ def write_csv(report: dict, path: str) -> None:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(keys)
-    writer.writerows(rows)
-    _emit(buf.getvalue(), path)
+    pieces, rows = [], iter(rows)
+    while True:
+        writer.writerows(itertools.islice(rows, _CSV_ROWS))
+        if not buf.tell():
+            break
+        pieces.append(buf.getvalue())
+        buf.seek(0)
+        buf.truncate()
+    _emit(pieces, path)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -132,11 +164,11 @@ def write_svg(report: dict, path: str) -> None:
     series = {k: [float(v) for v in vs] for k, vs in (report.get("series") or {}).items()}
     if not series:
         # nothing to plot (e.g. the list report); keep --format svg total
-        _emit('<svg xmlns="http://www.w3.org/2000/svg" width="720" height="60" '
-              'viewBox="0 0 720 60" font-family="sans-serif" font-size="14">\n'
-              '<rect width="720" height="60" fill="white"/>\n'
-              f'<text x="16" y="36">{_svg_escape(report.get("experiment", ""))}: '
-              'no series to plot</text>\n</svg>\n', path)
+        _emit(['<svg xmlns="http://www.w3.org/2000/svg" width="720" height="60" '
+               'viewBox="0 0 720 60" font-family="sans-serif" font-size="14">\n'
+               '<rect width="720" height="60" fill="white"/>\n'
+               f'<text x="16" y="36">{_svg_escape(report.get("experiment", ""))}: '
+               'no series to plot</text>\n</svg>\n'], path)
         return
     x_key = next((k for k in _X_KEYS if k in series), sorted(series)[0])
     xs = series.pop(x_key)
@@ -162,36 +194,39 @@ def write_svg(report: dict, path: str) -> None:
     def py(y):
         return mt + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
-    parts = [
+    pieces = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{ml}" y="20" font-size="14">{_svg_escape(report.get("experiment", ""))}</text>',
-        f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
-        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">\n',
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
+        f'<text x="{ml}" y="20" font-size="14">'
+        f'{_svg_escape(report.get("experiment", ""))}</text>\n',
+        f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>\n',
+        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>\n',
     ]
     for i in range(5):
         fx = x_lo + (x_hi - x_lo) * i / 4
         fy = y_lo + (y_hi - y_lo) * i / 4
-        parts.append(f'<text x="{px(fx):.1f}" y="{mt + ph + 18}" text-anchor="middle">{fx:.4g}</text>')
-        parts.append(f'<text x="{ml - 8}" y="{py(fy) + 4:.1f}" text-anchor="end">{fy:.4g}</text>')
-        parts.append(f'<line x1="{ml}" y1="{py(fy):.1f}" x2="{ml + pw}" y2="{py(fy):.1f}" '
-                     'stroke="#dddddd" stroke-width="0.5"/>')
-    parts.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">'
-                 f'{_svg_escape(x_key)}</text>')
+        pieces += (f'<text x="{px(fx):.1f}" y="{mt + ph + 18}" text-anchor="middle">'
+                   f'{fx:.4g}</text>\n',
+                   f'<text x="{ml - 8}" y="{py(fy) + 4:.1f}" text-anchor="end">{fy:.4g}</text>\n',
+                   f'<line x1="{ml}" y1="{py(fy):.1f}" x2="{ml + pw}" y2="{py(fy):.1f}" '
+                   'stroke="#dddddd" stroke-width="0.5"/>\n')
+    pieces.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">'
+                  f'{_svg_escape(x_key)}</text>\n')
     for idx, name in enumerate(sorted(series)):
         color = _PALETTE[idx % len(_PALETTE)]
-        pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
-                       if math.isfinite(y))
         if len(series[name]) == 1:
-            parts.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(series[name][0]):.2f}" '
-                         f'r="3" fill="{color}"/>')
+            pieces.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(series[name][0]):.2f}" '
+                          f'r="3" fill="{color}"/>\n')
         else:
-            parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
-                     f'fill="{color}">{_svg_escape(name)}</text>')
-    parts.append("</svg>")
-    _emit("\n".join(parts) + "\n", path)
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
+                           if math.isfinite(y))
+            pieces += ('<polyline points="', pts,
+                       f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        pieces.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
+                      f'fill="{color}">{_svg_escape(name)}</text>\n')
+    pieces.append("</svg>\n")
+    _emit(pieces, path)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +332,7 @@ def _experiment(name: str, help: str, **params: Param):
 
 
 @_experiment("duality", "forward/backward process family and its time-reversal duality",
-             # a report keeps ~180 B per point (series, JSON, CSV and SVG text);
+             # a report keeps ~160 B per point (series, JSON, CSV and SVG text);
              # a dim 6 run peaks at ~190 MB with its 1296 x 1296 members
              dim=Param(2, low=2, high=6), omega=Param(1.0), tmax=Param(2 * math.pi),
              points=Param(25, low=1, high=4_000_000),
@@ -343,7 +378,7 @@ _SWITCH_PAIRS = {"anticommute": ("PAULI_X", "PAULI_Z"), "commute": ("PAULI_Z", "
 
 @_experiment("switch",
              "quantum switch: coherently controlled operation order, read out on the control",
-             # a report keeps ~270 B per point
+             # a report keeps ~140 B per point
              case=Param("anticommute", choices=tuple(_SWITCH_PAIRS)),
              points=Param(41, low=1, high=3_000_000))
 def _switch(cfg):
@@ -371,7 +406,7 @@ def _switch(cfg):
 
 
 @_experiment("ac-vs-ico", "entropy growth: alternating definite order vs coherent control",
-             # a report keeps ~310 B per step
+             # a report keeps ~230 B per step
              noise=Param(0.3), steps=Param(6, low=1, high=3_000_000))
 def _ac_vs_ico(cfg):
     from . import process, qcore
@@ -408,6 +443,10 @@ def _photonclock(cfg):
                                 rng_seed=cfg["seed"])
     photonclock.run_bounces(box, cfg["bounces"])
     cumulative = photonclock.classical_time_series(box.ledger)
+    seconds = cumulative[-1] * cfg["tick_seconds"]
+    if not math.isfinite(seconds):
+        raise ValueError(f"tick_seconds = {cfg['tick_seconds']!r} overflows "
+                         f"classical_time_seconds at a classical time of {cumulative[-1]!r}")
 
     coherent_probe = photonclock.CausalBox(rng_seed=cfg["seed"])
     indiscernible = photonclock.check_nondiscernability(coherent_probe, k_cycles=3)
@@ -417,7 +456,7 @@ def _photonclock(cfg):
 
     metrics = {
         "classical_time": cumulative[-1],
-        "classical_time_seconds": cumulative[-1] * cfg["tick_seconds"],
+        "classical_time_seconds": seconds,
         "bare_classical_time": photonclock.bare_classical_time(box.ledger),
         "traversals": box.ledger.traversal_count,
         "decohered_ticks": box.ledger.decohered_count,
@@ -575,7 +614,7 @@ def _capacity(cfg):
 
 @_experiment("rcp", "norm of the combined forward/reverse propagator under damping",
              # ~17 complex d x d matrices live at once (stacks and expm work arrays),
-             # ~610 MB at dim 1500; a report keeps ~470 B per point
+             # ~610 MB at dim 1500; a report keeps ~220 B per point
              dim=Param(4, low=2, high=1_500), epsilon=Param(0.1), tmax=Param(4.0),
              points=Param(33, low=1, high=500_000), seed=Param(5, low=0))
 def _rcp(cfg):

@@ -458,6 +458,8 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
     ``drift`` is max - min of the series; ``constant`` holds iff the
     drift stays below ``RCP_TOL``, which happens exactly when the reverse
     family is the dagger dual of the forward one and epsilon is zero.
+    A sample time at which the norm is not finite (the exponentials
+    overflow) is refused with a ``ValueError`` that names it.
     """
     if len(ts) == 0:
         raise ValueError("need at least one sample time")
@@ -486,6 +488,10 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
         for f, r in zip(fwd, rev):
             rv = (f + r.conj().T) @ v
             values.append(float(np.real(np.vdot(rv, rv))))
+    for t, value in zip(ts, values):
+        if not math.isfinite(value):
+            raise ValueError(f"norm of R(t) is not finite at t = {t!r}; "
+                             "lower tmax, the largest sample time")
     drift = max(values) - min(values)
     return RcpInvariantReport(
         values=tuple(values),

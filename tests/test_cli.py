@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import importlib
 import io
@@ -7,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +243,12 @@ SERIES_EDGES = {
     "empty": [], "one float": [0.5], "one int": [7],
     "both zeros repeated": [0.0, -0.0] * 50, "negative zeros": [-0.0] * 100,
     "one negative zero": [1.0] * 99 + [-0.0],
+    "distinct prefix, repeated rest": [i / 7 for i in range(cli._PREFIX)] + [0.5, 1.5] * 3000,
+    "repeated prefix, distinct rest": [0.25] * cli._PREFIX + [i / 7 for i in range(6000)],
+    "distinct prefix, repeated rest with a negative zero":
+        [i / 7 for i in range(cli._PREFIX)] + [0.0, -0.0, 2.0] * 2000,
+    "repeated prefix, mostly distinct rest with a negative zero":
+        [-0.0, 0.0] * cli._PREFIX + [i / 7 for i in range(6000)],
     "bools": [True, False, True], "strings": ["a", "b"], "nested": [[1.0, 2.0], [3.0]],
     "with None": [1, 2.5, None], "tuple": (1.0, 2.0),
 }
@@ -261,20 +269,80 @@ def test_series_keys_and_strings_that_need_escaping(key):
     assert _written(report) == _reference_json(report)
 
 
+LONG = 100_000
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize("values", [lambda bad: [1.0, bad] * 20,
-                                    lambda bad: [float(i) for i in range(40)] + [bad]],
-                         ids=["repeated", "distinct"])
+@pytest.mark.parametrize("values", [
+    lambda bad: {"t": list(range(41)), "y": [1.0, bad] * 20},
+    lambda bad: {"t": list(range(41)), "y": [float(i) for i in range(40)] + [bad]},
+    # several long series, the bad value last in the last one written
+    lambda bad: {"t": list(range(LONG)), "a": [0.5] * LONG, "b": [i / 7 for i in range(LONG)],
+                 "y": [i / 3 for i in range(LONG - 1)] + [bad]},
+], ids=["repeated", "distinct", "long"])
 def test_series_writer_refuses_non_finite_values(values, bad, monkeypatch, tmp_path, capsys):
-    series = {"t": list(range(41)), "y": values(bad)}
+    series = values(bad)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json({"series": series}, str(tmp_path / "w.json"))
     monkeypatch.setitem(_EXPERIMENTS, "wfecho", dataclasses.replace(
         _EXPERIMENTS["wfecho"], run=lambda cfg: ({}, series, [])))
-    out = tmp_path / "r.json"
-    assert main(["wfecho", "--json", str(out)]) == 1
-    assert "not JSON compliant" in capsys.readouterr().err
+    for target in (str(tmp_path / "r.json"), "-"):
+        assert main(["wfecho", "--json", target]) == 1
+        out, err = capsys.readouterr()
+        assert "not JSON compliant" in err
+        assert out == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def _reference_csv(report) -> str:
+    """The former one-buffer ``write_csv``, kept as the oracle of its bytes."""
+    series = report["series"]
+    keys = sorted(series)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(keys)
+    writer.writerows(zip(*(series[k] for k in keys)))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS - 2, cli._CSV_ROWS - 1, cli._CSV_ROWS,
+                                  2 * cli._CSV_ROWS + 1])
+def test_csv_pieces_match_one_buffer_across_block_boundaries(rows, tmp_path, capsys):
+    report = {"series": {"t": list(range(rows)), "y": [i / 3 for i in range(rows)],
+                         "label": ["a,b", 'q"', "line\nbreak"] * (rows // 3) + ["x"] * (rows % 3)}}
+    out = tmp_path / "r.csv"
+    cli.write_csv(report, str(out))
+    cli.write_csv(report, "-")
+    expected = _reference_csv(report)
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == expected
+
+
+def _written_peak(report, path) -> int:
+    """The ``tracemalloc`` peak of ``write_json(report, path)``, above the report."""
+    tracemalloc.start()
+    try:
+        write_json(report, path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_writing_a_benchmark_size_report_holds_no_second_copy(monkeypatch, tmp_path):
+    # the pieces are written as they are: no joined copy of the whole text
+    reports = []
+    monkeypatch.setattr(cli, "write_json", lambda report, path: reports.append(report))
+    assert main([*LINK_REPORTS[0], "--json", "-"]) == 0
+    report, = reports
+    monkeypatch.undo()
+    out = tmp_path / "r.json"
+    peaks = [_written_peak(report, str(out))]
+    with open(os.devnull, "w") as devnull:
+        monkeypatch.setattr(sys, "stdout", devnull)
+        peaks.append(_written_peak(report, "-"))
+    size = out.stat().st_size
+    assert size > 6_000_000
+    assert max(peaks) <= 1.5 * size
 
 
 def test_long_series_lists_skip_the_indenting_encoder(monkeypatch, tmp_path):
@@ -429,19 +497,56 @@ def test_json_writer_refuses_non_finite_values(tmp_path):
     assert not out.exists()
 
 
-def test_non_finite_report_exits_one_without_a_file(tmp_path, capsys):
+def _with_infinite_metric(monkeypatch):
+    """Make ``wfecho`` report an infinite metric, which only the JSON writer refuses."""
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", dataclasses.replace(
+        _EXPERIMENTS["wfecho"], run=lambda cfg: ({"x": math.inf}, {}, [])))
+
+
+def test_non_finite_report_exits_one_without_a_file(monkeypatch, tmp_path, capsys):
+    _with_infinite_metric(monkeypatch)
     out = tmp_path / "r.json"
-    # a finite input whose classical_time_seconds overflows to inf
-    assert main(["photonclock", "--tick-seconds", "1e308", "--json", str(out)]) == 1
+    assert main(["wfecho", "--json", str(out)]) == 1
     assert "not JSON compliant" in capsys.readouterr().err
     assert not out.exists()
 
 
-def test_json_is_written_first_so_a_refused_report_leaves_no_file(tmp_path, capsys):
-    args = ["photonclock", "--tick-seconds", "1e308", "--csv", str(tmp_path / "r.csv"),
+def test_json_is_written_first_so_a_refused_report_leaves_no_file(monkeypatch, tmp_path, capsys):
+    _with_infinite_metric(monkeypatch)
+    args = ["wfecho", "--csv", str(tmp_path / "r.csv"),
             "--out", str(tmp_path), "--format", "svg,csv,json"]
     assert main(args) == 1
     assert "not JSON compliant" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+OUTPUT_TARGETS = [[], ["--json", "r.json"], ["--csv", "r.csv"], ["--svg", "-"],
+                  ["--format", "svg,csv,json"]]
+
+
+@pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
+def test_overflowing_tick_seconds_is_refused_whatever_the_targets(targets, monkeypatch,
+                                                                   tmp_path, capsys):
+    # finite inputs whose classical_time_seconds overflows to inf
+    monkeypatch.chdir(tmp_path)
+    assert main(["photonclock", "--tick-seconds", "1e308", "--bounces", "5", *targets]) == 1
+    out, err = capsys.readouterr()
+    assert "tick_seconds" in err
+    assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("epsilon", ["0", "0.1"])
+@pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
+def test_non_finite_rcp_norm_is_refused_naming_tmax(targets, epsilon, monkeypatch, tmp_path,
+                                                    capsys):
+    # the propagators overflow, so the norms are NaN; max and min would skip them
+    monkeypatch.chdir(tmp_path)
+    assert main(["rcp", "--tmax", "1e308", "--points", "3", "--epsilon", epsilon,
+                 *targets]) == 1
+    out, err = capsys.readouterr()
+    assert "tmax" in err
+    assert out == ""
     assert list(tmp_path.iterdir()) == []
 
 

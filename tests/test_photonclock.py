@@ -431,6 +431,16 @@ def test_rcp_invariant_breaks_for_mismatched_generators():
     assert not rep.constant
 
 
+@pytest.mark.parametrize("epsilon", [0.0, 0.1])
+def test_rcp_invariant_refuses_a_non_finite_norm(epsilon):
+    # the exponentials overflow to NaN norms, which max and min would skip
+    rng = np.random.default_rng(2)
+    h = _random_hermitian(4, rng)
+    op = RcpOperator(t_plus=h, t_minus=h, epsilon=epsilon)
+    with pytest.raises(ValueError, match=r"not finite at t = 5e\+307"):
+        rcp_invariant(op, np.ones(4), [0.0, 5e307, 1e308])
+
+
 def test_rcp_damping_decays_monotonically():
     rng = np.random.default_rng(4)
     h = _random_hermitian(4, rng)
