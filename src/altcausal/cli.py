@@ -125,7 +125,7 @@ def write_json(report: dict, path: str) -> None:
     _emit(pieces, path)
 
 
-_CSV_ROWS = 4096   # rows rendered into one piece
+_CSV_ROWS = 4096   # CSV rows, or SVG polyline points, rendered into one piece
 
 
 def write_csv(report: dict, path: str) -> None:
@@ -160,8 +160,12 @@ def _svg_escape(s: str) -> str:
 
 
 def write_svg(report: dict, path: str) -> None:
-    """Plot the report series as polylines; no plotting library needed."""
-    series = {k: [float(v) for v in vs] for k, vs in (report.get("series") or {}).items()}
+    """Plot the report series as polylines; no plotting library needed.
+
+    The series are read in place, never copied, and each polyline's
+    points are rendered in blocks of ``_CSV_ROWS``.
+    """
+    series = dict(report.get("series") or {})
     if not series:
         # nothing to plot (e.g. the list report); keep --format svg total
         _emit(['<svg xmlns="http://www.w3.org/2000/svg" width="720" height="60" '
@@ -178,9 +182,11 @@ def write_svg(report: dict, path: str) -> None:
     ml, mr, mt, mb = 70, 24, 34, 52
     pw, ph = width - ml - mr, height - mt - mb
 
-    ys_all = [v for vs in series.values() for v in vs]
-    x_lo, x_hi = min(xs), max(xs)
-    y_lo, y_hi = min(ys_all), max(ys_all)
+    def ys_all():
+        return map(float, itertools.chain.from_iterable(series.values()))
+
+    x_lo, x_hi = min(map(float, xs)), max(map(float, xs))
+    y_lo, y_hi = min(ys_all()), max(ys_all())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -215,13 +221,15 @@ def write_svg(report: dict, path: str) -> None:
                   f'{_svg_escape(x_key)}</text>\n')
     for idx, name in enumerate(sorted(series)):
         color = _PALETTE[idx % len(_PALETTE)]
-        if len(series[name]) == 1:
-            pieces.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(series[name][0]):.2f}" '
+        ys = series[name]
+        if len(ys) == 1:
+            pieces.append(f'<circle cx="{px(float(xs[0])):.2f}" cy="{py(float(ys[0])):.2f}" '
                           f'r="3" fill="{color}"/>\n')
         else:
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
-                           if math.isfinite(y))
-            pieces += ('<polyline points="', pts,
+            pts = (f"{px(x):.2f},{py(y):.2f}" for x, y in zip(map(float, xs), map(float, ys))
+                   if math.isfinite(y))
+            blocks = iter(lambda: " ".join(itertools.islice(pts, _CSV_ROWS)), "")
+            pieces += ('<polyline points="', next(blocks, ""), *(" " + b for b in blocks),
                        f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
         pieces.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
                       f'fill="{color}">{_svg_escape(name)}</text>\n')

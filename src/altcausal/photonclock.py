@@ -514,6 +514,13 @@ class CascadeReport:
     best_step: int
 
 
+def _cascade_step(n: int) -> np.ndarray:
+    """exp(-i H pi/2) for the ``n``-site open chain, read-only, from the step table."""
+    from ._cascade_steps import STEPS
+    offset = 16 * sum(k * k for k in range(2, n))
+    return np.frombuffer(STEPS, dtype="<c16", count=n * n, offset=offset).reshape(n, n)
+
+
 def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
     """Hop a single excitation along an open chain of ``n`` partners.
 
@@ -523,6 +530,11 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
     after every step.  Reports the best fidelity of return to the
     initial end-site state within the horizon.  The evolution is a
     deterministic density-matrix calculation, so it takes no seed.
+
+    The step is read from a table of ``scipy.linalg.expm``'s results
+    for every allowed ``n`` (``altcausal._cascade_steps``), so no scipy
+    is imported; the tests check the table bit for bit against scipy
+    and against the chain's closed form.
     """
     if not 2 <= n <= MAX_CASCADE_SITES:
         raise ValueError(f"chain length must lie in [2, {MAX_CASCADE_SITES}], got {n}")
@@ -531,18 +543,15 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
     if not 0.0 <= noise <= 1.0:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
 
-    hop = np.zeros((n, n), dtype=complex)
-    for j in range(n - 1):
-        hop[j, j + 1] = hop[j + 1, j] = 1.0
-    from scipy.linalg import expm
-    step = expm(-1j * CASCADE_STEP * hop)
+    step = _cascade_step(n)
+    step_dag = step.conj().T
 
     rho = np.zeros((n, n), dtype=complex)
     rho[0, 0] = 1.0
     mix = np.eye(n, dtype=complex) / n
     fids = []
     for _ in range(horizon):
-        rho = step @ rho @ step.conj().T
+        rho = step @ rho @ step_dag
         if noise:
             rho = (1 - noise) * rho + noise * mix
         fids.append(float(np.real(rho[0, 0])))

@@ -318,31 +318,145 @@ def test_csv_pieces_match_one_buffer_across_block_boundaries(rows, tmp_path, cap
     assert capsys.readouterr().out == expected
 
 
-def _written_peak(report, path) -> int:
-    """The ``tracemalloc`` peak of ``write_json(report, path)``, above the report."""
+def _reference_svg(report) -> str:
+    """The former list-copying ``write_svg``, kept as the oracle of its bytes."""
+    series = {k: [float(v) for v in vs] for k, vs in report["series"].items()}
+    x_key = next((k for k in cli._X_KEYS if k in series), sorted(series)[0])
+    xs = series.pop(x_key)
+    width, height = 720, 440
+    ml, mr, mt, mb = 70, 24, 34, 52
+    pw, ph = width - ml - mr, height - mt - mb
+    ys_all = [v for vs in series.values() for v in vs]
+    x_lo, x_hi = min(xs), max(xs)
+    y_lo, y_hi = min(ys_all), max(ys_all)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+
+    def px(x):
+        return ml + pw * (x - x_lo) / (x_hi - x_lo)
+
+    def py(y):
+        return mt + ph * (1.0 - (y - y_lo) / (y_hi - y_lo))
+
+    pieces = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+        f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">\n',
+        f'<rect width="{width}" height="{height}" fill="white"/>\n',
+        f'<text x="{ml}" y="20" font-size="14">'
+        f'{cli._svg_escape(report.get("experiment", ""))}</text>\n',
+        f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>\n',
+        f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>\n',
+    ]
+    for i in range(5):
+        fx = x_lo + (x_hi - x_lo) * i / 4
+        fy = y_lo + (y_hi - y_lo) * i / 4
+        pieces += (f'<text x="{px(fx):.1f}" y="{mt + ph + 18}" text-anchor="middle">'
+                   f'{fx:.4g}</text>\n',
+                   f'<text x="{ml - 8}" y="{py(fy) + 4:.1f}" text-anchor="end">{fy:.4g}</text>\n',
+                   f'<line x1="{ml}" y1="{py(fy):.1f}" x2="{ml + pw}" y2="{py(fy):.1f}" '
+                   'stroke="#dddddd" stroke-width="0.5"/>\n')
+    pieces.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">'
+                  f'{cli._svg_escape(x_key)}</text>\n')
+    for idx, name in enumerate(sorted(series)):
+        color = cli._PALETTE[idx % len(cli._PALETTE)]
+        if len(series[name]) == 1:
+            pieces.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(series[name][0]):.2f}" '
+                          f'r="3" fill="{color}"/>\n')
+        else:
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
+                           if math.isfinite(y))
+            pieces += ('<polyline points="', pts,
+                       f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        pieces.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
+                      f'fill="{color}">{cli._svg_escape(name)}</text>\n')
+    pieces.append("</svg>\n")
+    return "".join(pieces)
+
+
+_B = cli._CSV_ROWS
+SVG_SERIES = {
+    "one point": {"t": [3], "y": [0.5]},
+    "constant": {"step": [1, 2, 3], "y": [2.0, 2.0, 2.0], "z": [2, 2, 2]},
+    "ints": {"cycle": [5, 6, 7, 8], "count": [3, -1, 4, 1]},
+    "no x key": {"b": [0.1, 0.2], "a": [1.0, -1.0]},
+    "non-finite": {"t": [0, 1, 2, 3], "y": [math.nan, 1.0, math.inf, 2.0],
+                   "z": [0.5, -math.inf, 0.25, 0.0]},
+    "nan first in the second series": {"t": [0, 1, 2], "a": [1.0, 2.0, 3.0],
+                                       "b": [math.nan, -5.0, 9.0]},
+    "ragged": {"t": [0.0, 0.5], "a": [1.0, 2.0, 3.0], "b": [], "c": [4.0]},
+    "block boundaries": {"t": list(range(2 * _B + 1)),
+                         "a": [i / 7 for i in range(_B - 1)], "b": [i / 3 for i in range(_B)],
+                         "c": [i / 9 for i in range(_B + 1)],
+                         "d": [math.nan if i % 5 == 0 else i for i in range(2 * _B + 1)]},
+    "every point dropped": {"t": [0, 1], "y": [math.nan, math.nan], "z": [0.0, 1.0]},
+}
+
+
+@pytest.mark.parametrize("series", SVG_SERIES.values(), ids=SVG_SERIES)
+def test_svg_is_written_as_the_reference(series, tmp_path, capsys):
+    report = {"experiment": "a < b & c", "series": series}
+    out = tmp_path / "r.svg"
+    cli.write_svg(report, str(out))
+    cli.write_svg(report, "-")
+    expected = _reference_svg(report)
+    assert out.read_bytes() == expected.encode()
+    assert capsys.readouterr().out == expected
+
+
+def _written_peak(writer, report, path) -> int:
+    """The ``tracemalloc`` peak of ``writer(report, path)``, above the report."""
     tracemalloc.start()
     try:
-        write_json(report, path)
+        writer(report, path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
+def _report_of(args, writer_name, monkeypatch):
+    """The report ``main(args)`` hands to ``cli.<writer_name>``."""
+    reports = []
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, writer_name, lambda report, path: reports.append(report))
+        assert main(args) == 0
+    report, = reports
+    return report
+
+
+def _writer_peaks(writer, report, path, monkeypatch) -> list[int]:
+    """The ``tracemalloc`` peaks of writing ``report`` to ``path`` and to stdout."""
+    peaks = [_written_peak(writer, report, path)]
+    with open(os.devnull, "w") as devnull, monkeypatch.context() as patch:
+        patch.setattr(sys, "stdout", devnull)
+        peaks.append(_written_peak(writer, report, "-"))
+    return peaks
+
+
 def test_writing_a_benchmark_size_report_holds_no_second_copy(monkeypatch, tmp_path):
     # the pieces are written as they are: no joined copy of the whole text
-    reports = []
-    monkeypatch.setattr(cli, "write_json", lambda report, path: reports.append(report))
-    assert main([*LINK_REPORTS[0], "--json", "-"]) == 0
-    report, = reports
-    monkeypatch.undo()
+    report = _report_of([*LINK_REPORTS[0], "--json", "-"], "write_json", monkeypatch)
     out = tmp_path / "r.json"
-    peaks = [_written_peak(report, str(out))]
-    with open(os.devnull, "w") as devnull:
-        monkeypatch.setattr(sys, "stdout", devnull)
-        peaks.append(_written_peak(report, "-"))
+    peaks = _writer_peaks(write_json, report, str(out), monkeypatch)
     size = out.stat().st_size
     assert size > 6_000_000
     assert max(peaks) <= 1.5 * size
+
+
+@pytest.mark.parametrize("args", [LINK_REPORTS[0], ["switch", "--points", "200000"]],
+                         ids=lambda a: a[0])
+def test_a_benchmark_size_svg_is_the_reference_and_holds_no_copy(args, monkeypatch, tmp_path):
+    # the series are read in place and the points rendered in blocks
+    report = _report_of([*args, "--svg", "-"], "write_svg", monkeypatch)
+    out = tmp_path / "r.svg"
+    peaks = _writer_peaks(cli.write_svg, report, str(out), monkeypatch)
+    text = out.read_bytes()
+    assert text == _reference_svg(report).encode()
+    assert len(text) > 2_000_000
+    assert max(peaks) <= 1.5 * len(text)
 
 
 def test_long_series_lists_skip_the_indenting_encoder(monkeypatch, tmp_path):
@@ -771,9 +885,9 @@ def test_import_leaves_scipy_unloaded():
 
 
 def _loaded_in_a_fresh_child(code: str) -> set[str]:
-    """numpy and the altcausal modules that a fresh interpreter holds after ``code``."""
+    """numpy, scipy and the altcausal modules that a fresh interpreter holds after ``code``."""
     code += ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-             " if m == 'numpy' or m.startswith('altcausal.')))")
+             " if m in ('numpy', 'scipy') or m.startswith('altcausal.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
@@ -789,16 +903,16 @@ def test_a_layer_resolves_on_first_access_to_the_package():
     assert _loaded_in_a_fresh_child(code) == {"altcausal.qcore", "numpy"}
 
 
-# what a run loads besides the cli: numpy and its layers; help and
-# refused inputs start without numpy
+# what a run loads besides the cli: numpy and its layers, and scipy for
+# rcp alone; help and refused inputs start without numpy
 LOADED_BY = {
     "duality": "numpy qcore process",
     "switch": "numpy qcore process",
     "ac-vs-ico": "numpy qcore process",
     "photonclock": "numpy qcore photonclock",
-    "cascade": "numpy qcore photonclock",
+    "cascade": "numpy qcore photonclock _cascade_steps",
     "wfecho": "numpy qcore photonclock",
-    "rcp": "numpy qcore photonclock",
+    "rcp": "numpy scipy qcore photonclock",
     "pif": "numpy piflink",
     "fito-vs-pif": "numpy piflink",
     "capacity": "numpy piflink",
@@ -816,7 +930,7 @@ def test_a_run_loads_only_the_layers_it_uses(command):
     code = ("import contextlib, io\nfrom altcausal.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
-    want = {"altcausal.cli"} | {m if m == "numpy" else f"altcausal.{m}"
+    want = {"altcausal.cli"} | {m if m in ("numpy", "scipy") else f"altcausal.{m}"
                                 for m in LOADED_BY[command].split()}
     assert _loaded_in_a_fresh_child(code) == want
 

@@ -1,5 +1,7 @@
+import base64
 import math
 import random
+import zlib
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from altcausal.qcore import (
 from altcausal.photonclock import (
     BoundaryConditions,
     BreakOutcome,
+    CASCADE_STEP,
     CausalBox,
     CascadeReport,
     MAX_CASCADE_SITES,
@@ -570,6 +573,53 @@ def test_cascade_rejects_bad_sizes():
         cascade(1, 0.0, horizon=4)
     with pytest.raises(ValueError):
         cascade(MAX_CASCADE_SITES + 1, 0.0, horizon=4)
+
+
+CASCADE_SITES = range(2, MAX_CASCADE_SITES + 1)
+
+
+def _chain_hopping(n):
+    hop = np.zeros((n, n), dtype=complex)
+    for j in range(n - 1):
+        hop[j, j + 1] = hop[j + 1, j] = 1.0
+    return hop
+
+
+def _regenerated_cascade_steps() -> str:
+    """The step table rebuilt with scipy, as ``_cascade_steps.py`` spells it.
+
+    This is the one way to rebuild the table: paste the lines into the
+    ``b85decode`` call there.
+    """
+    from scipy.linalg import expm
+    table = b"".join(expm(-1j * CASCADE_STEP * _chain_hopping(n)).astype("<c16").tobytes()
+                     for n in CASCADE_SITES)
+    text = base64.b85encode(zlib.compress(table, 9)).decode()
+    return "\n".join(f'    "{text[i:i + 72]}"' for i in range(0, len(text), 72))
+
+
+@pytest.mark.parametrize("n", CASCADE_SITES)
+def test_cascade_step_table_is_scipys_expm_bit_for_bit(n):
+    from scipy.linalg import expm
+    step = photonclock._cascade_step(n)
+    assert step.tobytes() == expm(-1j * CASCADE_STEP * _chain_hopping(n)).tobytes(), (
+        "the cascade step table no longer matches scipy.linalg.expm; the regenerated "
+        "table for src/altcausal/_cascade_steps.py is\n" + _regenerated_cascade_steps())
+
+
+@pytest.mark.parametrize("n", CASCADE_SITES)
+def test_cascade_step_table_matches_the_chain_closed_form(n):
+    # the open chain's sine modes, with eigenvalues 2 cos(k pi / (n + 1))
+    k = np.arange(1, n + 1)
+    modes = np.sqrt(2 / (n + 1)) * np.sin(np.outer(k, k) * np.pi / (n + 1))
+    phases = np.exp(-1j * CASCADE_STEP * 2 * np.cos(k * np.pi / (n + 1)))
+    closed = (modes * phases) @ modes.T
+    assert np.max(np.abs(photonclock._cascade_step(n) - closed)) <= 1e-14
+
+
+def test_cascade_step_table_covers_exactly_the_allowed_chain_lengths():
+    from altcausal._cascade_steps import STEPS
+    assert len(STEPS) == 16 * sum(n * n for n in CASCADE_SITES)
 
 
 # ---------------------------------------------------------------------------
