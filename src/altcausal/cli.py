@@ -308,7 +308,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
     """Defaults, then the --config file, then explicit flags, each value checked."""
     cfg = {key: spec.default for key, spec in params.items()}
-    if ns.config:
+    if ns.config is not None:
         with open(ns.config) as fh:
             loaded = json.load(fh, object_pairs_hook=_unique_keys)
         if not isinstance(loaded, dict):
@@ -689,10 +689,10 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     run before any file is written.  JSON comes first, as only its
     writer refuses a report.
     """
-    targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt)]
-    if ns.out and not ns.format:
+    targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
+    if ns.out is not None and ns.format is None:
         raise ValueError("--out needs --format")
-    for fmt in ns.format.split(",") if ns.format else ():
+    for fmt in ns.format.split(",") if ns.format is not None else ():
         fmt = fmt.strip()
         if fmt not in formats:
             raise ValueError(f"unknown output format {fmt!r}; pick from {','.join(formats)}")
@@ -735,6 +735,9 @@ def main(argv=None) -> int:
     # looked up per call, so a writer rebound on the module is the one used
     writers = {"json": write_json, "csv": write_csv, "svg": write_svg}
     try:
+        for option in (*writers, "out", "format", "config"):
+            if getattr(ns, option) == "":
+                raise ValueError(f"--{option} needs a value, got an empty one")
         targets = _targets(ns, writers)
         cfg = _config(ns, _EXPERIMENTS[ns.command].params)
         metrics, series, checks = _EXPERIMENTS[ns.command].run(cfg)

@@ -15,6 +15,7 @@ chain of exchange partners, and the absorber-reflection identity.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -28,6 +29,7 @@ from .qcore import (
     ComplexOperator,
     DensityMatrix,
     PAULI_X,
+    _noisy_orbit,
     fidelity,
     ket,
     projector,
@@ -211,16 +213,13 @@ def _direction_flip(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return x_full, x_dag
 
 
-def _flip_direction(photon: DensityMatrix) -> DensityMatrix:
-    x_full, x_dag = _direction_flip(photon.dim)
-    return DensityMatrix._trusted(x_full @ photon.entries @ x_dag, photon.dims)
-
-
-def _depolarize(photon: DensityMatrix, p: float) -> DensityMatrix:
-    if p == 0.0:
-        return photon
-    mix = np.eye(photon.dim, dtype=complex) / photon.dim
-    return DensityMatrix._trusted((1 - p) * photon.entries + p * mix, photon.dims)
+def _bounce_photon(box: CausalBox, n: int) -> None:
+    """Flip the direction qubit and depolarize the photon ``n`` times, wrapping it once."""
+    rho = box.photon.entries
+    flips = itertools.repeat(_direction_flip(box.photon.dim), n)
+    for rho in _noisy_orbit(rho, flips, box.decoherence_per_bounce):
+        pass
+    box.photon = DensityMatrix._trusted(rho, box.photon.dims)
 
 
 def bounce(box: CausalBox) -> CausalBox:
@@ -235,7 +234,7 @@ def bounce(box: CausalBox) -> CausalBox:
     rng = box._event_rng()
     decohered = bool(rng.random() < box.decoherence_per_bounce)
     box.ledger.append(box.current_direction, decohered)
-    box.photon = _depolarize(_flip_direction(box.photon), box.decoherence_per_bounce)
+    _bounce_photon(box, 1)
     return box
 
 
@@ -327,8 +326,8 @@ def run_bounces(box: CausalBox, n: int) -> CausalBox:
     """``n`` bounces in one pass, leaving ``box`` as ``n`` calls to ``bounce`` would.
 
     The decoherence flags are replayed in blocks by ``_event_draws``; the
-    photon is evolved on raw arrays in ``bounce``'s operation order and
-    wrapped once at the end.  Mutates ``box`` and returns it.
+    photon takes the same noisy steps as in ``bounce``, wrapped once at
+    the end.  Mutates ``box`` and returns it.
     """
     if n < 0:
         raise ValueError(f"bounce count must be >= 0, got {n}")
@@ -339,17 +338,7 @@ def run_bounces(box: CausalBox, n: int) -> CausalBox:
         # the sign alternates with the ledger length, as current_direction reads it
         signs = 1 - 2 * ((len(increments) + np.arange(draws.size)) % 2)
         increments.extend(map(TickRecord, signs.tolist(), (draws < p).tolist()))
-
-    dims = box.photon.dims
-    x_full, x_dag = _direction_flip(box.photon.dim)
-    keep = 1 - p
-    mixed = p * (np.eye(box.photon.dim, dtype=complex) / box.photon.dim)
-    rho = box.photon.entries
-    for _ in range(n):
-        rho = x_full @ rho @ x_dag
-        if p != 0.0:
-            rho = keep * rho + mixed
-    box.photon = DensityMatrix._trusted(rho, dims)
+    _bounce_photon(box, n)
     box._event_count += n
     return box
 
@@ -458,8 +447,10 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
     ``drift`` is max - min of the series; ``constant`` holds iff the
     drift stays below ``RCP_TOL``, which happens exactly when the reverse
     family is the dagger dual of the forward one and epsilon is zero.
-    A sample time at which the norm is not finite (the exponentials
-    overflow) is refused with a ``ValueError`` that names it.
+    A damping ``epsilon * |t|`` that overflows is refused with a
+    ``ValueError`` that names ``epsilon``, and a sample time at which
+    the norm is not finite (the exponentials overflow) with one that
+    names the time.
     """
     if len(ts) == 0:
         raise ValueError("need at least one sample time")
@@ -469,6 +460,10 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
         raise ValueError("state vector must be nonzero")
     v = v / norm
     ts = [float(t) for t in ts]
+    farthest = max(abs(t) for t in ts)
+    if not math.isfinite(op.epsilon * farthest):
+        raise ValueError(f"damping epsilon * |t| overflows at epsilon = {op.epsilon!r}, "
+                         f"|t| = {farthest!r}; lower epsilon or the sample times")
     h_plus = op.t_plus.entries
     h_minus = op.t_minus.entries
     g = np.eye(op.dim, dtype=complex)
@@ -491,7 +486,7 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
     for t, value in zip(ts, values):
         if not math.isfinite(value):
             raise ValueError(f"norm of R(t) is not finite at t = {t!r}; "
-                             "lower tmax, the largest sample time")
+                             "move tmax, the sample time farthest from 0, nearer to 0")
     drift = max(values) - min(values)
     return RcpInvariantReport(
         values=tuple(values),
@@ -544,17 +539,10 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
         raise ValueError(f"noise must lie in [0, 1], got {noise}")
 
     step = _cascade_step(n)
-    step_dag = step.conj().T
-
     rho = np.zeros((n, n), dtype=complex)
     rho[0, 0] = 1.0
-    mix = np.eye(n, dtype=complex) / n
-    fids = []
-    for _ in range(horizon):
-        rho = step @ rho @ step_dag
-        if noise:
-            rho = (1 - noise) * rho + noise * mix
-        fids.append(float(np.real(rho[0, 0])))
+    steps = itertools.repeat((step, step.conj().T), horizon)
+    fids = [float(np.real(state[0, 0])) for state in _noisy_orbit(rho, steps, noise)]
 
     best_idx = int(np.argmax(fids))
     return CascadeReport(

@@ -24,6 +24,7 @@ orientations stay valid at every instant and the duality holds exactly.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
@@ -38,6 +39,7 @@ from .qcore import (
     _STACK_ENTRIES,
     _choi,
     _entropies,
+    _noisy_orbit,
     _pure_states,
     identity,
     ket,
@@ -229,6 +231,8 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     if phase_mode not in ("continuous", "discrete"):
         raise ValueError(f"phase_mode must be 'continuous' or 'discrete', got {phase_mode!r}")
     period = 2 * math.pi / omega
+    if not math.isfinite(period):
+        raise ValueError(f"period 2 pi / omega overflows at omega = {omega!r}; raise omega")
     base = w_fwd.entries
     dims = w_fwd.dims
 
@@ -487,13 +491,10 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     d = model.target_dim
     target = projector(ket(0, d))
 
-    dim = 2 * d
-    mix = np.eye(dim, dtype=complex) / dim
     ident_c = np.eye(2, dtype=complex)
     m_even = np.kron(model.u_a.entries @ model.u_b.entries, ident_c)
     m_odd = np.kron(model.u_b.entries @ model.u_a.entries, ident_c)
     alternation = ((m_even, m_even.conj().T), (m_odd, m_odd.conj().T))
-    s, s_dag = model.joint, model.joint_dag
 
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     ac_state = np.kron(target.entries, np.outer(ket(0), ket(0).conj()))
@@ -503,22 +504,17 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     # validated target, so none is validated again; the entropies keep
     # their own negative-eigenvalue check.  The states are stacked in
     # blocks and each block's entropies are taken at once.
-    block = min(steps + 1, max(1, _STACK_ENTRIES // dim ** 2))
-    ac = np.empty((block, dim, dim), dtype=complex)
-    ico = np.empty_like(ac)
-    ac_series, ico_series = [], []
-    for k in range(steps + 1):
-        if k:
-            u, u_dag = alternation[(k - 1) % 2]
-            ac_state = (1 - noise) * (u @ ac_state @ u_dag) + noise * mix
-            ico_state = (1 - noise) * (s @ ico_state @ s_dag) + noise * mix
-        filled = k % block + 1
-        ac[filled - 1], ico[filled - 1] = ac_state, ico_state
-        if filled == block or k == steps:
-            ac_series += _entropies(ac[:filled])
-            ico_series += _entropies(ico[:filled])
+    block = max(1, _STACK_ENTRIES // (2 * d) ** 2)
+
+    def entropies(state, unitaries) -> tuple[float, ...]:
+        states = itertools.chain(
+            [state], itertools.islice(_noisy_orbit(state, unitaries, noise), steps))
+        series = []
+        for stack in iter(lambda: list(itertools.islice(states, block)), []):
+            series += _entropies(np.array(stack))
+        return tuple(series)
 
     return ComparisonReport(
-        ac_entropies=tuple(ac_series),
-        ico_entropies=tuple(ico_series),
+        ac_entropies=entropies(ac_state, itertools.cycle(alternation)),
+        ico_entropies=entropies(ico_state, itertools.repeat((model.joint, model.joint_dag))),
     )

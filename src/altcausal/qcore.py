@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -322,6 +322,24 @@ def _entropies(states: np.ndarray) -> list[float]:
         out[rows] = -(part * np.log2(part)).sum(axis=1)
     # the +0.0 turns the -0.0 of exactly pure states into +0.0
     return (out + 0.0).tolist()
+
+
+def _noisy_orbit(rho: np.ndarray, unitaries: Iterable[tuple[np.ndarray, np.ndarray]],
+                 p: float) -> Iterator[np.ndarray]:
+    """The state after each ``(u, u_dag)`` of ``unitaries``: a conjugation, then noise.
+
+    Each step is ``u @ rho @ u_dag`` followed by the depolarizing mix
+    ``(1 - p) * rho + p * I/d``, skipped when ``p`` is zero of either
+    sign.  Every density-matrix recurrence steps through here, so this
+    operation order fixes the bits of their reports.
+    """
+    d = rho.shape[-1]
+    mixed = p * (np.eye(d, dtype=complex) / d)
+    for u, u_dag in unitaries:
+        rho = u @ rho @ u_dag
+        if p != 0.0:
+            rho = (1 - p) * rho + mixed
+        yield rho
 
 
 def _psd_sqrt(m: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -76,6 +77,13 @@ def test_bad_format_exits_one(tmp_path, capsys):
     (["--json", "x.json", "--csv", "x.json"], "two outputs write to"),
     (["--json", "d/../wfecho.json", "--format", "json"], "two outputs write to"),
     (["--json", "d/stdout.txt", "--csv", "-"], "two outputs write to stdout"),
+    (["--json", ""], "--json needs a value"),
+    (["--csv", ""], "--csv needs a value"),
+    (["--svg", "", "--json", "-"], "--svg needs a value"),
+    (["--config", ""], "--config needs a value"),
+    (["--format", ""], "--format needs a value"),
+    (["--out", ""], "--out needs a value"),
+    (["--out", "", "--format", "json"], "--out needs a value"),
 ])
 def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, tmp_path,
                                                     capsys):
@@ -742,6 +750,7 @@ REJECTED = [
     (["switch", "--points", "0"], None, "points"),
     (["duality", "--skew", "-1"], None, "skew"),
     (["wfecho", "--transmitted", "nan"], None, "transmitted"),
+    (["rcp", "--epsilon", "1e308"], None, "epsilon"),
 ]
 
 
@@ -874,6 +883,55 @@ def test_overflowing_duality_phase_exits_one_without_warnings(args, tmp_path, ca
     assert main(["duality", *args, "--json", str(out)]) == 1
     assert "omega" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args, advice", [
+    (["duality", "--omega", "1e-308"], "raise omega"),
+    (["duality", "--omega", "5e-324"], "raise omega"),
+    (["rcp", "--tmax", "1e308", "--points", "3"], "nearer to 0"),
+    (["rcp", "--tmax=-1e308", "--points", "3"], "nearer to 0"),
+])
+def test_an_overflow_refusal_points_the_way_out(args, advice, capsys):
+    # a period 2 pi / omega that overflows needs a larger omega, and a
+    # negative tmax a smaller |tmax|, not a lower one
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert advice in err
+    assert err.count("\n") == 1
+
+
+EXTREMES = ("1e308", "-1e308", "5e-324", "-5e-324")
+
+
+def _extreme_float_runs(command):
+    """The arguments that set each float option of ``command`` to each of ``EXTREMES``,
+    with every size at its floor but at least 2, so that a sweep reaches its end."""
+    params = _EXPERIMENTS[command].params
+    sizes = [f"--{key.replace('_', '-')}={max(spec.low, 2)}" for key, spec in params.items()
+             if type(spec.default) is int and spec.high is not None]
+    # --key=value, as argparse reads a lone -1e308 as a flag
+    return [[command, *sizes, f"--{key.replace('_', '-')}={value}"]
+            for key, spec in params.items() if type(spec.default) is float
+            for value in EXTREMES]
+
+
+@pytest.mark.parametrize("command", [c for c in _EXPERIMENTS if _extreme_float_runs(c)])
+def test_every_float_option_at_its_extremes_runs_or_is_refused_cleanly(command, capsys):
+    unclean = []
+    for args in _extreme_float_runs(command):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                code = main(args)
+            except Exception as exc:   # a traceback at the command line
+                code = repr(exc)
+        err = capsys.readouterr().err
+        clean = (code == 0 and err == ""
+                 or code == 1 and err.startswith("error: ") and err.count("\n") == 1)
+        if caught or not clean:
+            unclean.append((" ".join(args[1:]), code, err, [str(w.message) for w in caught]))
+    assert unclean == []
 
 
 def test_import_leaves_scipy_unloaded():

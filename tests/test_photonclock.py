@@ -301,7 +301,7 @@ def _assert_same_box(fast, slow):
 
 
 @pytest.mark.parametrize("n, p", [(2000, 0.25), (16, 0.25), (100, 0.0), (99, 1.0),
-                                  (1, 0.0), (1, 1.0), (1, 0.25), (0, 0.25)])
+                                  (1, 0.0), (1, 1.0), (1, 0.25), (0, 0.25), (100, -0.0)])
 def test_run_bounces_matches_the_bounce_loop_bit_for_bit(n, p):
     _assert_same_box(*_bounced_pair(projector(ket(0)), p, 3, n))
 
@@ -566,6 +566,31 @@ def test_cascade_report_shape():
     assert all(-1e-12 <= f <= 1 + 1e-12 for f in rep.fidelities)
     with pytest.raises(TypeError):   # deterministic: no seed to pass
         cascade(3, 0.01, horizon=12, seed=5)
+
+
+def _reference_cascade(n, noise, horizon):
+    """cascade's former loop: one conjugation and one depolarizing mix per step."""
+    step = photonclock._cascade_step(n)
+    step_dag = step.conj().T
+    rho = np.zeros((n, n), dtype=complex)
+    rho[0, 0] = 1.0
+    mix = np.eye(n, dtype=complex) / n
+    fids = []
+    for _ in range(horizon):
+        rho = step @ rho @ step_dag
+        if noise:
+            rho = (1 - noise) * rho + noise * mix
+        fids.append(float(np.real(rho[0, 0])))
+    return fids
+
+
+@pytest.mark.parametrize("n", [2, 5, 12])
+@pytest.mark.parametrize("noise", [0.0, -0.0, 1e-300, 0.02, 1.0])
+def test_cascade_matches_the_per_step_reference_bit_for_bit(n, noise):
+    rep = cascade(n, noise, horizon=300)
+    fids = _reference_cascade(n, noise, 300)
+    assert np.array(rep.fidelities).tobytes() == np.array(fids).tobytes()
+    assert rep.best_step == int(np.argmax(fids)) + 1
 
 
 def test_cascade_rejects_bad_sizes():

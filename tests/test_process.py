@@ -601,7 +601,7 @@ def _reference_ac_vs_ico(u_a, u_b, noise, steps):
     return ac_series, ico_series
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 1.0, -0.0])
 def test_ac_vs_ico_matches_validated_reference_bit_for_bit(noise):
     rng = np.random.default_rng(60)
     pairs = [(PAULI_X, PAULI_Z), (PAULI_X, PAULI_X),
