@@ -310,7 +310,10 @@ def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
     cfg = {key: spec.default for key, spec in params.items()}
     if ns.config is not None:
         with open(ns.config) as fh:
-            loaded = json.load(fh, object_pairs_hook=_unique_keys)
+            try:
+                loaded = json.load(fh, object_pairs_hook=_unique_keys)
+            except RecursionError:
+                raise ValueError(f"config {ns.config!r} nests too deeply to read") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config must be a JSON object, got {type(loaded).__name__}")
         unknown = sorted(set(loaded) - set(params))

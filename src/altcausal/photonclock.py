@@ -19,7 +19,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -213,11 +213,15 @@ def _direction_flip(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return x_full, x_dag
 
 
+def _photon_orbit(photon: DensityMatrix, p: float) -> Iterator[np.ndarray]:
+    """The photon after each bounce: its direction qubit flipped, then depolarized by ``p``."""
+    return _noisy_orbit(photon.entries, itertools.repeat(_direction_flip(photon.dim)), p)
+
+
 def _bounce_photon(box: CausalBox, n: int) -> None:
-    """Flip the direction qubit and depolarize the photon ``n`` times, wrapping it once."""
+    """Bounce the photon ``n`` times, wrapping it once."""
     rho = box.photon.entries
-    flips = itertools.repeat(_direction_flip(box.photon.dim), n)
-    for rho in _noisy_orbit(rho, flips, box.decoherence_per_bounce):
+    for rho in itertools.islice(_photon_orbit(box.photon, box.decoherence_per_bounce), n):
         pass
     box.photon = DensityMatrix._trusted(rho, box.photon.dims)
 
@@ -335,8 +339,7 @@ def run_bounces(box: CausalBox, n: int) -> CausalBox:
     increments = box.ledger.increments
     for lo in range(0, n, _DRAW_CHUNK):
         draws = _event_draws(box.rng_seed, box._event_count + lo, min(_DRAW_CHUNK, n - lo))
-        # the sign alternates with the ledger length, as current_direction reads it
-        signs = 1 - 2 * ((len(increments) + np.arange(draws.size)) % 2)
+        signs = np.resize([box.current_direction, -box.current_direction], draws.size)
         increments.extend(map(TickRecord, signs.tolist(), (draws < p).tolist()))
     _bounce_photon(box, n)
     box._event_count += n
@@ -347,27 +350,21 @@ def check_nondiscernability(box: CausalBox, k_cycles: int) -> bool:
     """True iff every completed round trip restores the photon exactly.
 
     Requires a closed box (zero decoherence), otherwise the premise is
-    broken and a ValueError is raised.  The check simulates 2 * k_cycles
-    bounces on a copy and compares the state to the initial one
-    (fidelity within 1e-10) after every cycle.
+    broken and a ValueError is raised.  The check reads every second
+    state of the photon's orbit over 2 * k_cycles bounces and compares it
+    to the initial one (fidelity within 1e-10).  It leaves ``box`` as it
+    is: no event is drawn and no tick is written.
     """
     if box.decoherence_per_bounce != 0.0:
         raise ValueError("retroactive check requires zero decoherence")
     if k_cycles < 1:
         raise ValueError(f"k_cycles must be >= 1, got {k_cycles}")
 
-    probe = CausalBox(
-        photon=box.photon,
-        decoherence_per_bounce=0.0,
-        rng_seed=box.rng_seed,
-    )
     initial = box.photon
-    for _ in range(k_cycles):
-        bounce(probe)
-        bounce(probe)
-        if abs(fidelity(probe.photon, initial) - 1.0) > 1e-10:
-            return False
-    return True
+    round_trips = itertools.islice(_photon_orbit(initial, 0.0), 1, 2 * k_cycles, 2)
+    # each state is a unitary conjugate of the photon validated when it entered the box
+    return not any(abs(fidelity(DensityMatrix._trusted(rho, initial.dims), initial) - 1.0) > 1e-10
+                   for rho in round_trips)
 
 
 def break_symmetry(box: CausalBox, boundary: BoundaryConditions) -> BreakOutcome:
@@ -565,8 +562,8 @@ def wf_echo(alpha: float, i_transmitted: float) -> tuple[float, float]:
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"reflection coefficient must lie in [0, 1], got {alpha}")
-    if i_transmitted < 0:
-        raise ValueError(f"transmitted information must be >= 0, got {i_transmitted}")
+    if not (math.isfinite(i_transmitted) and i_transmitted >= 0):
+        raise ValueError(f"transmitted information must be finite and >= 0, got {i_transmitted}")
     i_reflected = alpha * i_transmitted
     delta_s = i_transmitted - i_reflected
     if i_reflected < 0.5 * i_transmitted:

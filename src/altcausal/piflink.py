@@ -162,8 +162,8 @@ def symmetry_check(joint: JointDistribution) -> float:
 
 def landauer_cost(bits: float, temperature_kelvin: float) -> float:
     """Minimum erasure cost k_B T ln2 per bit, in joules."""
-    if bits < 0:
-        raise ValueError(f"erased bits must be >= 0, got {bits}")
+    if not (math.isfinite(bits) and bits >= 0):
+        raise ValueError(f"erased bits must be finite and >= 0, got {bits}")
     if not (math.isfinite(temperature_kelvin) and temperature_kelvin >= 0):
         raise ValueError(f"temperature must be finite and >= 0, got {temperature_kelvin}")
     return bits * BOLTZMANN_J_PER_K * temperature_kelvin * math.log(2)

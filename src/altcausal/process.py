@@ -100,8 +100,8 @@ class ValidityReport:
     valid: bool
 
 
-def validate_ocb(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
-    """Check Hermiticity, positivity, and the in/out trace condition.
+def validate_ocb(w: ProcessMatrix) -> ValidityReport:
+    """Check Hermiticity, positivity, and the in/out trace condition, within ``DEFAULT_TOL``.
 
     The normalization condition is that tracing every out-labelled wire
     leaves the identity on the in-labelled wires, i.e. the local
@@ -113,12 +113,12 @@ def validate_ocb(w: ProcessMatrix, tol: float = DEFAULT_TOL) -> ValidityReport:
     reduced = partial_trace(w, keep=in_wires).entries
     d_in = reduced.shape[0]
     norm_dev = spectral_norm(reduced - np.eye(d_in))
-    valid = herm <= tol and lo >= -tol and norm_dev <= tol
+    valid = herm <= DEFAULT_TOL and lo >= -DEFAULT_TOL and norm_dev <= DEFAULT_TOL
     return ValidityReport(
         hermiticity_deviation=herm,
         min_eigenvalue=lo,
         normalization_deviation=norm_dev,
-        tol=tol,
+        tol=DEFAULT_TOL,
         valid=valid,
     )
 
@@ -370,17 +370,24 @@ def _control_projectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     return tuple(projs)
 
 
+def _target_control(target: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """``np.kron(target, c)`` for each control ``c`` of the stack ``controls``, bit for bit."""
+    side = 2 * target.shape[0]
+    return (target[None, :, None, :, None] * controls[:, None, :, None, :]).reshape(-1, side, side)
+
+
+def _switched(model: SwitchModel, target: np.ndarray, controls: np.ndarray) -> np.ndarray:
+    """``joint @ kron(target, c) @ joint_dag`` for each control ``c`` of the stack ``controls``."""
+    return model.joint @ _target_control(target, controls) @ model.joint_dag
+
+
 def switch_output(model: SwitchModel, target: DensityMatrix,
                   control: DensityMatrix) -> DensityMatrix:
     """Joint output state for the given target and control inputs."""
     if target.dim != model.target_dim or control.dim != 2:
         raise ValueError("target/control dimensions do not match the switch")
-    # np.kron(target, control) as np.kron forms it, without its per-call set-up
-    side = 2 * model.target_dim
-    joint = (target.entries[:, None, :, None]
-             * control.entries[None, :, None, :]).reshape(side, side)
     # a unitary conjugate of two validated states: valid without a recheck
-    return DensityMatrix._trusted(model.joint @ joint @ model.joint_dag,
+    return DensityMatrix._trusted(_switched(model, target.entries, control.entries[None])[0],
                                   (model.target_dim, 2))
 
 
@@ -408,16 +415,11 @@ def minus_outcome_sweep(model: SwitchModel, target: DensityMatrix, controls) -> 
     controls = np.asarray(controls)
     if target.dim != model.target_dim or controls.ndim != 2 or controls.shape[1] != 2:
         raise ValueError("target/control dimensions do not match the switch")
-    side = 2 * model.target_dim
     proj = _control_projectors(model.target_dim)[1]
-    block = max(1, _STACK_ENTRIES // side ** 2)
+    block = max(1, _STACK_ENTRIES // (2 * model.target_dim) ** 2)
     p_minus = []
     for start in range(0, len(controls), block):
-        states = _pure_states(controls[start:start + block])
-        # np.kron(target, control) per row, as switch_output forms it
-        joint = (target.entries[None, :, None, :, None]
-                 * states[:, None, :, None, :]).reshape(-1, side, side)
-        out = model.joint @ joint @ model.joint_dag
+        out = _switched(model, target.entries, _pure_states(controls[start:start + block]))
         p_minus += np.trace(proj @ out, axis1=1, axis2=2).real.tolist()
     return p_minus
 
@@ -429,7 +431,7 @@ def traced_target_channel(model: SwitchModel, control: DensityMatrix) -> Channel
     d = model.target_dim
 
     def image(unit: np.ndarray) -> np.ndarray:
-        joint = model.joint @ np.kron(unit, control.entries) @ model.joint_dag
+        joint = _switched(model, unit, control.entries[None])
         return np.einsum("acbc->ab", joint.reshape(d, 2, d, 2))
 
     return Channel(_choi(d, d, image), (d, d))
@@ -496,9 +498,8 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     m_odd = np.kron(model.u_b.entries @ model.u_a.entries, ident_c)
     alternation = ((m_even, m_even.conj().T), (m_odd, m_odd.conj().T))
 
-    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
-    ac_state = np.kron(target.entries, np.outer(ket(0), ket(0).conj()))
-    ico_state = np.kron(target.entries, np.outer(plus, plus.conj()))
+    # control |0> for the alternating protocol, |+> for the coherent one
+    ac_state, ico_state = _target_control(target.entries, _pure_states([[1, 0], [1, 1]]))
 
     # Every state is a unitary conjugate or depolarizing mix of the
     # validated target, so none is validated again; the entropies keep

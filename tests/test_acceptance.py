@@ -60,7 +60,8 @@ def test_c02_process_validity():
         chan = qcore.random_channel(2, 2, rng)
         for order in ("AB", "BA"):
             w = process.from_channel_order(chan, order=order)
-            all_valid &= process.validate_ocb(w, tol=1e-9).valid
+            rep = process.validate_ocb(w)
+            all_valid &= rep.valid and rep.tol == 1e-9
     plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
     controls = (qcore.projector(qcore.ket(0)), qcore.projector(qcore.ket(1)),
                 qcore.DensityMatrix(np.outer(plus, plus.conj()), (2,)))
@@ -70,7 +71,8 @@ def test_c02_process_validity():
                                              qcore.random_unitary(2, rng))
         for control in controls:
             w = process.switch_process_matrix(model, control)
-            all_valid &= process.validate_ocb(w, tol=1e-9).valid
+            rep = process.validate_ocb(w)
+            all_valid &= rep.valid and rep.tol == 1e-9
     elapsed = time.perf_counter() - start
     ok = all_valid and elapsed < 10.0
     assert _verdict(2, "process-matrix validity", ok,

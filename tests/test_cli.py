@@ -536,6 +536,18 @@ def test_repeated_config_key_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("opener", ["[", '{"seed": '])
+def test_deeply_nested_config_is_refused_in_one_line(opener, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(opener * 200_000)
+    out = tmp_path / "r.json"
+    assert main(["duality", "--config", str(cfg), "--json", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "nests too deeply" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_factor": 9}))
@@ -702,7 +714,7 @@ def test_photonclock_series_matches_a_reading_after_every_bounce(tmp_path):
 
 
 def test_photonclock_sweep_bounces_in_one_pass(monkeypatch, tmp_path):
-    # only check_nondiscernability's 3 cycles still call bounce
+    # check_nondiscernability's 3 cycles read the photon's orbit, so nothing calls bounce
     calls = []
     per_event = photonclock.bounce
     monkeypatch.setattr(photonclock, "bounce",
@@ -711,7 +723,7 @@ def test_photonclock_sweep_bounces_in_one_pass(monkeypatch, tmp_path):
         calls.clear()
         assert main(["photonclock", "--bounces", str(bounces),
                      "--json", str(tmp_path / "p.json")]) == 0
-        assert len(calls) == 6
+        assert len(calls) == 0
 
 
 def test_duality_deviation_is_tiny(tmp_path):
@@ -774,6 +786,18 @@ CEILINGS = [("pif", "slices", 1_000_000), ("fito-vs-pif", "slices", 1_000_000),
             ("duality", "points", 4_000_000), ("switch", "points", 3_000_000),
             ("rcp", "points", 500_000), ("ac-vs-ico", "steps", 3_000_000),
             ("cascade", "horizon", 4_000_000), ("cascade", "sites", 12)]
+
+
+def test_every_ceiling_is_tested_and_named_in_the_readme():
+    highs = sorted((command, key, spec.high) for command, experiment in _EXPERIMENTS.items()
+                   for key, spec in experiment.params.items() if spec.high is not None)
+    assert highs == sorted(CEILINGS)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # one line of words, so that a wrapped entry still matches
+    ceilings = " ".join(readme[readme.index("have a ceiling"):
+                               readme.index("- a string option")].split())
+    for command, key, ceiling in CEILINGS:
+        assert f"`{command} --{key.replace('_', '-')}` at most {ceiling:,}" in ceilings
 
 
 @pytest.mark.parametrize("command, key, ceiling", CEILINGS)

@@ -336,6 +336,79 @@ def test_nondiscernability_requires_closed_box():
         check_nondiscernability(CausalBox(decoherence_per_bounce=0.01), k_cycles=1)
 
 
+def _reference_nondiscernability(box, k_cycles):
+    """check_nondiscernability's former body: a probe box bounced 2 * k_cycles times."""
+    if box.decoherence_per_bounce != 0.0:
+        raise ValueError("retroactive check requires zero decoherence")
+    if k_cycles < 1:
+        raise ValueError(f"k_cycles must be >= 1, got {k_cycles}")
+
+    probe = CausalBox(
+        photon=box.photon,
+        decoherence_per_bounce=0.0,
+        rng_seed=box.rng_seed,
+    )
+    initial = box.photon
+    for _ in range(k_cycles):
+        bounce(probe)
+        bounce(probe)
+        if abs(fidelity(probe.photon, initial) - 1.0) > 1e-10:
+            return False
+    return True
+
+
+def _round_trip_photons():
+    rng = np.random.default_rng(47)
+    return {"direction": projector(ket(0)),
+            "mixed_polarized": DensityMatrix(random_density_matrix(4, rng).entries, (2, 2)),
+            "three_level": DensityMatrix(random_density_matrix(6, rng).entries, (2, 3))}
+
+
+@pytest.mark.parametrize("photon", sorted(_round_trip_photons()))
+@pytest.mark.parametrize("k_cycles", [1, 2, 7, 1000])
+def test_nondiscernability_matches_the_probe_box_reference(photon, k_cycles, monkeypatch):
+    state = _round_trip_photons()[photon]
+    box = CausalBox(photon=state, rng_seed=6)
+    compared = []
+    measured = photonclock.fidelity
+    monkeypatch.setattr(photonclock, "fidelity", lambda rho, sigma: compared.append(
+        (rho.entries.tobytes(), sigma is state)) or measured(rho, sigma))
+    assert check_nondiscernability(box, k_cycles) is _reference_nondiscernability(box, k_cycles)
+    # every round trip is compared, as the probe box reaches it, against the photon itself
+    probe = CausalBox(photon=state)
+    round_trips = [bounce(bounce(probe)).photon.entries.tobytes() for _ in range(k_cycles)]
+    assert compared == [(entries, True) for entries in round_trips]
+
+
+@pytest.mark.parametrize("k_cycles", [1, 7])
+def test_nondiscernability_matches_the_reference_when_a_round_trip_differs(k_cycles,
+                                                                          monkeypatch):
+    # a phase flip S in place of the mirror: S S = Z sends |+> to |->
+    s_gate = np.diag([1.0, 1j])
+    monkeypatch.setattr(photonclock, "_direction_flip", lambda dim: (s_gate, s_gate.conj().T))
+    for vec, indiscernible in ((ket(0), True), (np.array([1.0, 1.0]), False)):
+        box = CausalBox(photon=projector(vec))
+        assert check_nondiscernability(box, k_cycles) is indiscernible
+        assert _reference_nondiscernability(box, k_cycles) is indiscernible
+
+
+def test_nondiscernability_leaves_the_box_untouched(monkeypatch):
+    box = CausalBox(photon=_round_trip_photons()["three_level"], rng_seed=5)
+    run_bounces(box, 3)
+    photon, events, ticks = box.photon, box._event_count, box.ledger.traversal_count
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the round-trip probe bounced a box or drew an event")
+
+    monkeypatch.setattr(CausalBox, "_event_rng", refused)
+    monkeypatch.setattr(photonclock, "CausalBox", refused)
+    monkeypatch.setattr(photonclock, "bounce", refused)
+    assert check_nondiscernability(box, 7)
+    assert box.photon is photon
+    assert box._event_count == events == 3
+    assert box.ledger.traversal_count == ticks == 3
+
+
 # ---------------------------------------------------------------------------
 # symmetry breaking
 # ---------------------------------------------------------------------------
@@ -662,6 +735,9 @@ def test_wf_echo_rejects_bad_inputs():
         wf_echo(1.2, 1.0)
     with pytest.raises(ValueError):
         wf_echo(0.5, -1.0)
+    for transmitted in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            wf_echo(0.5, transmitted)
 
 
 @settings(max_examples=300)

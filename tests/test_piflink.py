@@ -398,6 +398,9 @@ def test_landauer_cost_oracles():
     for temperature in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             landauer_cost(1.0, temperature)
+    for bits in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            landauer_cost(bits, 300.0)
 
 
 # ---------------------------------------------------------------------------

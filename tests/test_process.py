@@ -498,6 +498,26 @@ def test_switch_output_matches_validated_reference_bit_for_bit(dim):
                 assert not fast.entries.flags.writeable
 
 
+def test_target_control_product_is_np_kron_bit_for_bit():
+    rng = np.random.default_rng(58)
+    controls = np.array([random_density_matrix(2, rng).entries for _ in range(5)])
+    for dim in (2, 3, 4):
+        target = random_density_matrix(dim, rng).entries
+        got = process._target_control(target, controls)
+        assert got.shape == (5, 2 * dim, 2 * dim)
+        for product, control in zip(got, controls):
+            assert product.tobytes() == np.kron(target, control).tobytes()
+
+
+def test_ac_vs_ico_start_states_are_the_former_kron_products():
+    plus = np.array([1.0, 1.0], dtype=complex) / math.sqrt(2)
+    for dim in (2, 3):
+        target = projector(ket(0, dim)).entries
+        ac, ico = process._target_control(target, process._pure_states([[1, 0], [1, 1]]))
+        assert ac.tobytes() == np.kron(target, np.outer(ket(0), ket(0).conj())).tobytes()
+        assert ico.tobytes() == np.kron(target, np.outer(plus, plus.conj())).tobytes()
+
+
 def _reference_interference(model, target, control):
     """control_interference_probabilities' former body, projectors built per call."""
     out = _reference_switch_output(model, target, control)
