@@ -459,8 +459,7 @@ def _photonclock(cfg):
         raise ValueError(f"tick_seconds = {cfg['tick_seconds']!r} overflows "
                          f"classical_time_seconds at a classical time of {cumulative[-1]!r}")
 
-    coherent_probe = photonclock.CausalBox(rng_seed=cfg["seed"])
-    indiscernible = photonclock.check_nondiscernability(coherent_probe, k_cycles=3)
+    indiscernible = photonclock.check_nondiscernability(photonclock.CausalBox(), k_cycles=3)
     breaker = photonclock.CausalBox(rng_seed=cfg["seed"] + 1)
     outcome = photonclock.break_symmetry(
         breaker, photonclock.BoundaryConditions(0.25, 0.25, 0.25, 0.25))

@@ -73,9 +73,9 @@ class TickRecord(NamedTuple):
 
 @dataclass
 class TickLedger:
-    """Ordered record of signed traversal ticks."""
+    """Ordered record of signed traversal ticks; it starts empty."""
 
-    increments: list[TickRecord] = field(default_factory=list)
+    increments: list[TickRecord] = field(default_factory=list, init=False)
 
     def append(self, value: int, decohered: bool) -> None:
         if value not in (-1, 1):
@@ -176,7 +176,7 @@ class CausalBox:
 
     photon: DensityMatrix | None = None
     decoherence_per_bounce: float = 0.0
-    ledger: TickLedger = field(default_factory=TickLedger)
+    ledger: TickLedger = field(default_factory=TickLedger, init=False)
     rng_seed: int = 0
     _event_count: int = field(default=0, init=False, repr=False)
 

@@ -173,17 +173,28 @@ def landauer_cost(bits: float, temperature_kelvin: float) -> float:
 # ledgers and configuration
 # ---------------------------------------------------------------------------
 
+def _balanced(i_transmitted, i_reflected):
+    """``i_reflected``, moved where it and ``delta_s`` do not add back to ``i_transmitted``.
+
+    That happens only where i_reflected < i_transmitted / 2, so there
+    i_transmitted - delta_s is exact (Sterbenz's lemma): it keeps delta_s
+    and balances the sum.  Takes floats or float64 columns.
+    """
+    delta_s = i_transmitted - i_reflected
+    return np.where(i_reflected + delta_s == i_transmitted, i_reflected, i_transmitted - delta_s)
+
+
 @dataclass(frozen=True)
 class InfoLedger:
     """Directed information tallies, in bits (cost in joules).
 
-    ``delta_s`` is derived, never stored independently, so the balance
-    i_reflected + delta_s = i_transmitted holds bit for bit.
+    ``i_transmitted`` is ``i_plus`` and ``delta_s`` is derived, never passed in;
+    ``_balanced`` keeps i_reflected + delta_s = i_transmitted exact, bit for bit.
     """
 
     i_plus: float
     i_minus: float
-    i_transmitted: float
+    i_transmitted: float = field(init=False)
     i_reflected: float
     h_in: float
     h_out: float
@@ -191,12 +202,13 @@ class InfoLedger:
     delta_s: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("i_plus", "i_minus", "i_transmitted", "i_reflected",
-                     "h_in", "h_out", "landauer_joules"):
+        for name in ("i_plus", "i_minus", "i_reflected", "h_in", "h_out", "landauer_joules"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.i_reflected > self.i_transmitted:
+        if self.i_reflected > self.i_plus:
             raise ValueError("reflected information exceeds transmitted information")
+        object.__setattr__(self, "i_transmitted", self.i_plus)
+        object.__setattr__(self, "i_reflected", float(_balanced(self.i_plus, self.i_reflected)))
         object.__setattr__(self, "delta_s", self.i_transmitted - self.i_reflected)
 
 
@@ -208,8 +220,8 @@ class CycleColumns:
     the same checks as an ``InfoLedger``: every field is non-negative and
     the reflected share never exceeds the transmitted one.  A cycle's
     transmitted information is its forward directed information, so
-    ``i_transmitted`` is ``i_plus`` and ``delta_s`` is derived from the
-    two, never stored.
+    ``i_transmitted`` is ``i_plus``, ``delta_s`` is derived from the two,
+    never stored, and ``i_reflected`` is balanced as in an ``InfoLedger``.
     """
 
     i_plus: np.ndarray
@@ -234,6 +246,8 @@ class CycleColumns:
         if bad.size:
             raise ValueError(
                 f"reflected information exceeds transmitted information in cycle {bad[0]}")
+        object.__setattr__(self, "i_reflected", _balanced(self.i_plus, self.i_reflected))
+        self.i_reflected.setflags(write=False)
 
     def __len__(self) -> int:
         return self.i_plus.shape[0]
@@ -430,7 +444,6 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     ones_out_total = int(ones_out.sum())
     total_bits = n * SLICE_BITS
     ledger = InfoLedger(
-        i_transmitted=totals["i_plus"],
         h_in=total_bits * binary_entropy(ones_in_total / total_bits),
         h_out=total_bits * binary_entropy(ones_out_total / total_bits),
         **totals,

@@ -296,6 +296,8 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
     the returned family is ``epsilon`` up to float error.  A second
     perturbation adds to the first.
     """
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and >= 0, got {epsilon}")
     d = math.prod(fam.dims)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))

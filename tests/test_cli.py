@@ -613,6 +613,18 @@ def test_clean_pif_balances_exactly(tmp_path):
     assert metrics["detected_mismatches"] == 0
 
 
+@pytest.mark.parametrize("seed", ["6", "8"])
+def test_lossy_pif_balances_exactly(seed, tmp_path):
+    # seeds whose run totals i_reflected + (i_transmitted - i_reflected) round away
+    # from i_transmitted
+    out = tmp_path / "pif.json"
+    assert main(["pif", "--flip-forward", "0.01", "--flip-backward", "0.01",
+                 "--echo-loss", "0.6", "--seed", seed, "--json", str(out)]) == 0
+    metrics = json.loads(out.read_text())["metrics"]
+    assert metrics["i_reflected"] + metrics["delta_s"] == metrics["i_transmitted"]
+    assert metrics["i_transmitted"] == metrics["i_plus"]
+
+
 @pytest.mark.parametrize("command", ["pif", "fito-vs-pif"])
 @pytest.mark.parametrize("temperature", ["nan", "inf", "-inf"])
 def test_non_finite_link_temperature_exits_one(command, temperature, tmp_path, capsys):
@@ -1015,6 +1027,22 @@ def test_a_run_loads_only_the_layers_it_uses(command):
     want = {"altcausal.cli"} | {m if m in ("numpy", "scipy") else f"altcausal.{m}"
                                 for m in LOADED_BY[command].split()}
     assert _loaded_in_a_fresh_child(code) == want
+
+
+def test_readme_layer_table_matches_what_each_run_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme[readme.index("| experiment | layers |"):]
+    table = table[:table.index("\n\n")].splitlines()[2:]
+    named = {}
+    for row in table:
+        experiments, layers = row.replace("`", "").strip("| ").split(" | ")
+        named.update(dict.fromkeys(experiments.split(", "), set(layers.split(", "))))
+    # numpy goes with every layer, scipy has its own sentence, and the step table is private
+    loaded = {command: set(modules.split()) - {"numpy", "scipy", "_cascade_steps"}
+              for command, modules in LOADED_BY.items() if command in _EXPERIMENTS and modules}
+    assert named == loaded
+    with_scipy = [command for command, modules in LOADED_BY.items() if "scipy" in modules.split()]
+    assert with_scipy == ["rcp"] and "`rcp` also loads scipy" in readme
 
 
 def test_cascade_sites_ceiling_is_the_chain_limit():

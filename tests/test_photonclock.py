@@ -39,6 +39,7 @@ from altcausal.photonclock import (
     wf_echo,
 )
 from altcausal import photonclock
+from altcausal.piflink import InfoLedger
 
 
 def _ledger(seq):
@@ -156,6 +157,25 @@ def test_event_counter_is_not_a_constructor_argument():
     with pytest.raises(TypeError):
         CausalBox(_event_count=5)
     assert "_event_count" not in repr(CausalBox())
+    # nor do the ledgers take a history: a tick enters only by append or a bounce,
+    # and the transmitted information is always the forward one
+    with pytest.raises(TypeError, match="ledger"):
+        CausalBox(ledger=TickLedger())
+    with pytest.raises(TypeError, match="ledger"):
+        CausalBox(ledger="oops")
+    with pytest.raises(TypeError, match="increments"):
+        TickLedger(increments=[photonclock.TickRecord(5, True)])
+    with pytest.raises(TypeError, match="i_transmitted"):
+        InfoLedger(i_plus=2.0, i_minus=0.0, i_transmitted=2.0, i_reflected=1.0,
+                   h_in=0.0, h_out=0.0, landauer_joules=0.0)
+    box = run_bounces(CausalBox(rng_seed=4), 3)
+    assert box.ledger.increments == [(1, False), (-1, False), (1, False)]
+    assert repr(CausalBox()).endswith("ledger=TickLedger(increments=[]), rng_seed=0)")
+    led = InfoLedger(i_plus=2.0, i_minus=0.0, i_reflected=1.0,
+                     h_in=0.0, h_out=0.0, landauer_joules=0.0)
+    assert (led.i_transmitted, led.delta_s) == (2.0, 1.0)
+    assert repr(led) == ("InfoLedger(i_plus=2.0, i_minus=0.0, i_transmitted=2.0, i_reflected=1.0, "
+                         "h_in=0.0, h_out=0.0, landauer_joules=0.0, delta_s=1.0)")
 
 
 def test_two_bounces_restore_state():

@@ -117,12 +117,54 @@ def test_conservation_check_hand_built_series():
 
 
 def test_info_ledger_derives_delta_s():
-    led = InfoLedger(i_plus=10.0, i_minus=4.0, i_transmitted=10.0, i_reflected=4.0,
+    led = InfoLedger(i_plus=10.0, i_minus=4.0, i_reflected=4.0,
                      h_in=1.0, h_out=1.0, landauer_joules=0.0)
     assert led.delta_s == 6.0
     with pytest.raises(ValueError):
-        InfoLedger(i_plus=1.0, i_minus=0.0, i_transmitted=1.0, i_reflected=2.0,
+        InfoLedger(i_plus=1.0, i_minus=0.0, i_reflected=2.0,
                    h_in=0.0, h_out=0.0, landauer_joules=0.0)
+
+
+_finite = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+# (T, R) pairs whose plain difference does not add back to T; the first two are
+# the run totals of `pif --flip-forward 0.01 --flip-backward 0.01 --echo-loss 0.6`
+# at seeds 6 and 8
+_UNBALANCED = [(119367.5357592767, 44246.73680333411), (119469.83727731915, 45507.10748400134),
+               (86028.97789205496, 19973.874988196003), (51011.598092867636, 10666.065676889677)]
+
+
+def _ledger_pair(pair):
+    t, r = max(pair), min(pair)
+    return t, r, InfoLedger(i_plus=t, i_minus=0.0, i_reflected=r,
+                            h_in=0.0, h_out=0.0, landauer_joules=0.0)
+
+
+# a share of a finite total, so that R < T / 2 (where the rule can fire) comes up often
+_shares = st.builds(lambda t, alpha: (t, t * alpha), _finite, st.floats(min_value=0.0, max_value=1.0))
+
+
+@given(st.lists(st.tuples(_finite, _finite) | _shares, min_size=1, max_size=20))
+def test_ledgers_balance_exactly(pairs):
+    pairs = [*pairs, *_UNBALANCED]
+    for pair in pairs:
+        t, r, led = _ledger_pair(pair)
+        assert led.i_transmitted == t
+        assert led.i_reflected + led.delta_s == led.i_transmitted
+        assert 0.0 <= led.i_reflected <= t
+        if r + (t - r) == t:
+            assert _float_bits(led.i_reflected) == _float_bits(r)   # balanced: untouched
+        else:
+            assert led.delta_s == t - r and abs(led.i_reflected - r) <= math.ulp(t)
+    ts = np.array([max(p) for p in pairs])
+    rs = np.array([min(p) for p in pairs])
+    zeros = np.zeros(len(pairs))
+    cols = CycleColumns(i_plus=ts, i_minus=zeros, i_reflected=rs, h_in=zeros, h_out=zeros,
+                        landauer_joules=zeros)
+    assert np.array_equal(cols.i_reflected + cols.delta_s, cols.i_transmitted)
+    assert not cols.i_reflected.flags.writeable
+    assert cols.i_reflected.tolist() == [_ledger_pair(p)[2].i_reflected for p in pairs]
+    balanced = rs + (ts - rs) == ts
+    assert _float_bits(cols.i_reflected[balanced]) == _float_bits(rs[balanced])
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +517,6 @@ def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
         cycles.append(InfoLedger(
             i_plus=i_plus,
             i_minus=i_minus,
-            i_transmitted=i_plus,
             i_reflected=i_reflected,
             h_in=64 * binary_entropy(int(sent[k].sum()) / 64),
             h_out=64 * binary_entropy(int(received[k].sum()) / 64),
@@ -483,8 +524,7 @@ def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
         ))
 
     totals = {name: _left_to_right_sum(getattr(c, name) for c in cycles)
-              for name in ("i_plus", "i_minus", "i_transmitted", "i_reflected",
-                           "landauer_joules")}
+              for name in ("i_plus", "i_minus", "i_reflected", "landauer_joules")}
     total_bits = n * 64
     ledger = InfoLedger(
         h_in=total_bits * binary_entropy(int(sent.sum()) / total_bits),

@@ -234,6 +234,15 @@ def test_second_skew_perturbation_adds_to_the_first():
     assert twice.backward(0.5).entries.tobytes() == (back + twice.skew).tobytes()
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-3, -5e-324])
+def test_skew_perturbation_refuses_a_non_finite_or_negative_epsilon(eps):
+    rng = np.random.default_rng(11)
+    fam = build_alternating_family(from_channel_order(random_channel(2, 2, rng), "AB"), 1.0)
+    with pytest.raises(ValueError, match="epsilon must be finite and >= 0"):
+        with_skew_perturbation(fam, eps, seed=1)
+    assert check_duality(with_skew_perturbation(fam, 0.0, seed=1), np.linspace(0, 6, 13)) == 0.0
+
+
 @pytest.mark.parametrize("phase_mode", ["continuous", "discrete"])
 def test_backward_member_is_the_dagger_of_the_time_reversed_forward(phase_mode):
     rng = np.random.default_rng(13)
