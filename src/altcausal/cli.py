@@ -542,10 +542,7 @@ def _pif(cfg):
     led = rep.ledger
     conservation = piflink.conservation_check(rep.cycles) if len(rep.cycles) > 1 else 0.0
     metrics = {
-        "i_plus": led.i_plus, "i_minus": led.i_minus,
-        "i_transmitted": led.i_transmitted, "i_reflected": led.i_reflected,
-        "delta_s": led.delta_s, "h_in": led.h_in, "h_out": led.h_out,
-        "landauer_joules": led.landauer_joules,
+        **asdict(led),
         "detected_mismatches": rep.detected_mismatches,
         "lost_echoes": rep.lost_echoes,
         "undetected_corruptions": rep.undetected_corruptions,

@@ -153,9 +153,9 @@ class BoundaryConditions:
 
     def __post_init__(self):
         w = self.weights()
-        if any(x < 0 for x in w):
+        if any(not x >= 0 for x in w):
             raise ValueError(f"outcome weights must be non-negative, got {w}")
-        if abs(sum(w) - 1.0) > 1e-9:
+        if not abs(sum(w) - 1.0) <= 1e-9:
             raise ValueError(f"outcome weights must sum to 1, got sum {sum(w)}")
 
     def weights(self) -> tuple[float, float, float, float]:
@@ -413,7 +413,7 @@ class RcpOperator:
             dev = gen.hermiticity_deviation()
             if dev > DEFAULT_TOL:
                 raise ValueError(f"generator is not Hermitian: deviation {dev:.3e}")
-        if self.epsilon < 0:
+        if not self.epsilon >= 0:
             raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
 
     @property
@@ -556,9 +556,12 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
 def wf_echo(alpha: float, i_transmitted: float) -> tuple[float, float]:
     """Split transmitted information into reflected and absorbed parts.
 
-    Returns (i_reflected, delta_s) with i_reflected = alpha * i_transmitted
-    and delta_s the exact remainder, so the two always add back to
-    i_transmitted bit for bit.
+    Returns (i_reflected, delta_s).  delta_s is i_transmitted minus the
+    product alpha * i_transmitted.  Where the product is at least half of
+    i_transmitted, i_reflected is the product; below that it is
+    i_transmitted - delta_s, which may differ from the product by an ulp
+    even where the product already balances.  Either way the two add back
+    to i_transmitted bit for bit.
     """
     if not 0.0 <= alpha <= 1.0:
         raise ValueError(f"reflection coefficient must lie in [0, 1], got {alpha}")

@@ -106,15 +106,9 @@ def binary_entropy(p: float) -> float:
 
 def shannon_entropy(dist) -> float:
     """Entropy of a discrete distribution in bits, 0 log 0 = 0."""
-    p = np.asarray(dist, dtype=float).reshape(-1)
-    if np.any(p < -1e-12):
-        raise ValueError("probabilities must be non-negative")
-    total = p.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"probabilities must sum to 1, got {total}")
-    p = np.clip(p, 0.0, None)
+    p = JointDistribution(np.ravel(dist)[None, :]).p
     p = p[p > 0]
-    return float(-(p * np.log2(p)).sum())
+    return float(-(p * np.log2(p)).sum() + 0.0)   # + 0.0 turns -0.0 into 0.0
 
 
 @dataclass(frozen=True)
@@ -127,10 +121,10 @@ class JointDistribution:
         table = np.array(p, dtype=float)
         if table.ndim != 2:
             raise ValueError(f"joint distribution must be 2-dimensional, got shape {table.shape}")
-        if np.any(table < -1e-12):
-            raise ValueError("joint probabilities must be non-negative")
-        if abs(table.sum() - 1.0) > 1e-9:
-            raise ValueError(f"joint probabilities must sum to 1, got {table.sum()}")
+        if not (table >= -1e-12).all():
+            raise ValueError("probabilities must be finite and non-negative")
+        if not abs(table.sum() - 1.0) <= 1e-9:
+            raise ValueError(f"probabilities must sum to 1, got {table.sum()}")
         table = np.clip(table, 0.0, None)
         table.setflags(write=False)
         object.__setattr__(self, "p", table)
@@ -138,9 +132,10 @@ class JointDistribution:
     @classmethod
     def from_counts(cls, counts) -> "JointDistribution":
         c = np.asarray(counts, dtype=float)
-        if c.sum() <= 0:
-            raise ValueError("counts must be positive")
-        return cls(c / c.sum())
+        total = c.sum()
+        if not 0 < total < math.inf:   # inf / inf would be a NaN table
+            raise ValueError(f"counts must have a finite positive total, got {total}")
+        return cls(c / total)
 
 
 def mutual_information(joint: JointDistribution) -> float:
@@ -184,10 +179,15 @@ def _balanced(i_transmitted, i_reflected):
     return np.where(i_reflected + delta_s == i_transmitted, i_reflected, i_transmitted - delta_s)
 
 
+# the tallies an InfoLedger and a CycleColumns are built from, in field order
+_TALLIES = ("i_plus", "i_minus", "i_reflected", "h_in", "h_out", "landauer_joules")
+
+
 @dataclass(frozen=True)
 class InfoLedger:
     """Directed information tallies, in bits (cost in joules).
 
+    The tallies are checked and balanced as a one-cycle ``CycleColumns``.
     ``i_transmitted`` is ``i_plus`` and ``delta_s`` is derived, never passed in;
     ``_balanced`` keeps i_reflected + delta_s = i_transmitted exact, bit for bit.
     """
@@ -202,13 +202,9 @@ class InfoLedger:
     delta_s: float = field(init=False)
 
     def __post_init__(self):
-        for name in ("i_plus", "i_minus", "i_reflected", "h_in", "h_out", "landauer_joules"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if self.i_reflected > self.i_plus:
-            raise ValueError("reflected information exceeds transmitted information")
+        row = CycleColumns(*([getattr(self, name)] for name in _TALLIES))
         object.__setattr__(self, "i_transmitted", self.i_plus)
-        object.__setattr__(self, "i_reflected", float(_balanced(self.i_plus, self.i_reflected)))
+        object.__setattr__(self, "i_reflected", float(row.i_reflected[0]))
         object.__setattr__(self, "delta_s", self.i_transmitted - self.i_reflected)
 
 
@@ -217,11 +213,12 @@ class CycleColumns:
     """Per-cycle ledgers of one run, one read-only float64 column per field.
 
     Entry k of every column is cycle k's tally, with the same meaning and
-    the same checks as an ``InfoLedger``: every field is non-negative and
-    the reflected share never exceeds the transmitted one.  A cycle's
-    transmitted information is its forward directed information, so
-    ``i_transmitted`` is ``i_plus``, ``delta_s`` is derived from the two,
-    never stored, and ``i_reflected`` is balanced as in an ``InfoLedger``.
+    the same checks as an ``InfoLedger``: every field is finite and
+    non-negative, and the reflected share never exceeds the transmitted
+    one.  A cycle's transmitted information is its forward directed
+    information, so ``i_transmitted`` is ``i_plus``, ``delta_s`` is derived
+    from the two, never stored, and ``i_reflected`` is balanced as in an
+    ``InfoLedger``.
     """
 
     i_plus: np.ndarray
@@ -232,20 +229,21 @@ class CycleColumns:
     landauer_joules: np.ndarray
 
     def __post_init__(self):
-        for name in ("i_plus", "i_minus", "i_reflected", "h_in", "h_out", "landauer_joules"):
+        for name in _TALLIES:
             # a view, so freezing it leaves the caller's array writable
             col = np.asarray(getattr(self, name), dtype=np.float64).view()
             if col.shape != np.shape(self.i_plus) or col.ndim != 1:
                 raise ValueError(f"{name} must be a column as long as i_plus, got shape {col.shape}")
-            bad = np.flatnonzero(col < 0)
-            if bad.size:
-                raise ValueError(f"{name} must be >= 0, got {col[bad[0]]} in cycle {bad[0]}")
+            bad = np.flatnonzero(~(col >= 0) | np.isinf(col))
+            if bad.size:   # an InfoLedger is a one-cycle run: it names no cycle
+                where = f" in cycle {bad[0]}" if len(col) > 1 else ""
+                raise ValueError(f"{name} must be >= 0 and finite, got {col[bad[0]]}{where}")
             col.setflags(write=False)
             object.__setattr__(self, name, col)
         bad = np.flatnonzero(self.i_reflected > self.i_plus)
         if bad.size:
-            raise ValueError(
-                f"reflected information exceeds transmitted information in cycle {bad[0]}")
+            where = f" in cycle {bad[0]}" if len(self) > 1 else ""
+            raise ValueError(f"reflected information exceeds transmitted information{where}")
         object.__setattr__(self, "i_reflected", _balanced(self.i_plus, self.i_reflected))
         self.i_reflected.setflags(write=False)
 

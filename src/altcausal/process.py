@@ -226,7 +226,7 @@ def build_alternating_family(w_fwd: ProcessMatrix, omega: float,
     backward member is defined as ``forward(-t)^dagger``, so the
     duality holds identically and ``forward(0)`` is ``w_fwd``.
     """
-    if omega <= 0:
+    if not omega > 0:
         raise ValueError(f"omega must be positive, got {omega}")
     if phase_mode not in ("continuous", "discrete"):
         raise ValueError(f"phase_mode must be 'continuous' or 'discrete', got {phase_mode!r}")

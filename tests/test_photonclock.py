@@ -439,6 +439,11 @@ def test_boundary_conditions_validate():
         BoundaryConditions(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         BoundaryConditions(0.5, 0.5, 0.5, 0.5)
+    for k in range(4):   # NaN fails both checks, so it is refused when built
+        weights = [0.5, 0.25, 0.25, 0.25]
+        weights[k] = math.nan
+        with pytest.raises(ValueError, match="non-negative"):
+            BoundaryConditions(*weights)
 
 
 def test_forced_forward_outcome():
@@ -626,6 +631,8 @@ def test_rcp_rejects_bad_inputs():
         RcpOperator(t_plus=h3, t_minus=h4)
     with pytest.raises(ValueError):
         RcpOperator(t_plus=h3, t_minus=h3, epsilon=-0.1)
+    with pytest.raises(ValueError, match="epsilon must be >= 0, got nan"):
+        RcpOperator(t_plus=h3, t_minus=h3, epsilon=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -748,6 +755,9 @@ def test_wf_echo_pinned_values():
     assert wf_echo(1.0, 7.5) == (7.5, 0.0)
     assert wf_echo(0.0, 7.5) == (0.0, 7.5)
     assert wf_echo(0.5, 8.0) == (4.0, 4.0)
+    # below half of i_transmitted the reflected share is i_transmitted - delta_s,
+    # an ulp off the product 0.8 (which balances too)
+    assert wf_echo(0.1, 8.0) == (0.7999999999999998, 7.2)
 
 
 def test_wf_echo_rejects_bad_inputs():

@@ -1,10 +1,11 @@
 import math
+import re
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from altcausal.piflink import (
@@ -48,6 +49,8 @@ def test_shannon_entropy_oracles():
     assert shannon_entropy([1.0, 0.0]) == 0.0
     assert shannon_entropy([0.5, 0.5]) == pytest.approx(1.0, abs=1e-12)
     assert shannon_entropy([0.89, 0.11]) == pytest.approx(H2_OF_011, abs=1e-12)
+    for deterministic in ([1.0], [1.0, 0.0], [[0.0, 1.0]]):
+        assert math.copysign(1.0, shannon_entropy(deterministic)) == 1.0   # +0.0, not -0.0
 
 
 def test_shannon_entropy_rejects_bad_input():
@@ -93,6 +96,17 @@ def test_joint_distribution_validates():
         JointDistribution([0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_tables_refuse_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="^probabilities must"):
+        JointDistribution([[bad, 0.5], [0.5, 0.0]])
+    with pytest.raises(ValueError, match="^(probabilities|counts) must"):
+        JointDistribution.from_counts([[bad, 1.0], [1.0, 1.0]])
+    for dist in ([bad], [bad, 0.5], [0.5, 0.5, bad]):
+        with pytest.raises(ValueError, match="^probabilities must"):
+            shannon_entropy(dist)
+
+
 def test_symmetry_check():
     assert symmetry_check(JointDistribution([[0.5, 0.0], [0.0, 0.5]])) == 0.0
     j = JointDistribution([[0.3, 0.3], [0.1, 0.3]])
@@ -116,11 +130,27 @@ def test_conservation_check_hand_built_series():
         conservation_check(columns(np.full(1, 64.0), np.full(1, 64.0)))
 
 
+_TALLY_VALUES = dict(i_plus=64.0, i_minus=64.0, i_reflected=10.0, h_in=1.0, h_out=1.0,
+                     landauer_joules=0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", _TALLY_VALUES)
+def test_ledgers_refuse_non_finite_tallies(name, bad):
+    message = re.escape(f"{name} must be >= 0 and finite, got {bad}")
+    # a ledger is one cycle, so its message names the field and no cycle
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        InfoLedger(**dict(_TALLY_VALUES, **{name: bad}))
+    columns = {k: [v, v] for k, v in _TALLY_VALUES.items()}
+    with pytest.raises(ValueError, match=f"^{message} in cycle 1$"):
+        CycleColumns(**dict(columns, **{name: [_TALLY_VALUES[name], bad]}))
+
+
 def test_info_ledger_derives_delta_s():
     led = InfoLedger(i_plus=10.0, i_minus=4.0, i_reflected=4.0,
                      h_in=1.0, h_out=1.0, landauer_joules=0.0)
     assert led.delta_s == 6.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^reflected information exceeds transmitted information$"):
         InfoLedger(i_plus=1.0, i_minus=0.0, i_reflected=2.0,
                    h_in=0.0, h_out=0.0, landauer_joules=0.0)
 
@@ -165,6 +195,23 @@ def test_ledgers_balance_exactly(pairs):
     assert cols.i_reflected.tolist() == [_ledger_pair(p)[2].i_reflected for p in pairs]
     balanced = rs + (ts - rs) == ts
     assert _float_bits(cols.i_reflected[balanced]) == _float_bits(rs[balanced])
+
+
+@given(st.tuples(_finite, _finite) | _shares, st.tuples(_finite, _finite, _finite, _finite))
+@example(_UNBALANCED[0], (1.0, 2.0, 3.0, 4.0))
+@example(_UNBALANCED[3], (0.0, 0.0, 0.0, 0.0))
+def test_info_ledger_is_a_one_cycle_run(pair, rest):
+    t, r = max(pair), min(pair)
+    i_minus, h_in, h_out, cost = rest
+    led = InfoLedger(i_plus=t, i_minus=i_minus, i_reflected=r, h_in=h_in, h_out=h_out,
+                     landauer_joules=cost)
+    row = CycleColumns(*([v] for v in (t, i_minus, r, h_in, h_out, cost)))
+    # reference: the balance rule on floats
+    d = t - r
+    reference = r if r + d == t else t - d
+    assert _float_bits(led.i_reflected) == _float_bits(row.i_reflected) == _float_bits(reference)
+    assert _float_bits(led.delta_s) == _float_bits(row.delta_s) == _float_bits(t - reference)
+    assert (led.i_plus, led.i_minus, led.h_in, led.h_out, led.landauer_joules) == (t, *rest)
 
 
 # ---------------------------------------------------------------------------

@@ -281,6 +281,8 @@ def test_family_rejects_bad_omega():
     w = from_channel_order(random_channel(2, 2, rng), "AB")
     with pytest.raises(ValueError):
         build_alternating_family(w, omega=0.0)
+    with pytest.raises(ValueError, match="omega must be positive, got nan"):
+        build_alternating_family(w, omega=math.nan)
 
 
 # ---------------------------------------------------------------------------
