@@ -1,10 +1,11 @@
 """altcausal: alternating causal order, echo links, event-counted clocks.
 
-Five building blocks:
+Six building blocks:
 
 * ``qcore``       dense operators, states, channels
 * ``process``     process matrices, duality families, the order switch
 * ``photonclock`` bouncing-photon clock, tick ledger, recurrence cascade
+* ``absorber``    the absorber reflection identity, without numpy
 * ``piflink``     echoed slice link and its information accounting
 * ``cli``         experiment runner producing JSON / CSV / SVG reports
 
@@ -16,7 +17,7 @@ import importlib
 
 __version__ = "0.1.0"
 
-__all__ = ["qcore", "process", "photonclock", "piflink", "__version__"]
+__all__ = ["qcore", "process", "photonclock", "absorber", "piflink", "__version__"]
 
 
 def __getattr__(name: str):

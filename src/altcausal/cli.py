@@ -314,6 +314,8 @@ def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
                 loaded = json.load(fh, object_pairs_hook=_unique_keys)
             except RecursionError:
                 raise ValueError(f"config {ns.config!r} nests too deeply to read") from None
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"config {ns.config!r} is not JSON: {exc}") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config must be a JSON object, got {type(loaded).__name__}")
         unknown = sorted(set(loaded) - set(params))
@@ -502,15 +504,14 @@ def _cascade(cfg):
 @_experiment("wfecho", "one-shot echo bookkeeping: reflected share and entropy balance",
              alpha=Param(0.7), transmitted=Param(64.0))
 def _wfecho(cfg):
-    import numpy as np
+    from . import absorber
 
-    from . import photonclock
-
-    reflected, delta_s = photonclock.wf_echo(cfg["alpha"], cfg["transmitted"])
-    grid = np.linspace(0.0, 1.0, 21)
-    split = [photonclock.wf_echo(float(a), cfg["transmitted"]) for a in grid]
+    reflected, delta_s = absorber.wf_echo(cfg["alpha"], cfg["transmitted"])
+    # np.linspace(0, 1, 21) bit for bit: index times step, then the stop itself
+    grid = [i * (1 / 20) for i in range(20)] + [1.0]
+    split = [absorber.wf_echo(a, cfg["transmitted"]) for a in grid]
     return ({"i_reflected": reflected, "delta_s": delta_s},
-            {"alpha": grid.tolist(),
+            {"alpha": grid,
              "i_reflected": [r for r, _ in split],
              "delta_s": [d for _, d in split]},
             [Check("echo_balance", reflected + delta_s - cfg["transmitted"], 0.0,
@@ -748,15 +749,45 @@ def main(argv=None) -> int:
                   "series": series, "checks": [asdict(c) for c in checks]}
         for fmt, path in targets:
             writers[fmt](report, path)
+        if all(path != "-" for _, path in targets):
+            print(f"experiment: {ns.command}")
+            for key in sorted(metrics):
+                print(f"  {key} = {_fmt(metrics[key])}")
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if all(path != "-" for _, path in targets):
-        print(f"experiment: {ns.command}")
-        for key in sorted(metrics):
-            print(f"  {key} = {_fmt(metrics[key])}")
     return 1 if failed else 0
 
 
+def run() -> None:
+    """The console entry point: ``main()``, then exit without the interpreter's teardown.
+
+    Every report file is closed before ``main`` returns, so once stdout
+    and stderr are flushed nothing is left to write, and ``os._exit``
+    skips the teardown of numpy, scipy and the rest.  A flush that fails
+    leaves through ``sys.exit``, with the exit code and message Python's
+    own exit gives for it.  An exception and argparse's ``SystemExit``
+    propagate from ``main`` to that exit too.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:   # its descriptor was closed when Python started
+            continue
+        try:
+            stream.flush()
+        except (OSError, ValueError) as exc:
+            try:
+                stream.flush()
+            except (OSError, ValueError):
+                sys.exit(code)   # still pending: Python's exit fails on it and reports it
+            # The failed flush dropped what it could not write.  Python's
+            # exit would have met that failure: report it the same way.
+            if stream is sys.stdout and sys.stderr is not None:
+                sys.stderr.write(f"Exception ignored in: {stream!r}\n"
+                                 f"{type(exc).__name__}: {exc}\n")
+            sys.exit(120)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -9,7 +9,8 @@ coherent history shows no elapsed time no matter how long it is.
 
 Also here: the reversible-composition operator R(t) built from a
 forward and a reverse exponential family, the recurrence cascade over a
-chain of exchange partners, and the absorber-reflection identity.
+chain of exchange partners.  The absorber-reflection identity
+``wf_echo`` lives in ``absorber`` and is re-exported here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .absorber import wf_echo
 from .qcore import (
     DEFAULT_TOL,
     _STACK_ENTRIES,
@@ -547,30 +549,3 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
         best_fidelity=fids[best_idx],
         best_step=best_idx + 1,
     )
-
-
-# ---------------------------------------------------------------------------
-# absorber reflection identity
-# ---------------------------------------------------------------------------
-
-def wf_echo(alpha: float, i_transmitted: float) -> tuple[float, float]:
-    """Split transmitted information into reflected and absorbed parts.
-
-    Returns (i_reflected, delta_s).  delta_s is i_transmitted minus the
-    product alpha * i_transmitted.  Where the product is at least half of
-    i_transmitted, i_reflected is the product; below that it is
-    i_transmitted - delta_s, which may differ from the product by an ulp
-    even where the product already balances.  Either way the two add back
-    to i_transmitted bit for bit.
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"reflection coefficient must lie in [0, 1], got {alpha}")
-    if not (math.isfinite(i_transmitted) and i_transmitted >= 0):
-        raise ValueError(f"transmitted information must be finite and >= 0, got {i_transmitted}")
-    i_reflected = alpha * i_transmitted
-    delta_s = i_transmitted - i_reflected
-    if i_reflected < 0.5 * i_transmitted:
-        # Sterbenz: subtracting the larger part is exact, so nudging the
-        # smaller one by at most an ulp restores an exact balance.
-        i_reflected = i_transmitted - delta_s
-    return i_reflected, delta_s

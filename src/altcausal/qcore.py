@@ -316,7 +316,7 @@ def _entropies(states: np.ndarray) -> list[float]:
     # eigvalsh sorts ascending, so the positive eigenvalues end each row
     positive = (lam > 0).sum(axis=1)
     out = np.empty(len(lam))
-    for k in np.unique(positive):
+    for k in np.flatnonzero(np.bincount(positive)):   # np.unique would load numpy.ma
         rows = positive == k
         part = lam[rows, n - k:]
         out[rows] = -(part * np.log2(part)).sum(axis=1)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from altcausal import cli, photonclock, piflink, process, qcore
+from altcausal import absorber, cli, photonclock, piflink, process, qcore
 from altcausal.cli import _EXPERIMENTS, _config, build_parser, main, write_json
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -548,6 +548,16 @@ def test_deeply_nested_config_is_refused_in_one_line(opener, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "{", '{"seed": 1,}'])
+def test_a_config_that_is_not_json_is_refused_naming_the_file(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["duality", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {str(cfg)!r} is not JSON: ")
+    assert err.count("\n") == 1
+
+
 def test_unknown_config_key_is_rejected(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"warp_factor": 9}))
@@ -979,9 +989,10 @@ def test_import_leaves_scipy_unloaded():
 
 
 def _loaded_in_a_fresh_child(code: str) -> set[str]:
-    """numpy, scipy and the altcausal modules that a fresh interpreter holds after ``code``."""
+    """numpy, numpy.ma, scipy and the altcausal modules that a fresh interpreter
+    holds after ``code``."""
     code += ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-             " if m in ('numpy', 'scipy') or m.startswith('altcausal.')))")
+             " if m in ('numpy', 'numpy.ma', 'scipy') or m.startswith('altcausal.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
@@ -997,16 +1008,17 @@ def test_a_layer_resolves_on_first_access_to_the_package():
     assert _loaded_in_a_fresh_child(code) == {"altcausal.qcore", "numpy"}
 
 
-# what a run loads besides the cli: numpy and its layers, and scipy for
-# rcp alone; help and refused inputs start without numpy
+# what a run loads besides the cli: numpy and its layers, and scipy (which
+# brings numpy.ma) for rcp alone; wfecho, help and refused inputs start
+# without numpy
 LOADED_BY = {
     "duality": "numpy qcore process",
     "switch": "numpy qcore process",
     "ac-vs-ico": "numpy qcore process",
-    "photonclock": "numpy qcore photonclock",
-    "cascade": "numpy qcore photonclock _cascade_steps",
-    "wfecho": "numpy qcore photonclock",
-    "rcp": "numpy scipy qcore photonclock",
+    "photonclock": "numpy qcore photonclock absorber",
+    "cascade": "numpy qcore photonclock absorber _cascade_steps",
+    "wfecho": "absorber",
+    "rcp": "numpy numpy.ma scipy qcore photonclock absorber",
     "pif": "numpy piflink",
     "fito-vs-pif": "numpy piflink",
     "capacity": "numpy piflink",
@@ -1024,7 +1036,7 @@ def test_a_run_loads_only_the_layers_it_uses(command):
     code = ("import contextlib, io\nfrom altcausal.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
-    want = {"altcausal.cli"} | {m if m in ("numpy", "scipy") else f"altcausal.{m}"
+    want = {"altcausal.cli"} | {m if m.startswith(("numpy", "scipy")) else f"altcausal.{m}"
                                 for m in LOADED_BY[command].split()}
     assert _loaded_in_a_fresh_child(code) == want
 
@@ -1037,8 +1049,9 @@ def test_readme_layer_table_matches_what_each_run_loads():
     for row in table:
         experiments, layers = row.replace("`", "").strip("| ").split(" | ")
         named.update(dict.fromkeys(experiments.split(", "), set(layers.split(", "))))
-    # numpy goes with every layer, scipy has its own sentence, and the step table is private
-    loaded = {command: set(modules.split()) - {"numpy", "scipy", "_cascade_steps"}
+    # the table names layers: numpy and scipy are left out (scipy has its
+    # own sentence), and so is the private step table
+    loaded = {command: set(modules.split()) - {"numpy", "numpy.ma", "scipy", "_cascade_steps"}
               for command, modules in LOADED_BY.items() if command in _EXPERIMENTS and modules}
     assert named == loaded
     with_scipy = [command for command, modules in LOADED_BY.items() if "scipy" in modules.split()]
@@ -1072,8 +1085,15 @@ def test_every_report_lists_its_checks(command, tmp_path):
         assert check["ok"] is True
 
 
+def test_wfecho_sweeps_the_linspace_grid(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["wfecho", "--json", str(out)]) == 0
+    alphas = json.loads(out.read_text())["series"]["alpha"]
+    assert [a.hex() for a in alphas] == [a.hex() for a in np.linspace(0.0, 1.0, 21)]
+
+
 def test_failed_check_is_reported_and_exits_one(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(photonclock, "wf_echo", lambda alpha, i_transmitted: (1.0, i_transmitted))
+    monkeypatch.setattr(absorber, "wf_echo", lambda alpha, i_transmitted: (1.0, i_transmitted))
     out = tmp_path / "r.json"
     assert main(["wfecho", "--json", str(out)]) == 1
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}

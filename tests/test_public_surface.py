@@ -15,7 +15,7 @@ import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = ("altcausal", "altcausal.qcore", "altcausal.process", "altcausal.photonclock",
-           "altcausal.piflink", "altcausal.cli")
+           "altcausal.absorber", "altcausal.piflink", "altcausal.cli")
 
 
 @pytest.mark.parametrize("name", MODULES)
