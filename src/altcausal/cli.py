@@ -10,7 +10,8 @@ A JSON config file (``--config settings.json``) supplies defaults for
 the experiment's own options; explicit flags win over the file, and
 each value is checked against its option.  Reports list their invariant
 checks under ``checks``.  Exit status is 0 on success, 1 when a check
-fails or an input is rejected, 2 for usage errors.
+fails, an input is rejected or an output cannot be written (stdout
+included, with one ``error:`` line on stderr), 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -706,6 +707,8 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     if repeated:
         raise ValueError(f"two outputs write to {repeated[0]!r}")
     if "-" in places:
+        if sys.stdout is None:   # its descriptor was closed when Python started
+            raise ValueError("'-' writes to stdout, which is closed")
         try:
             stdout = os.fstat(sys.stdout.fileno())
         except (AttributeError, OSError, ValueError):   # no descriptor, as under a capture
@@ -720,6 +723,19 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
+def _say(line: str) -> None:
+    """Write ``line`` to stderr after what stdout holds, flushing both.  A
+    stream Python could not open (``None``) or that fails drops the text:
+    nothing is left to report that on, and the exit code does."""
+    for stream, text in ((sys.stdout, ""), (sys.stderr, line + "\n")):
+        if stream is not None:
+            try:
+                stream.write(text)
+                stream.flush()
+            except (OSError, ValueError):
+                pass
+
+
 def main(argv=None) -> int:
     # The last bits of the larger decompositions depend on the BLAS thread
     # count, which BLAS reads once, when numpy loads: pin one thread, over
@@ -729,64 +745,45 @@ def main(argv=None) -> int:
         os.environ.update(dict.fromkeys(_BLAS_THREAD_VARIABLES, "1"))
     parser = build_parser()
     ns = parser.parse_args(argv)
-    if ns.command is None:
-        parser.print_help()
-        return 2
     # looked up per call, so a writer rebound on the module is the one used
     writers = {"json": write_json, "csv": write_csv, "svg": write_svg}
+    code = 2
     try:
-        for option in (*writers, "out", "format", "config"):
-            if getattr(ns, option) == "":
-                raise ValueError(f"--{option} needs a value, got an empty one")
-        targets = _targets(ns, writers)
-        cfg = _config(ns, _EXPERIMENTS[ns.command].params)
-        metrics, series, checks = _EXPERIMENTS[ns.command].run(cfg)
-        failed = [c for c in checks if not c.ok]
-        for c in failed:
-            print(f"invariant violated: {c.name} = {_fmt(c.value)} (tol {_fmt(c.tol)})",
-                  file=sys.stderr)
-        report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
-                  "series": series, "checks": [asdict(c) for c in checks]}
-        for fmt, path in targets:
-            writers[fmt](report, path)
-        if all(path != "-" for _, path in targets):
-            print(f"experiment: {ns.command}")
-            for key in sorted(metrics):
-                print(f"  {key} = {_fmt(metrics[key])}")
+        if ns.command is None:
+            print(parser.format_help(), end="")
+        else:
+            for option in (*writers, "out", "format", "config"):
+                if getattr(ns, option) == "":
+                    raise ValueError(f"--{option} needs a value, got an empty one")
+            targets = _targets(ns, writers)
+            cfg = _config(ns, _EXPERIMENTS[ns.command].params)
+            metrics, series, checks = _EXPERIMENTS[ns.command].run(cfg)
+            failed = [c for c in checks if not c.ok]
+            for c in failed:
+                _say(f"invariant violated: {c.name} = {_fmt(c.value)} (tol {_fmt(c.tol)})")
+            code = 1 if failed else 0
+            report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
+                      "series": series, "checks": [asdict(c) for c in checks]}
+            for fmt, path in targets:
+                writers[fmt](report, path)
+            if all(path != "-" for _, path in targets):
+                print(f"experiment: {ns.command}")
+                for key in sorted(metrics):
+                    print(f"  {key} = {_fmt(metrics[key])}")
+        if sys.stdout is not None:   # a buffered write fails here, as an unbuffered one did
+            sys.stdout.flush()
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _say(f"error: {exc}")
         return 1
-    return 1 if failed else 0
+    return code
 
 
 def run() -> None:
-    """The console entry point: ``main()``, then exit without the interpreter's teardown.
-
-    Every report file is closed before ``main`` returns, so once stdout
-    and stderr are flushed nothing is left to write, and ``os._exit``
-    skips the teardown of numpy, scipy and the rest.  A flush that fails
-    leaves through ``sys.exit``, with the exit code and message Python's
-    own exit gives for it.  An exception and argparse's ``SystemExit``
-    propagate from ``main`` to that exit too.
-    """
-    code = main()
-    for stream in (sys.stdout, sys.stderr):
-        if stream is None:   # its descriptor was closed when Python started
-            continue
-        try:
-            stream.flush()
-        except (OSError, ValueError) as exc:
-            try:
-                stream.flush()
-            except (OSError, ValueError):
-                sys.exit(code)   # still pending: Python's exit fails on it and reports it
-            # The failed flush dropped what it could not write.  Python's
-            # exit would have met that failure: report it the same way.
-            if stream is sys.stdout and sys.stderr is not None:
-                sys.stderr.write(f"Exception ignored in: {stream!r}\n"
-                                 f"{type(exc).__name__}: {exc}\n")
-            sys.exit(120)
-    os._exit(code)
+    """The console entry point: ``main`` has closed every report file and
+    flushed stdout and stderr, so ``os._exit`` skips the teardown of numpy,
+    scipy and the rest.  argparse's ``SystemExit`` (``--help``, a usage
+    error) and an unexpected exception propagate to Python's own exit."""
+    os._exit(main())
 
 
 if __name__ == "__main__":

@@ -106,7 +106,11 @@ def binary_entropy(p: float) -> float:
 
 def shannon_entropy(dist) -> float:
     """Entropy of a discrete distribution in bits, 0 log 0 = 0."""
-    p = JointDistribution(np.ravel(dist)[None, :]).p
+    return _entropy(JointDistribution(np.ravel(dist)[None, :]).p)
+
+
+def _entropy(p: np.ndarray) -> float:
+    """Entropy in bits of probabilities already checked, 0 log 0 = 0."""
     p = p[p > 0]
     return float(-(p * np.log2(p)).sum() + 0.0)   # + 0.0 turns -0.0 into 0.0
 
@@ -140,11 +144,8 @@ class JointDistribution:
 
 def mutual_information(joint: JointDistribution) -> float:
     """I(X;Y) = H(X) + H(Y) - H(X,Y) in bits, clipped at zero."""
-    p = joint.p
-    hx = shannon_entropy(p.sum(axis=1))
-    hy = shannon_entropy(p.sum(axis=0))
-    hxy = shannon_entropy(p)
-    return max(hx + hy - hxy, 0.0)
+    p = joint.p   # checked once, when the table was built
+    return max(_entropy(p.sum(axis=1)) + _entropy(p.sum(axis=0)) - _entropy(p), 0.0)
 
 
 def symmetry_check(joint: JointDistribution) -> float:

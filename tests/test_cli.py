@@ -1099,3 +1099,18 @@ def test_failed_check_is_reported_and_exits_one(monkeypatch, tmp_path, capsys):
     checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["echo_balance"]["ok"] is False
     assert "invariant violated: echo_balance" in capsys.readouterr().err
+
+
+def test_a_failed_check_with_stderr_closed_leaves_stdout_strict_json(monkeypatch, capsys):
+    monkeypatch.setattr(absorber, "wf_echo", lambda alpha, i_transmitted: (1.0, i_transmitted))
+    monkeypatch.setattr(sys, "stderr", None)   # as when Python starts with fd 2 closed
+    assert main(["wfecho", "--json", "-"]) == 1
+    report = json.loads(capsys.readouterr().out, parse_constant=pytest.fail)
+    assert not {c["name"]: c["ok"] for c in report["checks"]}["echo_balance"]
+
+
+def test_a_report_to_a_closed_stdout_is_refused_before_the_run(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", None)   # as when Python starts with fd 1 closed
+    monkeypatch.setattr(absorber, "wf_echo", pytest.fail)
+    assert main(["wfecho", "--json", "-"]) == 1
+    assert capsys.readouterr() == ("", "error: '-' writes to stdout, which is closed\n")

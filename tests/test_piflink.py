@@ -87,6 +87,18 @@ def test_mutual_information_nonnegative_and_symmetric():
         assert mutual_information(j) == pytest.approx(mutual_information(jt), abs=1e-12)
 
 
+def test_mutual_information_matches_the_checked_entropy_route_bit_for_bit():
+    # mutual_information reads its marginals without re-checking them
+    rng = np.random.default_rng(7)
+    for shape in [(1, 1), (2, 2), (2, 5), (4, 3), (65, 65)] * 40:
+        p = rng.random(shape) * (rng.random(shape) < 0.7)
+        p = p / p.sum() if p.sum() > 0 else np.full(shape, 1.0 / p.size)
+        joint = JointDistribution(p)
+        hx, hy = shannon_entropy(joint.p.sum(axis=1)), shannon_entropy(joint.p.sum(axis=0))
+        checked = max(hx + hy - shannon_entropy(joint.p), 0.0)
+        assert mutual_information(joint).hex() == checked.hex()
+
+
 def test_joint_distribution_validates():
     with pytest.raises(ValueError):
         JointDistribution([[0.7, 0.6], [0.0, 0.0]])
