@@ -24,9 +24,7 @@ import json
 import math
 import os
 import sys
-from collections import Counter
-from dataclasses import asdict, dataclass
-from typing import Callable
+from collections import Counter, namedtuple
 
 
 # ---------------------------------------------------------------------------
@@ -242,38 +240,20 @@ def write_svg(report: dict, path: str) -> None:
 # the experiment registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Param:
-    """One experiment option.  Its type is the type of ``default``.
+Param = namedtuple("Param", "default low high choices help", defaults=(None, None, (), None))
+Param.__doc__ = """One experiment option.  Its type is the type of ``default``.
 
-    ``low`` and ``high`` bound it inclusively; a size's ``high`` keeps
-    the run's memory under about 1 GB.
-    """
+``low`` and ``high`` bound it inclusively; a size's ``high`` keeps
+the run's memory under about 1 GB.
+"""
 
-    default: int | float | str
-    low: int | float | None = None
-    high: int | float | None = None
-    choices: tuple[str, ...] = ()
-    help: str | None = None
+Check = namedtuple("Check", "name value tol ok")
+Check.__doc__ = ("One invariant check of a run, ``value`` held to ``tol`` (``None`` for"
+                 " a yes/no check); the run fails when ``ok`` is false.")
 
-
-@dataclass(frozen=True)
-class Check:
-    """One invariant check of a run; the run fails when ``ok`` is false."""
-
-    name: str
-    value: object
-    tol: float | None
-    ok: bool
-
-
-@dataclass(frozen=True)
-class Experiment:
-    """``run(config)`` takes a checked config and returns ``(metrics, series, checks)``."""
-
-    help: str
-    params: dict[str, Param]
-    run: Callable[[dict], tuple[dict, dict, list[Check]]]
+Experiment = namedtuple("Experiment", "help params run")
+Experiment.__doc__ = ("``params`` maps each option to its ``Param``; ``run(config)`` takes a"
+                      " checked config and returns ``(metrics, series, checks)``.")
 
 
 def _within(name: str, value: float, tol: float) -> Check:
@@ -544,7 +524,7 @@ def _pif(cfg):
     led = rep.ledger
     conservation = piflink.conservation_check(rep.cycles) if len(rep.cycles) > 1 else 0.0
     metrics = {
-        **asdict(led),
+        **vars(led),
         "detected_mismatches": rep.detected_mismatches,
         "lost_echoes": rep.lost_echoes,
         "undetected_corruptions": rep.undetected_corruptions,
@@ -763,7 +743,7 @@ def main(argv=None) -> int:
                 _say(f"invariant violated: {c.name} = {_fmt(c.value)} (tol {_fmt(c.tol)})")
             code = 1 if failed else 0
             report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
-                      "series": series, "checks": [asdict(c) for c in checks]}
+                      "series": series, "checks": [c._asdict() for c in checks]}
             for fmt, path in targets:
                 writers[fmt](report, path)
             if all(path != "-" for _, path in targets):

@@ -1,6 +1,5 @@
 import contextlib
 import csv
-import dataclasses
 import importlib
 import io
 import json
@@ -90,8 +89,7 @@ def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, 
     def refuse(cfg):
         raise AssertionError("the experiment ran")
 
-    monkeypatch.setitem(_EXPERIMENTS, "wfecho",
-                        dataclasses.replace(_EXPERIMENTS["wfecho"], run=refuse))
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(run=refuse))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
     # stdout is a file with a descriptor, so it can also be named as a target
@@ -292,8 +290,8 @@ def test_series_writer_refuses_non_finite_values(values, bad, monkeypatch, tmp_p
     series = values(bad)
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_json({"series": series}, str(tmp_path / "w.json"))
-    monkeypatch.setitem(_EXPERIMENTS, "wfecho", dataclasses.replace(
-        _EXPERIMENTS["wfecho"], run=lambda cfg: ({}, series, [])))
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
+        run=lambda cfg: ({}, series, [])))
     for target in (str(tmp_path / "r.json"), "-"):
         assert main(["wfecho", "--json", target]) == 1
         out, err = capsys.readouterr()
@@ -655,8 +653,8 @@ def test_json_writer_refuses_non_finite_values(tmp_path):
 
 def _with_infinite_metric(monkeypatch):
     """Make ``wfecho`` report an infinite metric, which only the JSON writer refuses."""
-    monkeypatch.setitem(_EXPERIMENTS, "wfecho", dataclasses.replace(
-        _EXPERIMENTS["wfecho"], run=lambda cfg: ({"x": math.inf}, {}, [])))
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
+        run=lambda cfg: ({"x": math.inf}, {}, [])))
 
 
 def test_non_finite_report_exits_one_without_a_file(monkeypatch, tmp_path, capsys):
@@ -989,28 +987,34 @@ def test_import_leaves_scipy_unloaded():
 
 
 def _loaded_in_a_fresh_child(code: str) -> set[str]:
-    """numpy, numpy.ma, scipy and the altcausal modules that a fresh interpreter
-    holds after ``code``."""
-    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules"
-             " if m in ('numpy', 'numpy.ma', 'scipy') or m.startswith('altcausal.')))")
+    """numpy, numpy.ma, scipy, dataclasses, inspect and the altcausal modules
+    that a fresh interpreter holds after ``code``."""
+    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules if m in"
+             " ('numpy', 'numpy.ma', 'scipy', 'dataclasses', 'inspect')"
+             " or m.startswith('altcausal.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True, timeout=60)
     return set(proc.stdout.splitlines()[-1].split())
 
 
+# numpy loads inspect, and every numpy layer dataclasses; the cli loads neither
+_WITH_NUMPY = {"dataclasses", "inspect"}
+
+
 def test_importing_the_cli_loads_no_layer_and_no_numpy():
+    # nor dataclasses and inspect (typing is left out: site hooks may load it)
     assert _loaded_in_a_fresh_child("import altcausal.cli") == {"altcausal.cli"}
 
 
 def test_a_layer_resolves_on_first_access_to_the_package():
     code = "import altcausal\nassert altcausal.qcore.DensityMatrix.__name__ == 'DensityMatrix'"
-    assert _loaded_in_a_fresh_child(code) == {"altcausal.qcore", "numpy"}
+    assert _loaded_in_a_fresh_child(code) == {"altcausal.qcore", "numpy", *_WITH_NUMPY}
 
 
 # what a run loads besides the cli: numpy and its layers, and scipy (which
 # brings numpy.ma) for rcp alone; wfecho, help and refused inputs start
-# without numpy
+# without numpy, dataclasses or inspect
 LOADED_BY = {
     "duality": "numpy qcore process",
     "switch": "numpy qcore process",
@@ -1038,6 +1042,8 @@ def test_a_run_loads_only_the_layers_it_uses(command):
             f"    try:\n        main({argv!r})\n    except SystemExit:\n        pass")
     want = {"altcausal.cli"} | {m if m.startswith(("numpy", "scipy")) else f"altcausal.{m}"
                                 for m in LOADED_BY[command].split()}
+    if "numpy" in want:
+        want |= _WITH_NUMPY
     assert _loaded_in_a_fresh_child(code) == want
 
 
