@@ -45,7 +45,6 @@ def _emit(pieces: list[str], path: str) -> None:
             fh.writelines(pieces)
 
 
-_SLOT = "\0"                 # placeholder prefix; JSON writes it as "\u0000
 _SERIES_ITEM = ",\n      "   # what indent=2 puts between the items of a series list
 _PREFIX = 1024               # items sampled before a float list's full set is built
 
@@ -98,29 +97,28 @@ def write_json(report: dict, path: str) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``
     and a newline, byte for byte.
 
-    Each series list that ``_series_list`` renders enters the dump as a
-    placeholder string; its pieces take the placeholder's place in the
-    list of pieces written.
+    The report is dumped once with an empty ``series``, whose line
+    ``  "series": {}`` only the top-level key can write (a nested key sits
+    deeper, and no JSON string holds a raw newline).  The entries of
+    ``series`` are written in its place, each series list that
+    ``_series_list`` renders as its pieces.
     """
     series = report.get("series")
-    lists, slots = [], {}
-    for key, values in (series.items() if type(series) is dict else ()):
-        rendered = _series_list(values)
-        if rendered is None:
-            slots[key] = values
+    if type(series) is not dict or not series or not all(type(k) is str for k in series):
+        _emit([json.dumps(report, indent=2, sort_keys=True, allow_nan=False), "\n"], path)
+        return
+    head, tail = json.dumps({**report, "series": {}}, indent=2, sort_keys=True,
+                            allow_nan=False).split('\n  "series": {}')
+    pieces = [head, '\n  "series": {']
+    for i, key in enumerate(sorted(series)):
+        pieces += (",\n    " if i else "\n    ", json.dumps(key), ": ")
+        rendered = _series_list(series[key])
+        if rendered is None:   # any other value, indented one entry deeper
+            pieces.append(json.dumps(series[key], indent=2, sort_keys=True,
+                                     allow_nan=False).replace("\n", "\n    "))
         else:
-            slots[key] = f"{_SLOT}{len(lists)}"
-            lists.append(rendered)
-    text = json.dumps({**report, "series": slots} if lists else report,
-                      indent=2, sort_keys=True, allow_nan=False)
-    head, *tails = text.split('"\\u0000')
-    if len(tails) != len(lists):   # a string of the report's own starts with NUL
-        head, tails = json.dumps(report, indent=2, sort_keys=True, allow_nan=False), []
-    pieces = [head]
-    for tail in tails:
-        index, _, rest = tail.partition('"')
-        pieces += (*lists[int(index)], rest)
-    pieces.append("\n")
+            pieces += rendered
+    pieces += ("\n  }", tail, "\n")
     _emit(pieces, path)
 
 

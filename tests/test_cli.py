@@ -275,6 +275,27 @@ def test_series_keys_and_strings_that_need_escaping(key):
     assert _written(report) == _reference_json(report)
 
 
+REPORT_SHAPES = {
+    "series {} nested under metrics": {"metrics": {"series": {}}, "series": {"y": [1.0, 2.5]}},
+    "series {} inside a series value": {"series": {"a": {"series": {}, "z": [1, [2, {}]]},
+                                                   "b": [0.5] * 10}},
+    "a top-level key after series": {"experiment": "x", "series": {"y": [3, 4]},
+                                     "zeta": [{"k": 1.5}]},
+    "a string holding the series line": {"note": '\n  "series": {}',
+                                          "series": {"y": [0.25, 0.75]}},
+    "series the only key": {"series": {"b": [2.0] * 5, "a": [1, 2], "c": None}},
+    "empty series": {"experiment": "x", "series": {}},
+    "series a list": {"experiment": "x", "series": [1.0, 2.0]},
+    "series with an int key": {"experiment": "x", "series": {1: [1.0, 2.0]}},
+}
+
+
+@pytest.mark.parametrize("report", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
+def test_report_shapes_around_the_series_are_written_as_the_reference(report):
+    # the series entries are spliced into the one top-level "series" line
+    assert _written(report) == _reference_json(report)
+
+
 LONG = 100_000
 
 

@@ -3,9 +3,9 @@
 ``golden_reports.json`` holds the sha256 of the JSON, CSV and SVG that
 ``cli.main`` writes for each invocation below, with the Python, numpy and
 scipy versions they were taken under.  Every invocation runs at dim 2
-but ``rcp``, at 4, so its matrices are at most 16 x 16 (a dim 2 ``duality``
-member), far below where BLAS splits work across threads: the hashes hold
-whatever thread count the test process runs with.
+but ``rcp``, at 4 and 7, so its matrices are at most 16 x 16 (a dim 2
+``duality`` member), far below where BLAS splits work across threads:
+the hashes hold whatever thread count the test process runs with.
 
 Regenerate the file only when a report is meant to change, and say so in
 ``CHANGES.md``::
@@ -28,11 +28,21 @@ from altcausal import cli
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 FORMATS = ("json", "csv", "svg")
 
-# every experiment at its defaults, then variants whose check lists differ
+# every experiment at its defaults, then variants whose check lists differ,
+# then edge values: zeros of both signs, a subnormal-scale noise, every
+# cascade size, the smallest and odd sizes, and a seed whose echo ledger
+# needed the balance rule
 INVOCATIONS = [*cli._EXPERIMENTS,
                "duality --skew 0.01", "rcp --epsilon 0", "pif --echo-loss 1",
                "capacity --flip-backward 0.2", "switch --case commute",
-               "photonclock --decoherence 0"]
+               "photonclock --decoherence 0",
+               *(f"ac-vs-ico --noise {p}" for p in ("0", "1", "1e-300", "-0.0")),
+               *(f"cascade --sites {n}" for n in range(2, 13) if n != 4),
+               "photonclock --bounces 10000 --seed 4", "photonclock --decoherence 1",
+               "photonclock --decoherence -0.0",
+               "pif --flip-forward 0.01 --flip-backward 0.01 --echo-loss 0.6 --seed 6",
+               "capacity --n-bits 1", "rcp --dim 7", "switch --points 20001",
+               "wfecho --alpha 0.1 --transmitted 8"]
 
 
 def _environment() -> dict:

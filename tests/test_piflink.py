@@ -518,7 +518,11 @@ def _left_to_right_sum(values) -> float:
 
 
 def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
-    """Per-cycle loop that run_link replaced: one InfoLedger per slice."""
+    """Per-cycle loop that run_link replaced.
+
+    Each cycle's six tallies are collected as ``tallies`` and checked once,
+    as the rows of one ``CycleColumns``.
+    """
     n = cfg.slice_count
     payloads = np.random.default_rng((cfg.rng_seed, 0)).integers(
         0, 256, size=(n, 8), dtype=np.uint8)
@@ -543,7 +547,7 @@ def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
     def directed_bits(flips):
         return 64 * (1.0 - binary_entropy(flips / 64))
 
-    cycles = []
+    tallies = []
     detected = lost_echoes = undetected = injected_fwd = injected_bwd = 0
     for k in range(n):
         i_plus = directed_bits(int(f_fwd[k]))
@@ -573,16 +577,13 @@ def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
                 injected_fwd += 1
                 undetected += 1
                 cost = landauer_cost(int(f_fwd[k]), cfg.temperature_kelvin)
-        cycles.append(InfoLedger(
-            i_plus=i_plus,
-            i_minus=i_minus,
-            i_reflected=i_reflected,
-            h_in=64 * binary_entropy(int(sent[k].sum()) / 64),
-            h_out=64 * binary_entropy(int(received[k].sum()) / 64),
-            landauer_joules=cost,
-        ))
+        tallies.append((i_plus, i_minus, i_reflected,
+                        64 * binary_entropy(int(sent[k].sum()) / 64),
+                        64 * binary_entropy(int(received[k].sum()) / 64),
+                        cost))
+    cycles = CycleColumns(*map(list, zip(*tallies)))
 
-    totals = {name: _left_to_right_sum(getattr(c, name) for c in cycles)
+    totals = {name: _left_to_right_sum(getattr(cycles, name).tolist())
               for name in ("i_plus", "i_minus", "i_reflected", "landauer_joules")}
     total_bits = n * 64
     ledger = InfoLedger(
@@ -599,10 +600,12 @@ def _reference_run_link(cfg: LinkConfig) -> SimpleNamespace:
     worst = None
     if n >= 2:
         worst = 0.0
-        for prev, cur in zip(cycles, cycles[1:]):
-            worst = max(worst, abs((cur.i_plus - prev.i_plus) + (cur.i_minus - prev.i_minus)))
+        plus, minus = cycles.i_plus.tolist(), cycles.i_minus.tolist()
+        for k in range(1, n):
+            worst = max(worst, abs((plus[k] - plus[k - 1]) + (minus[k] - minus[k - 1])))
 
     return SimpleNamespace(
+        tallies=tallies,
         cycles=cycles,
         ledger=ledger,
         detected_mismatches=detected if pif else 0,
@@ -632,9 +635,8 @@ def _assert_matches_reference(cfg: LinkConfig) -> None:
     ref = _reference_run_link(cfg)
     assert len(fast.cycles) == len(ref.cycles) == cfg.slice_count
     for name in _LEDGER_FIELDS:
-        column = getattr(fast.cycles, name)
-        expected = [getattr(c, name) for c in ref.cycles]
-        assert column.tolist() == expected, name
+        column, expected = getattr(fast.cycles, name), getattr(ref.cycles, name)
+        assert column.tolist() == expected.tolist(), name
         assert _float_bits(column) == _float_bits(expected), name
         total, expected_total = getattr(fast.ledger, name), getattr(ref.ledger, name)
         assert total == expected_total, name
@@ -668,6 +670,22 @@ def test_columns_match_per_cycle_reference_bit_for_bit(mode, noise, slice_count)
         _assert_matches_reference(LinkConfig(
             slice_count=slice_count, bit_flip_forward=flip_fwd, bit_flip_backward=flip_bwd,
             echo_loss_probability=loss, rng_seed=seed, mode=mode))
+
+
+@pytest.mark.parametrize("cfg", [
+    LinkConfig(slice_count=2000, bit_flip_forward=0.5, bit_flip_backward=0.5,
+               echo_loss_probability=0.25, rng_seed=11, mode=LinkMode.PIF),
+    LinkConfig(slice_count=2000, bit_flip_forward=0.05, rng_seed=3, mode=LinkMode.FITO),
+], ids=lambda cfg: cfg.mode.name)
+def test_one_cycle_ledgers_equal_the_oracles_batched_rows_bit_for_bit(cfg):
+    # the oracle checks its cycles once, as columns: row k must be what a
+    # one-cycle InfoLedger makes of cycle k's tallies
+    ref = _reference_run_link(cfg)
+    for k, tallies in enumerate(ref.tallies):
+        led = InfoLedger(*tallies)
+        for name in _LEDGER_FIELDS:
+            assert _float_bits(getattr(led, name)) == _float_bits(getattr(ref.cycles, name)[k]), \
+                (k, name)
 
 
 @pytest.mark.parametrize("mode, tags", [(LinkMode.FITO, [0, 1]), (LinkMode.PIF, [0, 1, 2, 3])])
