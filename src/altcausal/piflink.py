@@ -357,6 +357,11 @@ def _flip_words(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
     return packed.view(np.uint64).ravel()
 
 
+def _flips(seed: int, tag: int, n: int, p: float) -> np.ndarray:
+    """``_flip_words`` of stream ``tag``; at ``p`` 0, zero words with nothing drawn."""
+    return _flip_words(_stream(seed, tag), n, p) if p else np.zeros(n, dtype=np.uint64)
+
+
 def _ones(words: np.ndarray) -> int:
     return int(np.bitwise_count(words).sum())
 
@@ -379,14 +384,14 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     so a FITO run is the exact matched baseline of the PIF run with the
     same seed: identical payloads, identical forward corruption.  Only
     PIF mode has an echo leg, so only it draws the echo-loss and
-    backward streams.
+    backward streams.  A flip mask of probability 0 is all zeros, undrawn.
     """
     n = cfg.slice_count
     payloads = _stream(cfg.rng_seed, _STREAM_PAYLOAD).integers(
         0, 256, size=(n, SLICE_BYTES), dtype=np.uint8)
     # A slice is one word: corruption is an XOR and a flip count a popcount.
     sent = payloads.view(np.uint64).ravel()
-    fwd = _flip_words(_stream(cfg.rng_seed, _STREAM_FORWARD), n, cfg.bit_flip_forward)
+    fwd = _flips(cfg.rng_seed, _STREAM_FORWARD, n, cfg.bit_flip_forward)
     received = sent ^ fwd
     f_fwd = np.bitwise_count(fwd)
 
@@ -404,7 +409,7 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     pif = cfg.mode is LinkMode.PIF
     if pif:
         returned = _stream(cfg.rng_seed, _STREAM_LOSS).random(n) >= cfg.echo_loss_probability
-        bwd = _flip_words(_stream(cfg.rng_seed, _STREAM_BACKWARD), n, cfg.bit_flip_backward)
+        bwd = _flips(cfg.rng_seed, _STREAM_BACKWARD, n, cfg.bit_flip_backward)
         # echo() reverses the byte order, so a backward flip lands byte-swapped
         roundtrip = fwd ^ bwd.byteswap()
         f_bwd = np.bitwise_count(bwd)

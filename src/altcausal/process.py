@@ -493,31 +493,22 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
         raise ValueError(f"steps must be >= 1, got {steps}")
     model = build_quantum_switch(u_a, u_b)
     d = model.target_dim
-    target = projector(ket(0, d))
+    ua, ub = model.u_a.entries, model.u_b.entries
 
-    ident_c = np.eye(2, dtype=complex)
-    m_even = np.kron(model.u_a.entries @ model.u_b.entries, ident_c)
-    m_odd = np.kron(model.u_b.entries @ model.u_a.entries, ident_c)
-    alternation = ((m_even, m_even.conj().T), (m_odd, m_odd.conj().T))
-
-    # control |0> for the alternating protocol, |+> for the coherent one
-    ac_state, ico_state = _target_control(target.entries, _pure_states([[1, 0], [1, 1]]))
+    # One stack steps both protocols: row 0 alternates u_a u_b, u_b u_a,
+    # ... with control |0>, row 1 applies the switch with control |+>.
+    stacks = [np.stack([np.kron(m, np.eye(2, dtype=complex)), model.joint])
+              for m in (ua @ ub, ub @ ua)]
+    pairs = itertools.cycle([(u, u.conj().transpose(0, 2, 1)) for u in stacks])
+    start = _target_control(projector(ket(0, d)).entries, _pure_states([[1, 0], [1, 1]]))
 
     # Every state is a unitary conjugate or depolarizing mix of the
     # validated target, so none is validated again; the entropies keep
-    # their own negative-eigenvalue check.  The states are stacked in
+    # their own negative-eigenvalue check.  The steps are stacked in
     # blocks and each block's entropies are taken at once.
-    block = max(1, _STACK_ENTRIES // (2 * d) ** 2)
-
-    def entropies(state, unitaries) -> tuple[float, ...]:
-        states = itertools.chain(
-            [state], itertools.islice(_noisy_orbit(state, unitaries, noise), steps))
-        series = []
-        for stack in iter(lambda: list(itertools.islice(states, block)), []):
-            series += _entropies(np.array(stack))
-        return tuple(series)
-
-    return ComparisonReport(
-        ac_entropies=entropies(ac_state, itertools.cycle(alternation)),
-        ico_entropies=entropies(ico_state, itertools.repeat((model.joint, model.joint_dag))),
-    )
+    block = max(1, _STACK_ENTRIES // (2 * (2 * d) ** 2))
+    states = itertools.chain([start], itertools.islice(_noisy_orbit(start, pairs, noise), steps))
+    series = []
+    for stack in iter(lambda: list(itertools.islice(states, block)), []):
+        series += _entropies(np.array(stack))
+    return ComparisonReport(ac_entropies=tuple(series[0::2]), ico_entropies=tuple(series[1::2]))

@@ -3,9 +3,13 @@
 ``golden_reports.json`` holds the sha256 of the JSON, CSV and SVG that
 ``cli.main`` writes for each invocation below, with the Python, numpy and
 scipy versions they were taken under.  Every invocation runs at dim 2
-but ``rcp``, at 4 and 7, so its matrices are at most 16 x 16 (a dim 2
-``duality`` member), far below where BLAS splits work across threads:
-the hashes hold whatever thread count the test process runs with.
+but ``rcp``, at 4 and 7, and ``cascade``, whose chains reach 12 sites,
+so its matrices are at most 16 x 16 (a dim 2 ``duality`` member), far
+below where BLAS splits work across threads: the hashes hold whatever
+thread count the test process runs with.  That is why the benchmark's
+``link`` and ``operators`` invocations are here but for the two
+``duality --dim 4`` runs, whose 256 x 256 decompositions round
+differently at 1 and 2 BLAS threads.
 
 Regenerate the file only when a report is meant to change, and say so in
 ``CHANGES.md``::
@@ -42,7 +46,17 @@ INVOCATIONS = [*cli._EXPERIMENTS,
                "photonclock --decoherence -0.0",
                "pif --flip-forward 0.01 --flip-backward 0.01 --echo-loss 0.6 --seed 6",
                "capacity --n-bits 1", "rcp --dim 7", "switch --points 20001",
-               "wfecho --alpha 0.1 --transmitted 8"]
+               "wfecho --alpha 0.1 --transmitted 8",
+               # the benchmark's link and operators invocations at its seed 0
+               "pif --slices 100000 --flip-forward 0.01 --flip-backward 0.01"
+               " --echo-loss 0.01 --seed 778071356",
+               "fito-vs-pif --slices 100000 --seed 1953935439",
+               "capacity --n-bits 10000000 --seed 1453936828",
+               "photonclock --bounces 10000 --seed 1092997192",
+               "ac-vs-ico --steps 2000",
+               "rcp --points 2000 --seed 803033759",
+               "cascade --sites 12 --horizon 2000 --seed 266057865",
+               "switch --points 2000"]
 
 
 def _environment() -> dict:

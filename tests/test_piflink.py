@@ -688,14 +688,17 @@ def test_one_cycle_ledgers_equal_the_oracles_batched_rows_bit_for_bit(cfg):
                 (k, name)
 
 
-@pytest.mark.parametrize("mode, tags", [(LinkMode.FITO, [0, 1]), (LinkMode.PIF, [0, 1, 2, 3])])
+@pytest.mark.parametrize("mode, tags", [(LinkMode.FITO, [0, 1]), (LinkMode.PIF, [0, 1, 2, 3]),
+                                        (LinkMode.PIF, [0, 1, 2])])
 def test_only_a_verified_link_draws_the_echo_leg(mode, tags, monkeypatch):
     # FITO has no echo leg, so it draws neither the loss nor the backward stream;
+    # PIF at bit_flip_backward=0 (the last case) has no backward flip to draw;
     # every stream has its own sub-seed, so the streams it does draw are unchanged
     drawn = []
     monkeypatch.setattr("altcausal.piflink._stream",
                         lambda seed, tag: drawn.append(tag) or _stream(seed, tag))
-    cfg = LinkConfig(slice_count=300, bit_flip_forward=0.02, bit_flip_backward=0.02,
+    cfg = LinkConfig(slice_count=300, bit_flip_forward=0.02,
+                     bit_flip_backward=0.0 if tags == [0, 1, 2] else 0.02,
                      echo_loss_probability=0.1, rng_seed=11, mode=mode)
     run_link(cfg)
     assert drawn == tags

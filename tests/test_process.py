@@ -632,7 +632,7 @@ def _reference_ac_vs_ico(u_a, u_b, noise, steps):
     return ac_series, ico_series
 
 
-@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 1.0, -0.0])
+@pytest.mark.parametrize("noise", [0.0, 0.05, 0.3, 1.0, -0.0, 1e-300, 0.01])
 def test_ac_vs_ico_matches_validated_reference_bit_for_bit(noise):
     rng = np.random.default_rng(60)
     pairs = [(PAULI_X, PAULI_Z), (PAULI_X, PAULI_X),
@@ -647,8 +647,8 @@ def test_ac_vs_ico_matches_validated_reference_bit_for_bit(noise):
 
 @pytest.mark.parametrize("steps", [1, 4, 5, 23, 24])
 def test_ac_vs_ico_takes_entropies_in_blocks(steps, monkeypatch):
-    # blocks of 5 states of side 4: the last block is full at steps 4 and 24
-    monkeypatch.setattr(process, "_STACK_ENTRIES", 5 * 16 + 3)
+    # blocks of 5 pairs of states of side 4: the last block is full at steps 4 and 24
+    monkeypatch.setattr(process, "_STACK_ENTRIES", 5 * 2 * 16 + 3)
     rep = ac_vs_ico_entropy(PAULI_X, PAULI_Z, noise=0.3, steps=steps)
     ac, ico = _reference_ac_vs_ico(PAULI_X, PAULI_Z, 0.3, steps)
     assert np.array(rep.ac_entropies).tobytes() == np.array(ac).tobytes()
