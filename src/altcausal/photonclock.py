@@ -165,7 +165,7 @@ class BoundaryConditions:
                 self.simultaneous_emission, self.simultaneous_absorption)
 
 
-@dataclass
+@dataclass(eq=False)
 class CausalBox:
     """Two mirrors, one photon, and the ledger of its traversals.
 
@@ -395,7 +395,7 @@ def break_symmetry(box: CausalBox, boundary: BoundaryConditions) -> BreakOutcome
 # reversible-composition operator
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RcpOperator:
     """Forward/reverse exponential families and a symmetry-breaking knob.
 

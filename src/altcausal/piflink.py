@@ -115,7 +115,7 @@ def _entropy(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum() + 0.0)   # + 0.0 turns -0.0 into 0.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Joint probability table over two discrete variables."""
 
@@ -209,7 +209,7 @@ class InfoLedger:
         object.__setattr__(self, "delta_s", self.i_transmitted - self.i_reflected)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleColumns:
     """Per-cycle ledgers of one run, one read-only float64 column per field.
 
@@ -294,7 +294,7 @@ class LinkConfig:
             raise ValueError(f"mode must be a LinkMode, got {self.mode!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinkReport:
     """Everything observed over one simulated run.
 

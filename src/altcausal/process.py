@@ -311,7 +311,7 @@ def with_skew_perturbation(fam: ProcessFamily, epsilon: float,
 # the order switch
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SwitchModel:
     """Coherent order switch for two unitaries on a shared target.
 
@@ -322,8 +322,8 @@ class SwitchModel:
 
     u_a: ComplexOperator
     u_b: ComplexOperator
-    joint: np.ndarray = field(init=False, repr=False, compare=False)
-    joint_dag: np.ndarray = field(init=False, repr=False, compare=False)
+    joint: np.ndarray = field(init=False, repr=False)
+    joint_dag: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         u0 = self.u_b.entries @ self.u_a.entries

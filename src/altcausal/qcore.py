@@ -65,7 +65,7 @@ def _freeze(m: np.ndarray) -> np.ndarray:
     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexOperator:
     """A square complex matrix together with its tensor factorisation.
 

@@ -2,24 +2,26 @@
 
 ``golden_reports.json`` holds the sha256 of the JSON, CSV and SVG that
 ``cli.main`` writes for each invocation below, with the Python, numpy and
-scipy versions they were taken under.  Every invocation runs at dim 2
-but ``rcp``, at 4 and 7, and ``cascade``, whose chains reach 12 sites,
-so its matrices are at most 16 x 16 (a dim 2 ``duality`` member), far
-below where BLAS splits work across threads: the hashes hold whatever
-thread count the test process runs with.  That is why the benchmark's
-``link`` and ``operators`` invocations are here but for the two
-``duality --dim 4`` runs, whose 256 x 256 decompositions round
-differently at 1 and 2 BLAS threads.
+scipy versions they were taken under.  Each runs once, exits 0 and prints
+its summary; the pinned bytes fix the rest, such as a report's checks.
+It holds every experiment at defaults and the benchmark's 21 invocations
+at its seed 0.  All run in this process on matrices of at most 16 x 16,
+whose hashes hold at any BLAS thread count, but the ``IN_A_CHILD`` pair:
+its 256 x 256 decompositions round differently at 1 and 2 threads, so it
+runs in a fresh ``python -m altcausal.cli``, which pins BLAS, at each.
 
 Regenerate the file only when a report is meant to change, and say so in
-``CHANGES.md``::
+``CHANGES.md``; it writes nothing if a run fails or numpy or scipy is not
+the version in ``.github/constraints.txt``::
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 """
 
 import hashlib
 import json
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from importlib.metadata import version
@@ -30,7 +32,10 @@ import pytest
 from altcausal import cli
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
+CONSTRAINTS = Path(__file__).resolve().parents[1] / ".github" / "constraints.txt"
 FORMATS = ("json", "csv", "svg")
+IN_A_CHILD = ("duality --dim 4 --phase-mode continuous --seed 1932629315",
+              "duality --dim 4 --phase-mode discrete --seed 1274389160")
 
 # every experiment at its defaults, then variants whose check lists differ,
 # then edge values: zeros of both signs, a subnormal-scale noise, every
@@ -56,7 +61,12 @@ INVOCATIONS = [*cli._EXPERIMENTS,
                "ac-vs-ico --steps 2000",
                "rcp --points 2000 --seed 803033759",
                "cascade --sites 12 --horizon 2000 --seed 266057865",
-               "switch --points 2000"]
+               "switch --points 2000",
+               # and its seeded defaults invocations at seed 0
+               "duality --seed 1405670713", "photonclock --seed 531077410",
+               "cascade --seed 1631053231", "pif --seed 611470906",
+               "fito-vs-pif --seed 1037560922", "capacity --seed 469913594",
+               "rcp --seed 45412741", *IN_A_CHILD]
 
 
 def _environment() -> dict:
@@ -64,28 +74,57 @@ def _environment() -> dict:
             "scipy": version("scipy")}
 
 
-def _digests(invocation: str, out: Path) -> dict:
-    """The sha256 of each report file that ``invocation`` writes into ``out``."""
-    argv = invocation.split()
-    cli.main([*argv, "--out", str(out), "--format", ",".join(FORMATS)])
-    return {fmt: hashlib.sha256((out / f"{argv[0]}.{fmt}").read_bytes()).hexdigest()
+def _runs(invocation: str, out: Path):
+    """Run ``invocation`` into ``out``, yielding (label, exit code) after each run."""
+    argv = [*invocation.split(), "--out", str(out), "--format", ",".join(FORMATS)]
+    if invocation not in IN_A_CHILD:
+        yield repr(invocation), cli.main(argv)
+        return
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path),
+                   **dict.fromkeys(cli._BLAS_THREAD_VARIABLES, threads))
+        yield (f"{invocation!r} at {threads} BLAS threads", subprocess.run(
+            [sys.executable, "-m", "altcausal.cli", *argv], env=env, timeout=120).returncode)
+
+
+def _digests(name: str, out: Path) -> dict:
+    """The sha256 of each report file that experiment ``name`` wrote into ``out``."""
+    return {fmt: hashlib.sha256((out / f"{name}.{fmt}").read_bytes()).hexdigest()
             for fmt in FORMATS}
 
 
 @pytest.mark.parametrize("invocation", INVOCATIONS)
-def test_report_bytes_match_the_golden_hashes(invocation, tmp_path):
+def test_report_bytes_match_the_golden_hashes(invocation, tmp_path, capfd):
     golden = json.loads(GOLDEN.read_text())
-    assert invocation in golden["reports"], f"{invocation!r} has no golden hashes"
-    got = _digests(invocation, tmp_path)
-    wrong = [fmt for fmt in FORMATS if got[fmt] != golden["reports"][invocation][fmt]]
-    assert not wrong, (f"{invocation!r}: {', '.join(wrong)} bytes differ from the golden"
-                       f" hashes, taken under {golden['environment']}; this run has"
-                       f" {_environment()}")
+    name = invocation.split()[0]
+    for label, code in _runs(invocation, tmp_path):
+        stdout, stderr = capfd.readouterr()   # a child's output too
+        assert code == 0, f"{label} exited {code}\n{stderr}"
+        assert stdout.startswith(f"experiment: {name}\n"), f"{label} printed {stdout!r}"
+        got = _digests(name, tmp_path)
+        wrong = [fmt for fmt in FORMATS if got[fmt] != golden["reports"][invocation][fmt]]
+        assert not wrong, (f"{label}: {', '.join(wrong)} bytes differ from the golden hashes,"
+                           f" taken under {golden['environment']}; this run has {_environment()}")
+
+
+def test_the_golden_file_holds_exactly_the_invocations():
+    assert list(json.loads(GOLDEN.read_text())["reports"]) == INVOCATIONS
 
 
 def _write() -> None:
+    pins = (word.split("==") for word in CONSTRAINTS.read_text().split() if "==" in word)
+    off = [f"{name} {version(name)} (pinned {pin})" for name, pin in pins if version(name) != pin]
+    if off:
+        sys.exit(f"wrote nothing: {', '.join(off)}")
+    reports = {}
     with tempfile.TemporaryDirectory() as out:
-        reports = {invocation: _digests(invocation, Path(out)) for invocation in INVOCATIONS}
+        for invocation in INVOCATIONS:
+            for label, code in _runs(invocation, Path(out)):
+                if code != 0:
+                    sys.exit(f"wrote nothing: {label} exited {code}")
+                got = _digests(invocation.split()[0], Path(out))
+                if reports.setdefault(invocation, got) != got:
+                    sys.exit(f"wrote nothing: {label} differs from the first run")
     GOLDEN.write_text(json.dumps({"environment": _environment(), "reports": reports},
                                  indent=2) + "\n")
 

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from altcausal import photonclock, piflink, process
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 MODULES = ("altcausal", "altcausal.qcore", "altcausal.process", "altcausal.photonclock",
            "altcausal.absorber", "altcausal.piflink", "altcausal.cli")
@@ -95,3 +97,18 @@ def test_no_module_imports_a_name_it_never_uses(path):
                     used.update(ast.literal_eval(node.value))
         unused += [(getattr(scope, "name", "<module>"), name) for name in imported - used]
     assert sorted(unused) == []
+
+
+
+
+
+
+def test_records_that_hold_arrays_compare_by_identity():
+    def records():
+        rep = piflink.run_link(piflink.LinkConfig(slice_count=8))
+        switch = process.build_quantum_switch([[0, 1], [1, 0]], [[0, 1], [1, 0]])
+        box = photonclock.CausalBox()
+        return [rep, rep.cycles, rep.joint, switch, switch.u_a, box, box.photon,
+                photonclock.RcpOperator(switch.u_a, switch.u_b)]
+    for a, b in zip(records(), records()):   # equal content, made twice
+        assert a != b and a in [b, a] and b not in [a] and hash(a) == hash(a), type(a)
