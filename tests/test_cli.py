@@ -36,6 +36,13 @@ FAST_ARGS = {
 }
 
 
+@pytest.mark.parametrize("command", sorted(FAST_ARGS))
+def test_every_experiment_exits_zero(command, capsys):
+    assert main([command, *FAST_ARGS[command]]) == 0
+    out = capsys.readouterr().out
+    assert f"experiment: {command}" in out or command == "list"
+
+
 def test_no_command_prints_help_and_exits_two(capsys):
     assert main([]) == 2
     assert "usage" in capsys.readouterr().out
@@ -600,6 +607,17 @@ def test_out_dir_format_list(tmp_path):
     assert (tmp_path / "wfecho.csv").exists()
 
 
+@pytest.mark.parametrize("command", sorted(FAST_ARGS))
+def test_all_three_formats_for_every_experiment(command, tmp_path):
+    args = [command, *FAST_ARGS[command], "--format", "json,csv,svg",
+            "--out", str(tmp_path)]
+    assert main(args) == 0
+    for ext in ("json", "csv", "svg"):
+        assert (tmp_path / f"{command}.{ext}").exists()
+    # a report with no series still yields a well-formed placeholder svg
+    assert (tmp_path / f"{command}.svg").read_text().startswith("<svg")
+
+
 def test_list_names_every_experiment(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -862,6 +880,17 @@ def test_every_benchmark_invocation_is_accepted(workloads):
                 _config(ns, _EXPERIMENTS[ns.command].params)
 
 
+# duality --dim 4 runs in a BLAS-pinned child in the golden corpus
+@pytest.mark.parametrize("command", ["photonclock", "switch", "ac-vs-ico", "rcp", "cascade"])
+def test_operator_sweeps_match_the_benchmark_references(command, workloads, tmp_path):
+    args, = [a for a in workloads.invocations("operators", workloads.REFERENCE_SEED)
+             if a[0] == command]
+    out = tmp_path / "r.json"
+    assert main([*args, "--json", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert workloads.report_hash(report) == workloads.references()[workloads.key(args)]
+
+
 def test_duality_takes_the_process_spectrum_once(monkeypatch, tmp_path):
     # validate_ocb alone measures the 256-side process; the channel's own
     # check takes the spectrum of its 16-side Choi matrix
@@ -1053,6 +1082,18 @@ def test_json_int_for_a_float_option_is_stored_as_float(tmp_path):
     from_file, from_flag = json.loads(a.read_text()), json.loads(b.read_text())
     assert '"omega": 1.0' in a.read_text()
     assert from_file["metrics"] == from_flag["metrics"]
+
+
+@pytest.mark.parametrize("command", sorted(FAST_ARGS))
+def test_every_report_lists_its_checks(command, tmp_path):
+    out = tmp_path / "r.json"
+    assert main([command, *FAST_ARGS[command], "--json", str(out)]) == 0
+    checks = json.loads(out.read_text())["checks"]
+    assert isinstance(checks, list)
+    assert command == "list" or checks
+    for check in checks:
+        assert set(check) == {"name", "value", "tol", "ok"}
+        assert check["ok"] is True
 
 
 def test_wfecho_sweeps_the_linspace_grid(tmp_path):
