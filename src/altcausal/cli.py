@@ -502,23 +502,21 @@ _LINK = {"slices": Param(2000, low=1, high=1_000_000), "flip_forward": Param(0.0
          "temperature": Param(300.0)}
 
 
-def _link_report(cfg, mode: str):
-    """``piflink.run_link`` on the link that ``cfg`` describes, in mode ``mode``
-    (a ``piflink.LinkMode`` name)."""
+def _link_config(cfg):
+    """The ``piflink.LinkConfig`` of the link that ``cfg`` describes, in PIF mode."""
     from . import piflink
 
-    return piflink.run_link(piflink.LinkConfig(
+    return piflink.LinkConfig(
         slice_count=cfg["slices"], bit_flip_forward=cfg["flip_forward"],
         bit_flip_backward=cfg["flip_backward"], echo_loss_probability=cfg["echo_loss"],
-        rng_seed=cfg["seed"], temperature_kelvin=cfg["temperature"],
-        mode=piflink.LinkMode[mode]))
+        rng_seed=cfg["seed"], temperature_kelvin=cfg["temperature"])
 
 
 @_experiment("pif", "verified slice link with a full per-cycle information ledger", **_LINK)
 def _pif(cfg):
     from . import piflink
 
-    rep = _link_report(cfg, "PIF")
+    rep = piflink.run_link(_link_config(cfg))
     led = rep.ledger
     conservation = piflink.conservation_check(rep.cycles) if len(rep.cycles) > 1 else 0.0
     metrics = {
@@ -551,8 +549,9 @@ def _pif(cfg):
 def _fito_vs_pif(cfg):
     import numpy as np
 
-    pif_rep = _link_report(cfg, "PIF")
-    fito_rep = _link_report(cfg, "FITO")
+    from . import piflink
+
+    pif_rep, fito_rep = piflink.run_matched(_link_config(cfg))
     pif_cost = pif_rep.ledger.landauer_joules
     metrics = {
         "pif_detected_mismatches": pif_rep.detected_mismatches,
@@ -572,7 +571,7 @@ def _fito_vs_pif(cfg):
 
 @_experiment("capacity", "analytic and Monte Carlo per-cycle link capacities",
              flip_forward=Param(0.11), flip_backward=Param(0.11),
-             # a leg keeps 1 B per bit (its input bits) plus ~10 MB of block draws
+             # a leg holds one block of bits and one of flips (~10 MB) whatever n_bits is
              n_bits=Param(100_000, low=1, high=50_000_000), seed=Param(17, low=0))
 def _capacity(cfg):
     import numpy as np

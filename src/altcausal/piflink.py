@@ -19,7 +19,7 @@ processing inequality survives finite sampling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "symmetry_check",
     "echo",
     "run_link",
+    "run_matched",
     "capacity",
     "capacity_monte_carlo",
     "landauer_cost",
@@ -376,6 +377,15 @@ def _joint_counts(size: int, nx: int, ny: int, both: int) -> np.ndarray:
                      [nx - both, both]], dtype=float)
 
 
+def _shared_draws(cfg: LinkConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The payload words and the forward flip mask of ``cfg``'s run, which both modes draw."""
+    payloads = _stream(cfg.rng_seed, _STREAM_PAYLOAD).integers(
+        0, 256, size=(cfg.slice_count, SLICE_BYTES), dtype=np.uint8)
+    # A slice is one word: corruption is an XOR and a flip count a popcount.
+    return (payloads.view(np.uint64).ravel(),
+            _flips(cfg.rng_seed, _STREAM_FORWARD, cfg.slice_count, cfg.bit_flip_forward))
+
+
 def run_link(cfg: LinkConfig) -> LinkReport:
     """Simulate the link and return its full report.
 
@@ -384,14 +394,26 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     so a FITO run is the exact matched baseline of the PIF run with the
     same seed: identical payloads, identical forward corruption.  Only
     PIF mode has an echo leg, so only it draws the echo-loss and
-    backward streams.  A flip mask of probability 0 is all zeros, undrawn.
+    backward streams.  A noise stream of probability 0 (a flip mask or
+    the echo loss) is not drawn: it would change nothing.
     """
+    return _simulate(cfg, *_shared_draws(cfg))
+
+
+def run_matched(cfg: LinkConfig) -> tuple[LinkReport, LinkReport]:
+    """``run_link`` of ``cfg`` in PIF mode and in FITO mode, as a pair.
+
+    The streams both modes draw are drawn once and fed to both, so each
+    report equals its ``run_link`` bit for bit; ``cfg.mode`` is not read.
+    """
+    draws = _shared_draws(cfg)
+    return (_simulate(replace(cfg, mode=LinkMode.PIF), *draws),
+            _simulate(replace(cfg, mode=LinkMode.FITO), *draws))
+
+
+def _simulate(cfg: LinkConfig, sent: np.ndarray, fwd: np.ndarray) -> LinkReport:
+    """``run_link`` of ``cfg``, given its ``_shared_draws``."""
     n = cfg.slice_count
-    payloads = _stream(cfg.rng_seed, _STREAM_PAYLOAD).integers(
-        0, 256, size=(n, SLICE_BYTES), dtype=np.uint8)
-    # A slice is one word: corruption is an XOR and a flip count a popcount.
-    sent = payloads.view(np.uint64).ravel()
-    fwd = _flips(cfg.rng_seed, _STREAM_FORWARD, n, cfg.bit_flip_forward)
     received = sent ^ fwd
     f_fwd = np.bitwise_count(fwd)
 
@@ -408,7 +430,9 @@ def run_link(cfg: LinkConfig) -> LinkReport:
     corrupted_fwd = f_fwd > 0
     pif = cfg.mode is LinkMode.PIF
     if pif:
-        returned = _stream(cfg.rng_seed, _STREAM_LOSS).random(n) >= cfg.echo_loss_probability
+        loss = cfg.echo_loss_probability
+        returned = (_stream(cfg.rng_seed, _STREAM_LOSS).random(n) >= loss if loss
+                    else np.ones(n, dtype=bool))
         bwd = _flips(cfg.rng_seed, _STREAM_BACKWARD, n, cfg.bit_flip_backward)
         # echo() reverses the byte order, so a backward flip lands byte-swapped
         roundtrip = fwd ^ bwd.byteswap()
@@ -494,20 +518,19 @@ def capacity_monte_carlo(cfg: LinkConfig, n_bits: int = 100_000) -> tuple[float,
         raise ValueError(f"n_bits must be >= 1, got {n_bits}")
 
     def leg(tag: int, p: float) -> float:
-        rng = _stream(cfg.rng_seed, tag)
-        # Every int comes before the first float, as in one full-size draw
-        # of each; PCG64 keeps the spare 32-bit half of a draw, so the int
-        # blocks continue the stream as the float blocks do.
-        x = np.empty(n_bits, dtype=bool)
+        # As in one full-size draw of each, the ints come first, one per 32-bit
+        # half of a 64-bit draw: a second generator jumped past them reads the floats.
+        bits, flips = _stream(cfg.rng_seed, tag), _stream(cfg.rng_seed, tag)
+        flips.bit_generator.advance((n_bits + 1) // 2)
+        nx = ny = both = 0
         for start in range(0, n_bits, _BLOCK):
-            x[start:start + _BLOCK] = rng.integers(0, 2, size=min(_BLOCK, n_bits - start))
-        ny = both = 0
-        for start in range(0, n_bits, _BLOCK):
-            xs = x[start:start + _BLOCK]
-            ys = xs ^ (rng.random(len(xs)) < p)
-            ny += int(np.count_nonzero(ys))
-            both += int(np.count_nonzero(xs & ys))
-        counts = _joint_counts(n_bits, int(np.count_nonzero(x)), ny, both)
+            x = bits.integers(0, 2, size=min(_BLOCK, n_bits - start)).astype(bool)
+            y = x ^ (flips.random(len(x)) < p)
+            nx += np.count_nonzero(x)
+            ny += np.count_nonzero(y)
+            both += np.count_nonzero(x & y)
+            del x, y   # so the next block is not drawn beside them
+        counts = _joint_counts(n_bits, nx, ny, both)
         return SLICE_BITS * mutual_information(JointDistribution.from_counts(counts))
 
     c_forward = leg(_STREAM_MC_FORWARD, cfg.bit_flip_forward)

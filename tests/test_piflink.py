@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from altcausal.piflink import (
     landauer_cost,
     mutual_information,
     run_link,
+    run_matched,
     shannon_entropy,
     symmetry_check,
 )
@@ -438,12 +440,13 @@ def test_capacity_monte_carlo_matches_four_reductions_bit_for_bit(p):
     assert capacity_monte_carlo(cfg, n_bits=5000) == _reference_capacity_monte_carlo(cfg, 5000)
 
 
-@pytest.mark.parametrize("n_bits", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
-                                    3 * _BLOCK + 7])
+@pytest.mark.parametrize("n_bits", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                    2 * _BLOCK + 1, 3 * _BLOCK + 7])
 @pytest.mark.parametrize("seed", [0, 17, 2 ** 40 + 3])
 def test_capacity_monte_carlo_in_blocks_equals_one_full_size_draw(n_bits, seed):
-    for p in (0.0, 0.11, 0.5):
-        cfg = LinkConfig(slice_count=1, bit_flip_forward=p, bit_flip_backward=0.5 - p,
+    # an odd n_bits leaves the last int a spare 32-bit half, which the floats skip
+    for p in (0.0, 0.11, 0.5, 1.0):
+        cfg = LinkConfig(slice_count=1, bit_flip_forward=p, bit_flip_backward=abs(0.5 - p),
                          rng_seed=seed)
         got = capacity_monte_carlo(cfg, n_bits=n_bits)
         assert _float_bits(got) == _float_bits(_reference_capacity_monte_carlo(cfg, n_bits))
@@ -481,10 +484,18 @@ def test_run_link_memory_stays_bounded_by_the_block_draws():
 
 
 def test_capacity_monte_carlo_memory_stays_bounded_by_the_block_draws():
-    # 4e6 bits: 4 MB of input bits plus ~10 MB of block draws; the
-    # full-size draws peaked at ~40 MB
+    # 4e6 bits: ~10 MB of block draws; the full-size draws peaked at ~40 MB
     cfg = LinkConfig(slice_count=1, bit_flip_forward=0.11, bit_flip_backward=0.11, rng_seed=17)
     assert _traced_peak_mb(lambda: capacity_monte_carlo(cfg, n_bits=4_000_000)) < 24
+
+
+def test_capacity_monte_carlo_memory_does_not_grow_with_n_bits():
+    # a leg holds one block of bits and one of flips, however many blocks it reads
+    cfg = LinkConfig(slice_count=1, bit_flip_forward=0.11, bit_flip_backward=0.11, rng_seed=17)
+    capacity_monte_carlo(cfg, n_bits=1)   # numpy's first-call allocations are not the leg's
+    one_block = _traced_peak_mb(lambda: capacity_monte_carlo(cfg, n_bits=_BLOCK + 1))
+    four_blocks = _traced_peak_mb(lambda: capacity_monte_carlo(cfg, n_bits=4 * _BLOCK + 1))
+    assert four_blocks < one_block + 1
 
 
 def test_landauer_cost_oracles():
@@ -689,20 +700,43 @@ def test_one_cycle_ledgers_equal_the_oracles_batched_rows_bit_for_bit(cfg):
 
 
 @pytest.mark.parametrize("mode, tags", [(LinkMode.FITO, [0, 1]), (LinkMode.PIF, [0, 1, 2, 3]),
-                                        (LinkMode.PIF, [0, 1, 2])])
+                                        (LinkMode.PIF, [0, 1, 2]), (LinkMode.PIF, [0, 1, 3])])
 def test_only_a_verified_link_draws_the_echo_leg(mode, tags, monkeypatch):
     # FITO has no echo leg, so it draws neither the loss nor the backward stream;
-    # PIF at bit_flip_backward=0 (the last case) has no backward flip to draw;
+    # PIF draws no stream of probability 0: no backward flip at bit_flip_backward=0
+    # (the third case), no echo loss at echo_loss_probability=0 (the last);
     # every stream has its own sub-seed, so the streams it does draw are unchanged
     drawn = []
     monkeypatch.setattr("altcausal.piflink._stream",
                         lambda seed, tag: drawn.append(tag) or _stream(seed, tag))
     cfg = LinkConfig(slice_count=300, bit_flip_forward=0.02,
                      bit_flip_backward=0.0 if tags == [0, 1, 2] else 0.02,
-                     echo_loss_probability=0.1, rng_seed=11, mode=mode)
+                     echo_loss_probability=0.0 if tags == [0, 1, 3] else 0.1,
+                     rng_seed=11, mode=mode)
     run_link(cfg)
     assert drawn == tags
     _assert_matches_reference(cfg)
+
+
+def _report_bits(rep) -> tuple:
+    """Every number of a LinkReport, floats as their bytes."""
+    return (tuple(_float_bits(getattr(rep.cycles, name)) for name in _LEDGER_FIELDS),
+            tuple(_float_bits(getattr(rep.ledger, name)) for name in _LEDGER_FIELDS),
+            tuple(getattr(rep, name) for name in _COUNTERS),
+            _float_bits(rep.joint.p))
+
+
+@pytest.mark.parametrize("noise", _NOISE)
+@pytest.mark.parametrize("slice_count", [1, 2, 2000])
+def test_run_matched_equals_run_link_in_each_mode_bit_for_bit(noise, slice_count):
+    flip_fwd, flip_bwd, loss = noise
+    for seed in _SEEDS:
+        cfg = LinkConfig(slice_count=slice_count, bit_flip_forward=flip_fwd,
+                         bit_flip_backward=flip_bwd, echo_loss_probability=loss, rng_seed=seed,
+                         mode=LinkMode.FITO)   # run_matched runs both modes whatever cfg says
+        pif, fito = run_matched(cfg)
+        assert _report_bits(pif) == _report_bits(run_link(replace(cfg, mode=LinkMode.PIF)))
+        assert _report_bits(fito) == _report_bits(run_link(cfg))
 
 
 @pytest.mark.parametrize("mode", list(LinkMode))
