@@ -571,7 +571,8 @@ def _fito_vs_pif(cfg):
 
 @_experiment("capacity", "analytic and Monte Carlo per-cycle link capacities",
              flip_forward=Param(0.11), flip_backward=Param(0.11),
-             # a leg holds one block of bits and one of flips (~10 MB) whatever n_bits is
+             # a leg holds one block of bits and one of flips (~10 MB) whatever n_bits is,
+             # so this ceiling bounds the run's time (about 1 s), not its memory
              n_bits=Param(100_000, low=1, high=50_000_000), seed=Param(17, low=0))
 def _capacity(cfg):
     import numpy as np

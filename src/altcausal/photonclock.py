@@ -73,28 +73,68 @@ class TickRecord(NamedTuple):
     decohered: bool     # True once the tick has leaked to an environment
 
 
-@dataclass
+@dataclass(repr=False)
 class TickLedger:
-    """Ordered record of signed traversal ticks; it starts empty."""
+    """Ordered record of signed traversal ticks; it starts empty.
 
-    increments: list[TickRecord] = field(default_factory=list, init=False)
+    The ticks are held as two byte columns, the signed values (as int8
+    bytes) and the decohered flags (0 or 1); ``increments`` builds their
+    ``TickRecord`` list on read, and the readings below scan the columns
+    with numpy.
+    """
+
+    _values: bytearray = field(default_factory=bytearray, init=False)
+    _decohered: bytearray = field(default_factory=bytearray, init=False)
+
+    def __repr__(self) -> str:
+        return f"TickLedger(increments={self.increments!r})"
 
     def append(self, value: int, decohered: bool) -> None:
         if value not in (-1, 1):
             raise ValueError(f"increment value must be +1 or -1, got {value}")
-        self.increments.append(TickRecord(int(value), bool(decohered)))
+        self._values.append(int(value) & 0xFF)
+        self._decohered.append(bool(decohered))
+
+    def _extend(self, values: np.ndarray, decohered: np.ndarray) -> None:
+        """Append ticks from an int8 column of +-1 values and a bool column of flags."""
+        self._values += values.tobytes()
+        self._decohered += decohered.tobytes()
+
+    def _columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """Views of the values as int8 and of the decohered flags as bool."""
+        return (np.frombuffer(self._values, dtype=np.int8),
+                np.frombuffer(self._decohered, dtype=np.bool_))
+
+    @property
+    def increments(self) -> list[TickRecord]:
+        values, _ = self._columns()
+        return list(map(TickRecord, values.tolist(), map(bool, self._decohered)))
 
     @property
     def traversal_count(self) -> int:
-        return len(self.increments)
+        return len(self._values)
 
     @property
     def signed_sum(self) -> int:
-        return sum(inc.value for inc in self.increments)
+        return int(self._columns()[0].sum(dtype=np.int64))
 
     @property
     def decohered_count(self) -> int:
-        return sum(1 for inc in self.increments if inc.decohered)
+        return int(np.count_nonzero(self._columns()[1]))
+
+
+def _closed_time(ledger: TickLedger) -> np.ndarray:
+    """``classical_time`` of every prefix, as an int64 column.
+
+    A closed run's total is the difference of the running tick sum at
+    its decohered tick and at the one before it.
+    """
+    values, decohered = ledger._columns()
+    ends = np.flatnonzero(decohered)
+    runs = np.abs(np.diff(np.cumsum(values, dtype=np.int64)[ends], prepend=0))
+    added = np.zeros(values.size, dtype=np.int64)
+    added[ends] = runs
+    return np.cumsum(added)
 
 
 def classical_time(ledger: TickLedger) -> int:
@@ -106,25 +146,20 @@ def classical_time(ledger: TickLedger) -> int:
     reversible and contribute nothing, which keeps the reading
     non-negative and non-decreasing as closed runs are appended.
     """
-    series = classical_time_series(ledger)
-    return series[-1] if series else 0
+    series = _closed_time(ledger)
+    return int(series[-1]) if series.size else 0
 
 
 def classical_time_series(ledger: TickLedger) -> list[int]:
-    """``classical_time`` of every prefix, in one pass over the ledger.
+    """``classical_time`` of every prefix, in one pass over the ledger's columns.
 
-    Entry k is the reading after the first k + 1 ticks.
+    Entry k is the reading after the first k + 1 ticks.  A reading held
+    over many ticks is one int object repeated, not a new int per tick.
     """
-    series = []
-    total = 0
-    run = 0
-    for inc in ledger.increments:
-        run += inc.value
-        if inc.decohered:
-            total += abs(run)
-            run = 0
-        series.append(total)
-    return series
+    series = _closed_time(ledger)
+    starts = np.flatnonzero(np.diff(series, prepend=-1))
+    readings = np.array(series[starts].tolist(), dtype=object)
+    return np.repeat(readings, np.diff(starts, append=series.size)).tolist()
 
 
 def bare_classical_time(ledger: TickLedger) -> int:
@@ -165,6 +200,20 @@ class BoundaryConditions:
                 self.simultaneous_emission, self.simultaneous_absorption)
 
 
+class _Photon:
+    """``CausalBox.photon``: the box's photon, stepped through its owed bounces when read."""
+
+    def __get__(self, box, owner=None):
+        if box is None:
+            return None   # the field's default, as dataclass reads it
+        box._step_owed_bounces()
+        return box._photon
+
+    def __set__(self, box, photon):
+        box._photon = photon
+        box._owed_bounces = 0
+
+
 @dataclass(eq=False)
 class CausalBox:
     """Two mirrors, one photon, and the ledger of its traversals.
@@ -174,13 +223,21 @@ class CausalBox:
     untouched.  Evolution is sequential and deterministic for a given
     ``rng_seed``; randomness is drawn from a per-event stream keyed by
     (seed, event index) so any prefix can be replayed independently.
+
+    A bounce writes its tick at once but only counts itself against the
+    photon: the first read of ``photon`` steps it through every bounce
+    owed, each at the decoherence it was made with, so a box that is
+    read equals one stepped bounce by bounce, bit for bit, and a box
+    whose photon is never read never steps it.
     """
 
-    photon: DensityMatrix | None = None
+    photon: DensityMatrix | None = _Photon()
     decoherence_per_bounce: float = 0.0
     ledger: TickLedger = field(default_factory=TickLedger, init=False)
     rng_seed: int = 0
     _event_count: int = field(default=0, init=False, repr=False)
+    _owed_bounces: int = field(default=0, init=False, repr=False)
+    _owed_p: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.photon is None:
@@ -204,6 +261,19 @@ class CausalBox:
         self._event_count += 1
         return rng
 
+    def _owe_bounces(self, n: int) -> None:
+        """Count ``n`` bounces against the photon, to be stepped at its next read."""
+        p = self.decoherence_per_bounce
+        if p != self._owed_p:
+            self._step_owed_bounces()   # those were owed under another decoherence
+            self._owed_p = p
+        self._owed_bounces += n
+
+    def _step_owed_bounces(self) -> None:
+        if self._owed_bounces:
+            self._photon = _bounce_photon(self._photon, self._owed_p, self._owed_bounces)
+            self._owed_bounces = 0
+
 
 @functools.lru_cache(maxsize=8)
 def _direction_flip(dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -220,12 +290,12 @@ def _photon_orbit(photon: DensityMatrix, p: float) -> Iterator[np.ndarray]:
     return _noisy_orbit(photon.entries, itertools.repeat(_direction_flip(photon.dim)), p)
 
 
-def _bounce_photon(box: CausalBox, n: int) -> None:
-    """Bounce the photon ``n`` times, wrapping it once."""
-    rho = box.photon.entries
-    for rho in itertools.islice(_photon_orbit(box.photon, box.decoherence_per_bounce), n):
+def _bounce_photon(photon: DensityMatrix, p: float, n: int) -> DensityMatrix:
+    """``photon`` after ``n`` bounces at decoherence ``p``, wrapped once."""
+    rho = photon.entries
+    for rho in itertools.islice(_photon_orbit(photon, p), n):
         pass
-    box.photon = DensityMatrix._trusted(rho, box.photon.dims)
+    return DensityMatrix._trusted(rho, photon.dims)
 
 
 def bounce(box: CausalBox) -> CausalBox:
@@ -233,20 +303,19 @@ def bounce(box: CausalBox) -> CausalBox:
 
     Appends the signed traversal tick (sign of the leg just completed),
     samples the decohered flag with probability ``decoherence_per_bounce``,
-    flips the direction qubit, and passes the photon through a
-    depolarizing channel of the same strength.  Mutates ``box`` and
-    returns it.
+    and owes the photon one step: its direction qubit flipped, then a
+    depolarizing channel of the same strength, applied when the photon
+    is next read.  Mutates ``box`` and returns it.
     """
     rng = box._event_rng()
     decohered = bool(rng.random() < box.decoherence_per_bounce)
     box.ledger.append(box.current_direction, decohered)
-    _bounce_photon(box, 1)
+    box._owe_bounces(1)
     return box
 
 
 # numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants
 _MASK32 = 0xFFFFFFFF
-_MASK64 = (1 << 64) - 1
 _MASK128 = (1 << 128) - 1
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -257,6 +326,13 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 # they map the state seed s and increment inc to s A + inc B (mod 2^128).
 _PCG_A = _PCG_MULT ** 2 & _MASK128
 _PCG_B = (_PCG_MULT ** 2 + _PCG_MULT + 1) & _MASK128
+
+# the 128-bit tail runs on 32-bit limbs, least significant first, each
+# held in a uint64 so that a limb product and its carries fit
+_U1, _U11, _U26, _U31, _U32, _U63, _U64 = (np.uint64(k) for k in (1, 11, 26, 31, 32, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+_PCG_A_LIMBS, _PCG_B_LIMBS = ([np.uint64(c >> 32 * k & _MASK32) for k in range(4)]
+                              for c in (_PCG_A, _PCG_B))
 
 # events drawn per block in run_bounces, so memory does not grow with n
 _DRAW_CHUNK = 65_536
@@ -271,13 +347,13 @@ def _seed_words(n: int) -> list[int]:
     return words
 
 
-def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
-    """``np.random.default_rng((seed, k)).random()`` for k in [start, start + n), bit for bit.
+def _state_words(seed: int, start: int, n: int) -> list[np.ndarray]:
+    """``SeedSequence((seed, k)).generate_state(4, np.uint64)`` for k in [start, start + n).
 
+    Returned as its eight 32-bit words, each a uint64 column over k.
     Replays SeedSequence's entropy pool for every k at once on uint32
-    arrays (its hash constants do not depend on the data), then PCG64's
-    seeding and first XSL-RR output in Python ints.  An event index needs
-    to fit one 32-bit word.
+    arrays (its hash constants do not depend on the data).  An event
+    index needs to fit one 32-bit word.
     """
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
@@ -308,7 +384,7 @@ def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
         for i_dst in range(_POOL_SIZE):
             pool[i_dst] = mix(pool[i_dst], hashmix(word))
 
-    # generate_state(4, uint64): eight words cycled from the pool
+    # eight words cycled from the pool
     hash_const = _INIT_B
     words = []
     for i in range(8):
@@ -316,34 +392,66 @@ def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
         hash_const = hash_const * _MULT_B & _MASK32
         value = value * hash_const
         words.append((value ^ (value >> 16)).astype(np.uint64))
-    # little-endian pairs make the four uint64 words: state seed, then increment
-    halves = [(words[i] | words[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
-    out = []
-    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
-        inc = (i_hi << 64 | i_lo) << 1 | 1
-        state = ((s_hi << 64 | s_lo) * _PCG_A + inc * _PCG_B) & _MASK128
-        x = ((state >> 64) ^ state) & _MASK64
-        rot = state >> 122
-        out.append(((x >> rot | x << (-rot & 63)) & _MASK64) >> 11)
-    return np.array(out, dtype=np.float64) * 2.0 ** -53
+    return words
+
+
+def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
+    """``np.random.default_rng((seed, k)).random()`` for k in [start, start + n), bit for bit.
+
+    PCG64's seeding and first XSL-RR output run on the state words of
+    ``_state_words`` as 32-bit limbs in uint64 columns: every product
+    of two limbs fits, no shift reaches 64, and nothing leaves uint64.
+    """
+    w = _state_words(seed, start, n)
+    # little-endian word pairs make the uint64s (state seed high, low, increment high, low)
+    seed_limbs = [w[2], w[3], w[0], w[1]]
+    inc = [w[6], w[7], w[4], w[5]]
+    inc_limbs = [(inc[0] << _U1 | _U1) & _LOW32,
+                 *((inc[k] << _U1 | inc[k - 1] >> _U31) & _LOW32 for k in range(1, 4))]
+    # seed A + inc B mod 2^128, by columns: each limb product's low half
+    # goes to its column, its high half to the next; a column sums at most
+    # 14 halves below 2^32, so it stays below 2^36
+    state = [np.zeros(n, dtype=np.uint64) for _ in range(4)]
+    for limbs, const in ((seed_limbs, _PCG_A_LIMBS), (inc_limbs, _PCG_B_LIMBS)):
+        for i in range(4):
+            for j in range(4 - i):
+                product = limbs[i] * const[j]
+                state[i + j] += product & _LOW32
+                if i + j < 3:
+                    state[i + j + 1] += product >> _U32
+    for k in range(1, 4):
+        state[k] += state[k - 1] >> _U32
+        state[k - 1] &= _LOW32
+    state[3] &= _LOW32
+    # XSL-RR: the state's two halves xored, rotated right by its top six bits
+    x = (state[3] ^ state[1]) << _U32 | (state[2] ^ state[0])
+    rot = state[3] >> _U26
+    out = (x >> rot | x << ((_U64 - rot) & _U63)) >> _U11
+    return out.astype(np.float64) * 2.0 ** -53
 
 
 def run_bounces(box: CausalBox, n: int) -> CausalBox:
     """``n`` bounces in one pass, leaving ``box`` as ``n`` calls to ``bounce`` would.
 
-    The decoherence flags are replayed in blocks by ``_event_draws``; the
-    photon takes the same noisy steps as in ``bounce``, wrapped once at
-    the end.  Mutates ``box`` and returns it.
+    The whole event range is checked before any tick is written.  The
+    decoherence flags are replayed in blocks by ``_event_draws`` and the
+    ticks appended to the ledger's columns a block at a time; the photon
+    is owed the ``n`` steps, taken as in ``bounce`` when it is next
+    read.  Mutates ``box`` and returns it.
     """
     if n < 0:
         raise ValueError(f"bounce count must be >= 0, got {n}")
+    first = box._event_count
+    if n and first + n > 1 << 32:
+        raise ValueError(f"event indices [{first}, {first + n}) leave [0, 2**32)")
     p = box.decoherence_per_bounce
-    increments = box.ledger.increments
     for lo in range(0, n, _DRAW_CHUNK):
-        draws = _event_draws(box.rng_seed, box._event_count + lo, min(_DRAW_CHUNK, n - lo))
-        signs = np.resize([box.current_direction, -box.current_direction], draws.size)
-        increments.extend(map(TickRecord, signs.tolist(), (draws < p).tolist()))
-    _bounce_photon(box, n)
+        draws = _event_draws(box.rng_seed, first + lo, min(_DRAW_CHUNK, n - lo))
+        signs = np.empty(draws.size, dtype=np.int8)
+        signs[0::2] = box.current_direction
+        signs[1::2] = -box.current_direction
+        box.ledger._extend(signs, draws < p)
+    box._owe_bounces(n)
     box._event_count += n
     return box
 

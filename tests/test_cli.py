@@ -778,6 +778,22 @@ def test_photonclock_sweep_bounces_in_one_pass(monkeypatch, tmp_path):
         assert len(calls) == 0
 
 
+def test_photonclock_steps_the_photon_only_for_the_round_trip_check(monkeypatch, tmp_path):
+    # no report reads the main box's photon: only check_nondiscernability's
+    # 3 cycles (6 states of the closed box's orbit) are stepped
+    steps = []
+    orbit = photonclock._noisy_orbit
+
+    def counting(*args):
+        for rho in orbit(*args):
+            steps.append(1)
+            yield rho
+
+    monkeypatch.setattr(photonclock, "_noisy_orbit", counting)
+    assert main(["photonclock", "--bounces", "800", "--json", str(tmp_path / "p.json")]) == 0
+    assert len(steps) == 6
+
+
 def test_duality_deviation_is_tiny(tmp_path):
     out = tmp_path / "dual.json"
     assert main(["duality", "--points", "16", "--json", str(out)]) == 0

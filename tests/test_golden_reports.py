@@ -47,7 +47,9 @@ INVOCATIONS = [*cli._EXPERIMENTS,
                "photonclock --decoherence 0",
                *(f"ac-vs-ico --noise {p}" for p in ("0", "1", "1e-300", "-0.0")),
                *(f"cascade --sites {n}" for n in range(2, 13) if n != 4),
-               "photonclock --bounces 10000 --seed 4", "photonclock --decoherence 1",
+               "photonclock --bounces 10000 --seed 4",
+               # its event draws and tick columns cross a 65,536-event block
+               "photonclock --bounces 70000 --seed 5", "photonclock --decoherence 1",
                "photonclock --decoherence -0.0",
                "pif --flip-forward 0.01 --flip-backward 0.01 --echo-loss 0.6 --seed 6",
                "capacity --n-bits 1", "rcp --dim 7", "switch --points 20001",

@@ -107,6 +107,20 @@ def _reference_classical_time(increments):
     return total
 
 
+def _reference_classical_time_series(ledger):
+    """classical_time_series's former body: one Python pass over the ticks."""
+    series = []
+    total = 0
+    run = 0
+    for inc in ledger.increments:
+        run += inc.value
+        if inc.decohered:
+            total += abs(run)
+            run = 0
+        series.append(total)
+    return series
+
+
 _TICKS = st.lists(st.tuples(st.sampled_from([1, -1]), st.booleans()), max_size=80)
 
 
@@ -120,9 +134,41 @@ def test_series_matches_per_prefix_rescan(seq):
     led = _ledger(seq)
     series = classical_time_series(led)
     want = [_reference_classical_time(led.increments[:k + 1]) for k in range(len(seq))]
-    assert series == want
+    assert series == want == _reference_classical_time_series(led)
     assert all(type(v) is int for v in series)
     assert classical_time(led) == _reference_classical_time(led.increments)
+    assert type(classical_time(led)) is int
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
+def test_series_matches_the_per_tick_loop_on_bounced_ledgers(p):
+    box = CausalBox(decoherence_per_bounce=p, rng_seed=12)
+    break_symmetry(box, BoundaryConditions(0.25, 0.25, 0.25, 0.25))
+    run_bounces(box, 5000)
+    series = classical_time_series(box.ledger)
+    assert series == _reference_classical_time_series(box.ledger)
+    assert all(type(v) is int for v in series)
+    assert classical_time(box.ledger) == (series[-1] if series else 0)
+    increments = box.ledger.increments
+    assert box.ledger.signed_sum == sum(inc.value for inc in increments)
+    assert box.ledger.decohered_count == sum(inc.decohered for inc in increments)
+    assert bare_classical_time(box.ledger) == abs(box.ledger.signed_sum)
+    assert all(type(c) is int for c in (box.ledger.signed_sum, box.ledger.decohered_count,
+                                        bare_classical_time(box.ledger)))
+
+
+def test_ledger_columns_read_back_as_tick_records():
+    led = _ledger([(1, False), (-1, True), (1.0, np.True_), (np.int64(-1), 0)])
+    assert led.increments == [(1, False), (-1, True), (1, True), (-1, False)]
+    assert [type(v) for inc in led.increments for v in inc] == [int, bool] * 4
+    assert repr(led) == ("TickLedger(increments=[TickRecord(value=1, decohered=False), "
+                         "TickRecord(value=-1, decohered=True), TickRecord(value=1, "
+                         "decohered=True), TickRecord(value=-1, decohered=False)])")
+    # the list is built on read: changing it leaves the ledger as it is
+    led.increments.append(photonclock.TickRecord(5, True))
+    assert led.traversal_count == 4
+    assert led == _ledger([(1, False), (-1, True), (1, True), (-1, False)])
+    assert led != _ledger([(1, False)])
 
 
 def test_classical_time_monotone_under_closed_segments():
@@ -284,6 +330,44 @@ def test_event_draws_match_default_rng_at_fixed_seeds(seed):
         assert got.tobytes() == want.tobytes()
 
 
+def _reference_event_draws(seed, start, n):
+    """``_event_draws`` with its former tail: PCG64 seeding and output in Python ints."""
+    mask64, mask128 = (1 << 64) - 1, (1 << 128) - 1
+    words = photonclock._state_words(seed, start, n)
+    halves = [(words[i] | words[i + 1] << np.uint64(32)).tolist() for i in range(0, 8, 2)]
+    out = []
+    for s_hi, s_lo, i_hi, i_lo in zip(*halves):
+        inc = (i_hi << 64 | i_lo) << 1 | 1
+        state = ((s_hi << 64 | s_lo) * photonclock._PCG_A + inc * photonclock._PCG_B) & mask128
+        x = ((state >> 64) ^ state) & mask64
+        rot = state >> 122
+        out.append(((x >> rot | x << (-rot & 63)) & mask64) >> 11)
+    return np.array(out, dtype=np.float64) * 2.0 ** -53
+
+
+# seeds of one to five 32-bit words, with high and low bits set in each
+_LIMB_SEEDS = [0, 7, 2**32 - 1, 2**32, 2**63 + 2**31 + 9, 2**64 - 1, 2**95 + 3,
+               2**128 - 5, 2**128 + 2**64 + 1, 2**159 + 2**40 + 17]
+
+
+@pytest.mark.parametrize("seed", _LIMB_SEEDS)
+def test_event_draws_match_the_python_int_tail_bit_for_bit(seed):
+    chunk = photonclock._DRAW_CHUNK
+    for start, n in ((0, 300), (chunk - 150, 300), (2**32 - 300, 300)):
+        got = _event_draws(seed, start, n)
+        assert got.dtype == np.float64
+        assert got.tobytes() == _reference_event_draws(seed, start, n).tobytes(), (seed, start)
+
+
+def test_run_bounces_replays_the_python_int_tail_across_a_block():
+    # one block of _DRAW_CHUNK events and the start of the next
+    n = photonclock._DRAW_CHUNK + 300
+    box = run_bounces(CausalBox(decoherence_per_bounce=0.5, rng_seed=2**64 + 5), n)
+    want = (_reference_event_draws(2**64 + 5, 0, n) < 0.5).tolist()
+    assert [inc.decohered for inc in box.ledger.increments] == want
+    assert box.ledger.traversal_count == n
+
+
 def test_event_draws_cover_the_last_one_word_index_and_refuse_the_next():
     assert _event_draws(5, 2**32 - 1, 1).tolist() == [_default_rng_draw(5, 2**32 - 1)]
     with pytest.raises(ValueError):
@@ -344,6 +428,76 @@ def test_run_bounces_draws_in_blocks(monkeypatch):
 def test_run_bounces_rejects_a_negative_count():
     with pytest.raises(ValueError):
         run_bounces(CausalBox(), -1)
+
+
+@pytest.mark.parametrize("n", [70_000, 100_000])
+def test_run_bounces_refuses_a_range_past_the_last_event_index_before_drawing(n):
+    # the range crosses 2**32 only in its second block of draws
+    box = CausalBox(decoherence_per_bounce=0.25, rng_seed=9)
+    run_bounces(box, 5)
+    box._event_count = 2**32 - 69_000
+    photon, ticks = box.photon, box.ledger.increments
+    with pytest.raises(ValueError, match="leave"):
+        run_bounces(box, n)
+    assert box.ledger.increments == ticks
+    assert box._event_count == 2**32 - 69_000
+    assert box.photon is photon
+    # the range that ends at 2**32 runs
+    run_bounces(box, 69_000)
+    assert box.ledger.traversal_count == 69_005
+
+
+def test_the_photon_steps_only_when_read(monkeypatch):
+    steps = []
+    orbit = photonclock._noisy_orbit
+
+    def counting(*args):
+        for rho in orbit(*args):
+            steps.append(1)
+            yield rho
+
+    monkeypatch.setattr(photonclock, "_noisy_orbit", counting)
+    box = CausalBox(decoherence_per_bounce=0.25, rng_seed=3)
+    run_bounces(box, 500)
+    bounce(box)
+    assert steps == []
+    photon = box.photon
+    assert len(steps) == 501
+    assert box.photon is photon and len(steps) == 501
+
+
+@pytest.mark.parametrize("photon", sorted(_photons()))
+def test_a_box_read_between_bounces_matches_the_bounce_loop(photon):
+    state = _photons()[photon]
+    fast = CausalBox(photon=state, decoherence_per_bounce=0.25, rng_seed=17)
+    slow = CausalBox(photon=state, decoherence_per_bounce=0.25, rng_seed=17)
+    for n in (70, 1, 0, 33):
+        run_bounces(fast, n)
+        fast.photon   # each read steps what the box owes so far
+        bounce(fast)
+        fast.photon
+        for _ in range(n + 1):
+            _reference_bounce(slow)
+        _assert_same_box(fast, slow)
+
+
+def test_owed_bounces_keep_the_decoherence_they_were_made_with():
+    fast = CausalBox(decoherence_per_bounce=0.25, rng_seed=8)
+    slow = CausalBox(decoherence_per_bounce=0.25, rng_seed=8)
+    for p in (0.25, 0.0, 1.0, 0.5):
+        fast.decoherence_per_bounce = slow.decoherence_per_bounce = p
+        run_bounces(fast, 3)
+        bounce(fast)
+        for _ in range(4):
+            _reference_bounce(slow)
+    fast.decoherence_per_bounce = 0.75   # after the last bounce, before the read
+    _assert_same_box(fast, slow)
+
+
+def test_setting_the_photon_drops_the_owed_bounces():
+    box = run_bounces(CausalBox(decoherence_per_bounce=0.5), 9)
+    box.photon = projector(ket(1))
+    assert box.photon.entries.tobytes() == projector(ket(1)).entries.tobytes()
 
 
 def test_nondiscernability_holds_for_closed_box():
