@@ -22,6 +22,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from collections import Counter, namedtuple
@@ -258,6 +259,13 @@ def _within(name: str, value: float, tol: float) -> Check:
     return Check(name, value, tol, not value > tol)
 
 
+def _non_decreasing(name: str, seq, tol) -> Check:
+    """Fails if a step of ``seq`` falls past ``tol``, valued at the worst, else at 0."""
+    worst = min(map(operator.sub, itertools.islice(seq, 1, None), seq), default=0)
+    fell = worst < -tol
+    return Check(f"{name}_non_decreasing", worst if fell else type(tol)(0), tol, not fell)
+
+
 def _checked(name: str, spec: Param, value):
     """``value`` if it meets ``spec``; JSON ints become floats for float options."""
     kind = type(spec.default)
@@ -415,12 +423,9 @@ def _ac_vs_ico(cfg):
         "entropy_alternating": list(rep.ac_entropies),
         "entropy_coherent": list(rep.ico_entropies),
     }
-    checks = []   # unital noise never lowers the entropy; value is the worst drop
-    for name, seq in (("alternating", rep.ac_entropies), ("coherent", rep.ico_entropies)):
-        drops = [b - a for a, b in zip(seq, seq[1:]) if b < a - 1e-9]
-        checks.append(Check(f"{name}_entropy_non_decreasing", min(drops, default=0.0), 1e-9,
-                            not drops))
-    return metrics, series, checks
+    # unital noise never lowers the entropy
+    return metrics, series, [_non_decreasing(f"{name}_entropy", seq, 1e-9) for name, seq in
+                             (("alternating", rep.ac_entropies), ("coherent", rep.ico_entropies))]
 
 
 @_experiment("photonclock", "bouncing-photon clock, decoherence, and extracted classical time",
@@ -454,9 +459,8 @@ def _photonclock(cfg):
         "coherent_cycles_indiscernible": indiscernible,
         "symmetry_break_outcome": outcome.name,
     }
-    drops = [b - a for a, b in zip(cumulative, cumulative[1:]) if b < a]
     return (metrics, {"step": list(range(1, cfg["bounces"] + 1)), "classical_time": cumulative},
-            [Check("classical_time_non_decreasing", min(drops, default=0), 0, not drops),
+            [_non_decreasing("classical_time", cumulative, 0),
              Check("coherent_cycles_indiscernible", indiscernible, None, indiscernible)])
 
 
@@ -664,9 +668,9 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format.
 
     Refuses a missing directory and two targets that write to the same
-    place, stdout under a file name included, so a bad target stops the
-    run before any file is written.  JSON comes first, as only its
-    writer refuses a report.
+    file under any names, hard links and stdout included, so a bad target
+    stops the run before any file is written.  JSON comes first, as only
+    its writer refuses a report.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
     if ns.out is not None and ns.format is None:
@@ -680,21 +684,21 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
         directory = os.path.dirname(path) or "."
         if path != "-" and not os.path.isdir(directory):
             raise ValueError(f"output directory {directory!r} does not exist")
-    places = [path if path == "-" else os.path.realpath(path) for _, path in targets]
-    repeated = [place for place in places if places.count(place) > 1]
-    if repeated:
-        raise ValueError(f"two outputs write to {repeated[0]!r}")
-    if "-" in places:
-        if sys.stdout is None:   # its descriptor was closed when Python started
-            raise ValueError("'-' writes to stdout, which is closed")
+    if sys.stdout is None and any(path == "-" for _, path in targets):
+        raise ValueError("'-' writes to stdout, which is closed")   # fd 1 was closed at start
+    owners = {}   # the (device, inode) os.path.samestat compares, else a new file's real path
+    for _, path in targets:
         try:
-            stdout = os.fstat(sys.stdout.fileno())
+            found = os.fstat(sys.stdout.fileno()) if path == "-" else os.stat(path)
+            place = found.st_dev, found.st_ino
         except (AttributeError, OSError, ValueError):   # no descriptor, as under a capture
-            stdout = None
-        for _, path in targets:
-            if (stdout and path != "-" and os.path.exists(path)
-                    and os.path.samestat(os.stat(path), stdout)):
-                raise ValueError(f"two outputs write to stdout: '-' and {path!r}")
+            place = path if path == "-" else os.path.realpath(path)
+        if place in owners:
+            first = owners[place]
+            where = "stdout" if "-" in (first, path) else "one file"
+            raise ValueError(f"two outputs write to {path!r}" if first == path else
+                             f"two outputs write to {where}: {first!r} and {path!r}")
+        owners[place] = path
     return sorted(targets, key=lambda target: target[0] != "json")
 
 

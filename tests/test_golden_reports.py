@@ -4,8 +4,10 @@
 ``cli.main`` writes for each invocation below, with the Python, numpy and
 scipy versions they were taken under.  Each runs once, exits 0 and prints
 its summary; the pinned bytes fix the rest, such as a report's checks.
-It holds every experiment at defaults and the benchmark's 21 invocations
-at its seed 0.  All run in this process on matrices of at most 16 x 16,
+It holds every experiment at defaults and at the smoke sizes of
+``test_cli.FAST_ARGS``, and every invocation of ``bench/workloads.py`` at
+its reference seed, read from that file so that the corpus follows the
+benchmark.  All run in this process on matrices of at most 16 x 16,
 whose hashes hold at any BLAS thread count, but the ``IN_A_CHILD`` pair:
 its 256 x 256 decompositions round differently at 1 and 2 threads, so it
 runs in a fresh ``python -m altcausal.cli``, which pins BLAS, at each.
@@ -18,6 +20,7 @@ the version in ``.github/constraints.txt``::
 """
 
 import hashlib
+import importlib.util
 import json
 import os
 import platform
@@ -30,17 +33,26 @@ from pathlib import Path
 import pytest
 
 from altcausal import cli
+from test_cli import FAST_ARGS
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
-CONSTRAINTS = Path(__file__).resolve().parents[1] / ".github" / "constraints.txt"
+ROOT = Path(__file__).resolve().parents[1]
+CONSTRAINTS = ROOT / ".github" / "constraints.txt"
 FORMATS = ("json", "csv", "svg")
-IN_A_CHILD = ("duality --dim 4 --phase-mode continuous --seed 1932629315",
-              "duality --dim 4 --phase-mode discrete --seed 1274389160")
+
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+_spec.loader.exec_module(workloads := importlib.util.module_from_spec(_spec))
+# less the --format json,csv,svg that _runs sets itself
+BENCHMARK = [" ".join(arg for arg in args if arg not in ("--format", ",".join(FORMATS)))
+             for workload in workloads.WORKLOADS
+             for args in workloads.invocations(workload, workloads.REFERENCE_SEED)]
+IN_A_CHILD = tuple(invocation for invocation in BENCHMARK
+                   if invocation.startswith("duality --dim 4 "))
 
 # every experiment at its defaults, then variants whose check lists differ,
 # then edge values: zeros of both signs, a subnormal-scale noise, every
 # cascade size, the smallest and odd sizes, and a seed whose echo ledger
-# needed the balance rule
+# needed the balance rule, then the smoke sizes and the benchmark
 INVOCATIONS = [*cli._EXPERIMENTS,
                "duality --skew 0.01", "rcp --epsilon 0", "pif --echo-loss 1",
                "capacity --flip-backward 0.2", "switch --case commute",
@@ -54,21 +66,10 @@ INVOCATIONS = [*cli._EXPERIMENTS,
                "pif --flip-forward 0.01 --flip-backward 0.01 --echo-loss 0.6 --seed 6",
                "capacity --n-bits 1", "rcp --dim 7", "switch --points 20001",
                "wfecho --alpha 0.1 --transmitted 8",
-               # the benchmark's link and operators invocations at its seed 0
-               "pif --slices 100000 --flip-forward 0.01 --flip-backward 0.01"
-               " --echo-loss 0.01 --seed 778071356",
-               "fito-vs-pif --slices 100000 --seed 1953935439",
-               "capacity --n-bits 10000000 --seed 1453936828",
-               "photonclock --bounces 10000 --seed 1092997192",
-               "ac-vs-ico --steps 2000",
-               "rcp --points 2000 --seed 803033759",
-               "cascade --sites 12 --horizon 2000 --seed 266057865",
-               "switch --points 2000",
-               # and its seeded defaults invocations at seed 0
-               "duality --seed 1405670713", "photonclock --seed 531077410",
-               "cascade --seed 1631053231", "pif --seed 611470906",
-               "fito-vs-pif --seed 1037560922", "capacity --seed 469913594",
-               "rcp --seed 45412741", *IN_A_CHILD]
+               *(" ".join([name, *args]) for name, args in FAST_ARGS.items()), *BENCHMARK]
+# once each: wfecho and list at the smoke sizes and the benchmark's unseeded
+# defaults runs are the registry defaults
+INVOCATIONS = list(dict.fromkeys(INVOCATIONS))
 
 
 def _environment() -> dict:
