@@ -301,8 +301,13 @@ def _config(ns: argparse.Namespace, params: dict[str, Param]) -> dict:
                 loaded = json.load(fh, object_pairs_hook=_unique_keys)
             except RecursionError:
                 raise ValueError(f"config {ns.config!r} nests too deeply to read") from None
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
                 raise ValueError(f"config {ns.config!r} is not JSON: {exc}") from None
+            except ValueError as exc:   # a repeated key, or an int past Python's digit limit
+                if "integer string conversion" not in str(exc):
+                    raise
+                raise ValueError(f"config {ns.config!r} holds an int of more than "
+                                 f"{sys.get_int_max_str_digits()} digits") from None
         if not isinstance(loaded, dict):
             raise ValueError(f"config must be a JSON object, got {type(loaded).__name__}")
         unknown = sorted(set(loaded) - set(params))

@@ -485,10 +485,14 @@ def break_symmetry(box: CausalBox, boundary: BoundaryConditions) -> BreakOutcome
     forward resolution, a -1 tick for a reversed one, and a net-zero
     pair (+1 coherent, -1 decohered) for the two simultaneous cases,
     which closes the open run without adding elapsed time of its own.
+    The draw replays ``default_rng((seed, k)).choice(4, p=weights)``.
     """
-    rng = box._event_rng()
+    u, = _event_draws(box.rng_seed, box._event_count, 1)
+    box._event_count += 1
     # the weights follow the outcomes in definition order
-    outcome = tuple(BreakOutcome)[int(rng.choice(len(BreakOutcome), p=boundary.weights()))]
+    cdf = np.cumsum(boundary.weights())
+    cdf /= cdf[-1]
+    outcome = tuple(BreakOutcome)[int(np.searchsorted(cdf, u, side="right"))]
     if outcome is BreakOutcome.FORWARD_DIAMOND:
         box.ledger.append(+1, True)
     elif outcome is BreakOutcome.REVERSED_DIAMOND:

@@ -630,6 +630,76 @@ def test_uniform_outcome_frequencies():
         assert abs(c - n * 0.25) <= 3 * sigma, (outcome, c)
 
 
+def _reference_break_symmetry(box, boundary):
+    """``break_symmetry`` as it drew through ``default_rng((seed, k)).choice``."""
+    rng = box._event_rng()
+    outcome = tuple(BreakOutcome)[int(rng.choice(len(BreakOutcome), p=boundary.weights()))]
+    if outcome is BreakOutcome.FORWARD_DIAMOND:
+        box.ledger.append(+1, True)
+    elif outcome is BreakOutcome.REVERSED_DIAMOND:
+        box.ledger.append(-1, True)
+    else:
+        box.ledger.append(+1, False)
+        box.ledger.append(-1, True)
+    return outcome
+
+
+def _assert_same_break(seed, boundary, moved=lambda box: None):
+    """``break_symmetry`` and the reference on two boxes that ``moved`` set alike."""
+    fast, slow = CausalBox(rng_seed=seed), CausalBox(rng_seed=seed)
+    moved(fast)
+    moved(slow)
+    outcome = break_symmetry(fast, boundary)
+    assert outcome is _reference_break_symmetry(slow, boundary), (seed, boundary)
+    assert fast.ledger.increments == slow.ledger.increments
+    assert fast._event_count == slow._event_count
+    return outcome
+
+
+def test_break_symmetry_replays_the_default_rng_choice():
+    rnd = random.Random(12)
+    for _ in range(300):
+        seed = rnd.randrange(1 << rnd.choice((8, 32, 64, 96)))
+        # each weight is zero one time in three, and a lone 1 when the rest are
+        raw = [rnd.random() * (rnd.randrange(3) > 0) for _ in range(4)]
+        if not any(raw):
+            raw[rnd.randrange(4)] = 1.0
+        boundary = BoundaryConditions(*(x / sum(raw) for x in raw))
+        k, n = rnd.randrange(1 << 32), rnd.randrange(1, 40)
+        _assert_same_break(seed, boundary, lambda box: setattr(box, "_event_count", k))
+        _assert_same_break(seed, boundary, lambda box: run_bounces(box, n))
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_break_symmetry_with_one_weight_takes_that_outcome(k):
+    weights = [0.0] * 4
+    weights[k] = 1.0
+    for seed in (0, 5, 2**32 + 1, 2**64 + 5):
+        assert _assert_same_break(seed, BoundaryConditions(*weights)) is tuple(BreakOutcome)[k]
+
+
+def test_a_draw_on_a_cdf_step_takes_the_next_outcome():
+    # Generator.choice searches its cdf on the right: a draw u equal to the
+    # forward weight resolves past it (1 - u and the sum are exact for u >= 0.5)
+    drawn = [(seed, _default_rng_draw(seed, 0)) for seed in range(40)]
+    steps = [(seed, u) for seed, u in drawn if u >= 0.5]
+    assert len(steps) >= 10
+    for seed, u in steps:
+        boundary = BoundaryConditions(u, 1.0 - u, 0.0, 0.0)
+        assert _assert_same_break(seed, boundary) is BreakOutcome.REVERSED_DIAMOND
+
+
+def test_break_symmetry_refuses_an_event_index_past_the_last_and_leaves_the_box():
+    box = CausalBox(rng_seed=4)
+    box._event_count = 2**32 - 1
+    break_symmetry(box, BoundaryConditions(0.25, 0.25, 0.25, 0.25))
+    ticks = box.ledger.increments
+    with pytest.raises(ValueError, match="leave"):
+        break_symmetry(box, BoundaryConditions(0.25, 0.25, 0.25, 0.25))
+    assert box._event_count == 2**32
+    assert box.ledger.increments == ticks
+
+
 # ---------------------------------------------------------------------------
 # combined forward/reverse propagator
 # ---------------------------------------------------------------------------
