@@ -47,51 +47,57 @@ def _emit(pieces: list[str], path: str) -> None:
 
 
 _SERIES_ITEM = ",\n      "   # what indent=2 puts between the items of a series list
-_PREFIX = 1024               # items sampled before a float list's full set is built
+_CSV_ROWS = 4096   # series values read, CSV rows or SVG polyline points rendered, per block
+
+
+def _blocks(values):
+    """A series (a list, tuple, range or 1-D int64 or float64 numpy column) as
+    lists of at most ``_CSV_ROWS`` builtin values, in order."""
+    to_list = getattr(type(values), "tolist", list)
+    for start in range(0, len(values), _CSV_ROWS):
+        yield to_list(values[start:start + _CSV_ROWS])
+
+
+def _items(values):
+    """The values of a series one by one, read through ``_blocks``."""
+    return itertools.chain.from_iterable(_blocks(values))
 
 
 def _has_negative_zero(values: list) -> bool:
     return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
 
 
-def _repeated(values: list) -> set | None:
-    """The distinct values of ``values`` if fewer than half are distinct, else None.
-
-    A prefix that is at least half distinct settles it without a set of
-    the whole list.
-    """
-    for sample in (values[:_PREFIX], values):
-        distinct = set(sample)
-        if 2 * len(distinct) >= len(sample):
-            return None
-    return distinct
-
-
-def _series_list(values) -> tuple[str, str, str] | None:
+def _series_list(values) -> list[str] | None:
     """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, as
-    its opening bracket, body and closing bracket, or None.
+    its pieces, or None.
 
-    Only a non-empty list of exact ints and floats is rendered here, by
-    the C encoder, which ``indent`` rules out for the whole report.  A
-    float list that mostly repeats itself is rendered from one repr per
-    distinct value instead; ``-0.0`` equals ``0.0`` as a key, so a list
+    Only a series of exact ints and floats is rendered here, a block at a
+    time by the C encoder, which ``indent`` rules out for the whole report.
+    A float block that mostly repeats itself is rendered from one repr per
+    distinct value instead; ``-0.0`` equals ``0.0`` as a key, so a block
     that holds it stays with the encoder.  NaN and inf are refused.
     """
-    if type(values) is not list or not values:
+    numpy = sys.modules.get("numpy")   # an array exists only once numpy is loaded
+    if type(values) not in (list, tuple, range, getattr(numpy, "ndarray", list)):
         return None
-    kinds = set(map(type, values))
-    if not kinds <= {int, float}:
-        return None
-    if (kinds == {float} and (distinct := _repeated(values)) is not None
-            and not (0.0 in distinct and _has_negative_zero(values))):
-        for v in distinct:
-            if not math.isfinite(v):
-                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        reprs = {v: float.__repr__(v) for v in distinct}
-        body = _SERIES_ITEM.join(map(reprs.__getitem__, values))
-    else:
-        body = json.dumps(values, allow_nan=False, separators=(_SERIES_ITEM, ": "))[1:-1]
-    return "[\n      ", body, "\n    ]"
+    pieces = ["[\n      "]
+    for block in _blocks(values):
+        kinds = set(map(type, block))
+        if not kinds <= {int, float}:
+            return None
+        if len(pieces) > 1:
+            pieces.append(_SERIES_ITEM)
+        repeated = kinds == {float} and 2 * len(distinct := set(block)) < len(block)
+        if repeated and not (0.0 in distinct and _has_negative_zero(block)):
+            for v in distinct:
+                if not math.isfinite(v):
+                    raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+            reprs = {v: float.__repr__(v) for v in distinct}
+            pieces.append(_SERIES_ITEM.join(map(reprs.__getitem__, block)))
+        else:
+            pieces.append(json.dumps(block, allow_nan=False,
+                                     separators=(_SERIES_ITEM, ": "))[1:-1])
+    return pieces + ["\n    ]"] if len(pieces) > 1 else ["[]"]
 
 
 def write_json(report: dict, path: str) -> None:
@@ -101,8 +107,8 @@ def write_json(report: dict, path: str) -> None:
     The report is dumped once with an empty ``series``, whose line
     ``  "series": {}`` only the top-level key can write (a nested key sits
     deeper, and no JSON string holds a raw newline).  The entries of
-    ``series`` are written in its place, each series list that
-    ``_series_list`` renders as its pieces.
+    ``series`` are written in its place, each series that ``_series_list``
+    renders as its pieces.
     """
     series = report.get("series")
     if type(series) is not dict or not series or not all(type(k) is str for k in series):
@@ -123,14 +129,11 @@ def write_json(report: dict, path: str) -> None:
     _emit(pieces, path)
 
 
-_CSV_ROWS = 4096   # CSV rows, or SVG polyline points, rendered into one piece
-
-
 def write_csv(report: dict, path: str) -> None:
     series = report.get("series") or {}
     if series:
         keys = sorted(series)
-        rows = zip(*(series[k] for k in keys))
+        rows = zip(*(_items(series[k]) for k in keys))
     else:
         metrics = report.get("metrics") or {}
         keys = sorted(metrics)
@@ -160,8 +163,8 @@ def _svg_escape(s: str) -> str:
 def write_svg(report: dict, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
-    The series are read in place, never copied, and each polyline's
-    points are rendered in blocks of ``_CSV_ROWS``.
+    The series are read through ``_blocks``, never copied whole, and each
+    polyline's points are rendered in blocks of ``_CSV_ROWS``.
     """
     series = dict(report.get("series") or {})
     if not series:
@@ -181,9 +184,9 @@ def write_svg(report: dict, path: str) -> None:
     pw, ph = width - ml - mr, height - mt - mb
 
     def ys_all():
-        return map(float, itertools.chain.from_iterable(series.values()))
+        return map(float, itertools.chain.from_iterable(map(_items, series.values())))
 
-    x_lo, x_hi = min(map(float, xs)), max(map(float, xs))
+    x_lo, x_hi = min(map(float, _items(xs))), max(map(float, _items(xs)))
     y_lo, y_hi = min(ys_all()), max(ys_all())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
@@ -221,10 +224,11 @@ def write_svg(report: dict, path: str) -> None:
         color = _PALETTE[idx % len(_PALETTE)]
         ys = series[name]
         if len(ys) == 1:
-            pieces.append(f'<circle cx="{px(float(xs[0])):.2f}" cy="{py(float(ys[0])):.2f}" '
-                          f'r="3" fill="{color}"/>\n')
+            (x, y), = zip(map(float, _items(xs)), map(float, _items(ys)))
+            pieces.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>\n')
         else:
-            pts = (f"{px(x):.2f},{py(y):.2f}" for x, y in zip(map(float, xs), map(float, ys))
+            pts = (f"{px(x):.2f},{py(y):.2f}"
+                   for x, y in zip(map(float, _items(xs)), map(float, _items(ys)))
                    if math.isfinite(y))
             blocks = iter(lambda: " ".join(itertools.islice(pts, _CSV_ROWS)), "")
             pieces += ('<polyline points="', next(blocks, ""), *(" " + b for b in blocks),
@@ -261,7 +265,8 @@ def _within(name: str, value: float, tol: float) -> Check:
 
 def _non_decreasing(name: str, seq, tol) -> Check:
     """Fails if a step of ``seq`` falls past ``tol``, valued at the worst, else at 0."""
-    worst = min(map(operator.sub, itertools.islice(seq, 1, None), seq), default=0)
+    values, after = itertools.tee(_items(seq))
+    worst = min(map(operator.sub, itertools.islice(after, 1, None), values), default=0)
     fell = worst < -tol
     return Check(f"{name}_non_decreasing", worst if fell else type(tol)(0), tol, not fell)
 
@@ -337,7 +342,7 @@ def _experiment(name: str, help: str, **params: Param):
 
 
 @_experiment("duality", "forward/backward process family and its time-reversal duality",
-             # a report keeps ~160 B per point (series, JSON, CSV and SVG text);
+             # a --json run peaks ~50 B per point above a 1,000-point one;
              # a dim 6 run peaks at ~190 MB with its 1296 x 1296 members
              dim=Param(2, low=2, high=6), omega=Param(1.0), tmax=Param(2 * math.pi),
              points=Param(25, low=1, high=4_000_000),
@@ -374,7 +379,7 @@ def _duality(cfg):
         checks = [_within("duality_deviation", max(devs), 1e-9),
                   Check("valid_at_origin", validity.valid, None, validity.valid),
                   _within("period_deviation", period_dev, 1e-9)]
-    return metrics, {"t": ts.tolist(), "deviation": devs}, checks
+    return metrics, {"t": ts, "deviation": devs}, checks
 
 
 # the pair of qcore operators each case switches, by name
@@ -383,7 +388,7 @@ _SWITCH_PAIRS = {"anticommute": ("PAULI_X", "PAULI_Z"), "commute": ("PAULI_Z", "
 
 @_experiment("switch",
              "quantum switch: coherently controlled operation order, read out on the control",
-             # a report keeps ~140 B per point
+             # a --json run peaks ~65 B per point above a 1,000-point one
              case=Param("anticommute", choices=tuple(_SWITCH_PAIRS)),
              points=Param(41, low=1, high=3_000_000))
 def _switch(cfg):
@@ -406,12 +411,12 @@ def _switch(cfg):
     # an anticommuting pair makes "minus" certain, a commuting pair "plus"
     certain = p_minus if cfg["case"] == "anticommute" else p_plus
     return ({"p_plus": p_plus, "p_minus": p_minus},
-            {"theta": thetas.tolist(), "p_minus": minus_curve},
+            {"theta": thetas, "p_minus": minus_curve},
             [_within("one_outcome_certain", abs(certain - 1.0), 1e-9)])
 
 
 @_experiment("ac-vs-ico", "entropy growth: alternating definite order vs coherent control",
-             # a report keeps ~230 B per step
+             # a --json run peaks ~80 B per step above a 1,000-step one
              noise=Param(0.3), steps=Param(6, low=1, high=3_000_000))
 def _ac_vs_ico(cfg):
     from . import process, qcore
@@ -424,9 +429,9 @@ def _ac_vs_ico(cfg):
         "entropy_gap": rep.final_ac - rep.final_ico,
     }
     series = {
-        "step": list(range(len(rep.ac_entropies))),
-        "entropy_alternating": list(rep.ac_entropies),
-        "entropy_coherent": list(rep.ico_entropies),
+        "step": range(len(rep.ac_entropies)),
+        "entropy_alternating": rep.ac_entropies,
+        "entropy_coherent": rep.ico_entropies,
     }
     # unital noise never lowers the entropy
     return metrics, series, [_non_decreasing(f"{name}_entropy", seq, 1e-9) for name, seq in
@@ -445,10 +450,11 @@ def _photonclock(cfg):
                                 rng_seed=cfg["seed"])
     photonclock.run_bounces(box, cfg["bounces"])
     cumulative = photonclock.classical_time_series(box.ledger)
-    seconds = cumulative[-1] * cfg["tick_seconds"]
+    final = int(cumulative[-1])
+    seconds = final * cfg["tick_seconds"]
     if not math.isfinite(seconds):
         raise ValueError(f"tick_seconds = {cfg['tick_seconds']!r} overflows "
-                         f"classical_time_seconds at a classical time of {cumulative[-1]!r}")
+                         f"classical_time_seconds at a classical time of {final!r}")
 
     indiscernible = photonclock.check_nondiscernability(photonclock.CausalBox(), k_cycles=3)
     breaker = photonclock.CausalBox(rng_seed=cfg["seed"] + 1)
@@ -456,7 +462,7 @@ def _photonclock(cfg):
         breaker, photonclock.BoundaryConditions(0.25, 0.25, 0.25, 0.25))
 
     metrics = {
-        "classical_time": cumulative[-1],
+        "classical_time": final,
         "classical_time_seconds": seconds,
         "bare_classical_time": photonclock.bare_classical_time(box.ledger),
         "traversals": box.ledger.traversal_count,
@@ -464,15 +470,15 @@ def _photonclock(cfg):
         "coherent_cycles_indiscernible": indiscernible,
         "symmetry_break_outcome": outcome.name,
     }
-    return (metrics, {"step": list(range(1, cfg["bounces"] + 1)), "classical_time": cumulative},
+    return (metrics, {"step": range(1, cfg["bounces"] + 1), "classical_time": cumulative},
             [_non_decreasing("classical_time", cumulative, 0),
              Check("coherent_cycles_indiscernible", indiscernible, None, indiscernible)])
 
 
 @_experiment("cascade",
              "decoherence cascade: excitation hopping down a chain, best revival in a horizon",
-             # a report keeps ~230 B per step; 12 is photonclock.MAX_CASCADE_SITES,
-             # written out so that the registry loads no layer
+             # a --json run peaks ~50 B per step above a 1,000-step one; 12 is the
+             # layer's MAX_CASCADE_SITES, written out so that the registry loads no layer
              sites=Param(4, low=2, high=12), noise=Param(0.02),
              horizon=Param(36, low=1, high=4_000_000),
              seed=Param(0, low=0))
@@ -483,10 +489,11 @@ def _cascade(cfg):
     # the cascade itself is deterministic
     rep = photonclock.cascade(cfg["sites"], cfg["noise"], cfg["horizon"])
     fids = rep.fidelities
+    lo, hi = float(fids.min()), float(fids.max())
     return ({"best_fidelity": rep.best_fidelity, "best_step": rep.best_step},
-            {"step": list(range(1, len(fids) + 1)), "fidelity": list(fids)},
-            [Check("fidelity_in_unit_interval", [min(fids), max(fids)], 1e-12,
-                   all(-1e-12 <= f <= 1 + 1e-12 for f in fids))])
+            {"step": range(1, len(fids) + 1), "fidelity": fids},
+            [Check("fidelity_in_unit_interval", [lo, hi], 1e-12,
+                   -1e-12 <= lo and hi <= 1 + 1e-12)])
 
 
 @_experiment("wfecho", "one-shot echo bookkeeping: reflected share and entropy balance",
@@ -540,10 +547,10 @@ def _pif(cfg):
         "throughput_slices_per_round_trip": rep.throughput_slices_per_round_trip,
     }
     series = {
-        "cycle": list(range(len(rep.cycles))),
-        "i_plus": rep.cycles.i_plus.tolist(),
-        "i_minus": rep.cycles.i_minus.tolist(),
-        "delta_s": rep.cycles.delta_s.tolist(),
+        "cycle": range(len(rep.cycles)),
+        "i_plus": rep.cycles.i_plus,
+        "i_minus": rep.cycles.i_minus,
+        "delta_s": rep.cycles.delta_s,
     }
     checks = [Check("delta_s_non_negative", led.delta_s, 0.0, not led.delta_s < 0)]
     if cfg["flip_forward"] == 0 and cfg["flip_backward"] == 0 and cfg["echo_loss"] == 0:
@@ -570,8 +577,8 @@ def _fito_vs_pif(cfg):
         "fito_landauer_joules": fito_rep.ledger.landauer_joules,
         "injected_forward": fito_rep.injected_forward,
     }
-    series = {"cycle": list(range(len(fito_rep.cycles))),
-              "fito_landauer_cumulative": np.cumsum(fito_rep.cycles.landauer_joules).tolist()}
+    series = {"cycle": range(len(fito_rep.cycles)),
+              "fito_landauer_cumulative": np.cumsum(fito_rep.cycles.landauer_joules)}
     missed, injected = fito_rep.undetected_corruptions, fito_rep.injected_forward
     return metrics, series, [
         Check("pif_erasure_free", pif_cost, 0.0, pif_cost == 0.0),
@@ -604,13 +611,13 @@ def _capacity(cfg):
     if cfg["flip_forward"] == cfg["flip_backward"]:
         checks = [Check("symmetric_capacity_doubles", c_pif - 2.0 * c_one, 0.0,
                         c_pif == 2.0 * c_one)]
-    return metrics, {"p": grid.tolist(), "c_one_way": [a for a, _ in curve],
+    return metrics, {"p": grid, "c_one_way": [a for a, _ in curve],
                      "c_pif": [b for _, b in curve]}, checks
 
 
 @_experiment("rcp", "norm of the combined forward/reverse propagator under damping",
              # ~17 complex d x d matrices live at once (stacks and expm work arrays),
-             # ~610 MB at dim 1500; a report keeps ~220 B per point
+             # ~610 MB at dim 1500; a --json run peaks ~130 B per point above 1,000 points
              dim=Param(4, low=2, high=1_500), epsilon=Param(0.1), tmax=Param(4.0),
              points=Param(33, low=1, high=500_000), seed=Param(5, low=0))
 def _rcp(cfg):
@@ -627,14 +634,14 @@ def _rcp(cfg):
     op = photonclock.RcpOperator(t_plus=gen, t_minus=gen, epsilon=cfg["epsilon"])
     psi = rng.normal(size=d) + 1j * rng.normal(size=d)
     ts = np.linspace(0.0, cfg["tmax"], cfg["points"])
-    rep = photonclock.rcp_invariant(op, psi, ts.tolist())
+    rep = photonclock.rcp_invariant(op, psi, ts)
     analytic = [((1.0 + math.exp(-cfg["epsilon"] * abs(t))) / 2.0) ** 2 for t in ts]
-    analytic_dev = max(abs(v - a) for v, a in zip(rep.values, analytic))
+    analytic_dev = float(max(abs(v - a) for v, a in zip(rep.values, analytic)))
     checks = [_within("analytic_deviation", analytic_dev, 1e-9)]
     if cfg["epsilon"] == 0.0:   # only an undamped pair conserves the norm
         checks.insert(0, Check("norm_conserved", rep.drift, rep.tol, rep.constant))
     return ({"constant": rep.constant, "drift": rep.drift, "analytic_deviation": analytic_dev},
-            {"t": ts.tolist(), "norm_squared": list(rep.values), "analytic": analytic},
+            {"t": ts, "norm_squared": rep.values, "analytic": analytic},
             checks)
 
 

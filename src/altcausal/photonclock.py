@@ -123,20 +123,6 @@ class TickLedger:
         return int(np.count_nonzero(self._columns()[1]))
 
 
-def _closed_time(ledger: TickLedger) -> np.ndarray:
-    """``classical_time`` of every prefix, as an int64 column.
-
-    A closed run's total is the difference of the running tick sum at
-    its decohered tick and at the one before it.
-    """
-    values, decohered = ledger._columns()
-    ends = np.flatnonzero(decohered)
-    runs = np.abs(np.diff(np.cumsum(values, dtype=np.int64)[ends], prepend=0))
-    added = np.zeros(values.size, dtype=np.int64)
-    added[ends] = runs
-    return np.cumsum(added)
-
-
 def classical_time(ledger: TickLedger) -> int:
     """Elapsed classical time read from the ledger.
 
@@ -146,20 +132,24 @@ def classical_time(ledger: TickLedger) -> int:
     reversible and contribute nothing, which keeps the reading
     non-negative and non-decreasing as closed runs are appended.
     """
-    series = _closed_time(ledger)
+    series = classical_time_series(ledger)
     return int(series[-1]) if series.size else 0
 
 
-def classical_time_series(ledger: TickLedger) -> list[int]:
-    """``classical_time`` of every prefix, in one pass over the ledger's columns.
+def classical_time_series(ledger: TickLedger) -> np.ndarray:
+    """``classical_time`` of every prefix, as an int64 column, in one pass
+    over the ledger's columns.
 
-    Entry k is the reading after the first k + 1 ticks.  A reading held
-    over many ticks is one int object repeated, not a new int per tick.
+    Entry k is the reading after the first k + 1 ticks.  A closed run's
+    total is the difference of the running tick sum at its decohered
+    tick and at the one before it.
     """
-    series = _closed_time(ledger)
-    starts = np.flatnonzero(np.diff(series, prepend=-1))
-    readings = np.array(series[starts].tolist(), dtype=object)
-    return np.repeat(readings, np.diff(starts, append=series.size)).tolist()
+    values, decohered = ledger._columns()
+    ends = np.flatnonzero(decohered)
+    runs = np.abs(np.diff(np.cumsum(values, dtype=np.int64)[ends], prepend=0))
+    added = np.zeros(values.size, dtype=np.int64)
+    added[ends] = runs
+    return np.cumsum(added)
 
 
 def bare_classical_time(ledger: TickLedger) -> int:
@@ -535,11 +525,11 @@ class RcpOperator:
         return self.t_plus.dim
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RcpInvariantReport:
-    """Trajectory of <psi| R(t)^dag R(t) |psi> over the sample grid."""
+    """Trajectory of <psi| R(t)^dag R(t) |psi> over the sample grid, as a float64 column."""
 
-    values: tuple[float, ...]
+    values: np.ndarray
     constant: bool
     drift: float
     tol: float
@@ -580,7 +570,7 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
     g = np.eye(op.dim, dtype=complex)
     from scipy.linalg import expm   # imported on first use: it is most of the import time
     per_block = max(1, _STACK_ENTRIES // op.dim ** 2)
-    values = []
+    values = np.empty(len(ts))
     for lo in range(0, len(ts), per_block):
         block = ts[lo:lo + per_block]
         # in-place steps keep the peak at about three stacks
@@ -591,16 +581,16 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
         gen -= np.array([op.epsilon * abs(t) for t in block])[:, None, None] * g
         rev = expm(gen)
         rev /= 2
-        for f, r in zip(fwd, rev):
+        for k, (f, r) in enumerate(zip(fwd, rev), lo):
             rv = (f + r.conj().T) @ v
-            values.append(float(np.real(np.vdot(rv, rv))))
+            values[k] = np.vdot(rv, rv).real
     for t, value in zip(ts, values):
         if not math.isfinite(value):
             raise ValueError(f"norm of R(t) is not finite at t = {t!r}; "
                              "move tmax, the sample time farthest from 0, nearer to 0")
-    drift = max(values) - min(values)
+    drift = float(values.max() - values.min())
     return RcpInvariantReport(
-        values=tuple(values),
+        values=values,
         constant=drift < RCP_TOL,
         drift=drift,
         tol=RCP_TOL,
@@ -611,11 +601,11 @@ def rcp_invariant(op: RcpOperator, psi: np.ndarray, ts: Sequence[float]) -> RcpI
 # recurrence cascade
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CascadeReport:
     """Return-fidelity trace of an excitation hopping down a chain."""
 
-    fidelities: tuple[float, ...]   # fidelity after step k = 1..horizon
+    fidelities: np.ndarray   # float64 column: the fidelity after step k = 1..horizon
     best_fidelity: float
     best_step: int
 
@@ -653,11 +643,12 @@ def cascade(n: int, noise: float, horizon: int) -> CascadeReport:
     rho = np.zeros((n, n), dtype=complex)
     rho[0, 0] = 1.0
     steps = itertools.repeat((step, step.conj().T), horizon)
-    fids = [float(np.real(state[0, 0])) for state in _noisy_orbit(rho, steps, noise)]
+    fids = np.fromiter((state[0, 0].real for state in _noisy_orbit(rho, steps, noise)),
+                       dtype=float, count=horizon)
 
     best_idx = int(np.argmax(fids))
     return CascadeReport(
-        fidelities=tuple(fids),
-        best_fidelity=fids[best_idx],
+        fidelities=fids,
+        best_fidelity=float(fids[best_idx]),
         best_step=best_idx + 1,
     )

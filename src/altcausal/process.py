@@ -406,7 +406,7 @@ def control_interference_probabilities(model: SwitchModel, target: DensityMatrix
     return p_plus, p_minus
 
 
-def minus_outcome_sweep(model: SwitchModel, target: DensityMatrix, controls) -> list[float]:
+def minus_outcome_sweep(model: SwitchModel, target: DensityMatrix, controls) -> np.ndarray:
     """The "-" outcome probability for each control state vector, a row of ``controls``.
 
     Entry k equals ``control_interference_probabilities(model, target,
@@ -419,10 +419,10 @@ def minus_outcome_sweep(model: SwitchModel, target: DensityMatrix, controls) -> 
         raise ValueError("target/control dimensions do not match the switch")
     proj = _control_projectors(model.target_dim)[1]
     block = max(1, _STACK_ENTRIES // (2 * model.target_dim) ** 2)
-    p_minus = []
+    p_minus = np.empty(len(controls))
     for start in range(0, len(controls), block):
         out = _switched(model, target.entries, _pure_states(controls[start:start + block]))
-        p_minus += np.trace(proj @ out, axis1=1, axis2=2).real.tolist()
+        p_minus[start:start + block] = np.trace(proj @ out, axis1=1, axis2=2).real
     return p_minus
 
 
@@ -456,24 +456,24 @@ def switch_process_matrix(model: SwitchModel, control: DensityMatrix) -> Process
 # alternating vs coherent order under noise
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonReport:
-    """Entropy trajectories of the two ordering protocols.
+    """Entropy trajectories of the two ordering protocols, as float64 columns.
 
     The series include the initial point, so each has steps + 1 entries.
     Which protocol accumulates less entropy is reported, never asserted.
     """
 
-    ac_entropies: tuple[float, ...]
-    ico_entropies: tuple[float, ...]
+    ac_entropies: np.ndarray
+    ico_entropies: np.ndarray
 
     @property
     def final_ac(self) -> float:
-        return self.ac_entropies[-1]
+        return float(self.ac_entropies[-1])
 
     @property
     def final_ico(self) -> float:
-        return self.ico_entropies[-1]
+        return float(self.ico_entropies[-1])
 
 
 def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
@@ -508,7 +508,7 @@ def ac_vs_ico_entropy(u_a, u_b, noise: float, steps: int) -> ComparisonReport:
     # blocks and each block's entropies are taken at once.
     block = max(1, _STACK_ENTRIES // (2 * (2 * d) ** 2))
     states = itertools.chain([start], itertools.islice(_noisy_orbit(start, pairs, noise), steps))
-    series = []
-    for stack in iter(lambda: list(itertools.islice(states, block)), []):
-        series += _entropies(np.array(stack))
-    return ComparisonReport(ac_entropies=tuple(series[0::2]), ico_entropies=tuple(series[1::2]))
+    series = np.empty((steps + 1, 2))
+    for k, stack in enumerate(iter(lambda: list(itertools.islice(states, block)), [])):
+        series[k * block:(k + 1) * block] = _entropies(np.array(stack)).reshape(-1, 2)
+    return ComparisonReport(ac_entropies=series[:, 0], ico_entropies=series[:, 1])

@@ -298,11 +298,11 @@ def partial_trace(m: ComplexOperator, keep: Sequence[int]) -> ComplexOperator:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """Entropy -sum(lam log2 lam) in bits, with 0 log 0 = 0."""
-    return _entropies(rho.entries)[0]
+    return float(_entropies(rho.entries)[0])
 
 
-def _entropies(states: np.ndarray) -> list[float]:
-    """``von_neumann_entropy`` of each matrix in a (..., n, n) stack, one eigvalsh for all.
+def _entropies(states: np.ndarray) -> np.ndarray:
+    """The ``von_neumann_entropy`` column of a (..., n, n) stack, one eigvalsh for all.
 
     Each entropy sums only its positive eigenvalues, as a row of its own,
     so every value has the bits a one-state evaluation gives.
@@ -321,7 +321,7 @@ def _entropies(states: np.ndarray) -> list[float]:
         part = lam[rows, n - k:]
         out[rows] = -(part * np.log2(part)).sum(axis=1)
     # the +0.0 turns the -0.0 of exactly pure states into +0.0
-    return (out + 0.0).tolist()
+    return out + 0.0
 
 
 def _noisy_orbit(rho: np.ndarray, unitaries: Iterable[tuple[np.ndarray, np.ndarray]],

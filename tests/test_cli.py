@@ -146,7 +146,7 @@ def _reference_jsonable(value):
     """The former conversion pass of write_json, kept as the oracle of its bytes."""
     if isinstance(value, dict):
         return {str(k): _reference_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, np.ndarray)):
+    if isinstance(value, (list, tuple, range, np.ndarray)):
         return [_reference_jsonable(v) for v in value]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
@@ -159,12 +159,16 @@ def _reference_jsonable(value):
     return str(value)
 
 
-def _foreign(value, where="report"):
-    """Where ``value`` holds anything but exact builtin JSON types and str keys."""
+def _foreign(value, where="report", series_value=False):
+    """Where ``value`` holds anything but exact builtin JSON types and str keys;
+    a ``series`` value may also be a range or a 1-D int64 or float64 numpy column."""
+    if series_value and (type(value) is range or type(value) is np.ndarray and value.ndim == 1
+                         and value.dtype in (np.int64, np.float64)):
+        return []
     if type(value) is dict:
         found = [f"{where} key {k!r}" for k in value if type(k) is not str]
         for k, v in value.items():
-            found += _foreign(v, f"{where}[{k!r}]")
+            found += _foreign(v, f"{where}[{k!r}]", where == "report['series']")
         return found
     if type(value) in (list, tuple):
         return [f for i, v in enumerate(value) for f in _foreign(v, f"{where}[{i}]")]
@@ -216,21 +220,14 @@ LINK_REPORTS = [
 
 
 @pytest.mark.parametrize("args", LINK_REPORTS, ids=lambda a: a[0])
-def test_benchmark_size_link_reports_match_the_reference_bytes(args, monkeypatch, tmp_path,
-                                                               capsys):
-    reports = []
-    real_writer = cli.write_json
-    monkeypatch.setattr(cli, "write_json",
-                        lambda report, path: reports.append(report) or real_writer(report, path))
+def test_benchmark_size_link_reports_match_the_reference_bytes(args, request, tmp_path):
+    # each report is built once; test_stdout_takes_the_pieces_as_the_writer_built_them
+    # covers the stdout branch
+    report = (request.getfixturevalue("pif_report") if args is LINK_REPORTS[0]
+              else _report_of([*args, "--json", "-"], "write_json"))
     out = tmp_path / "r.json"
-    assert main([*args, "--json", str(out)]) == 0
-    capsys.readouterr()
-    assert main([*args, "--json", "-"]) == 0
-    first, second = reports
-    assert first == second
-    expected = _reference_json(first).encode()
-    assert out.read_bytes() == expected
-    assert capsys.readouterr().out.encode() == expected
+    write_json(report, str(out))
+    assert out.read_bytes() == _reference_json(report).encode()
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22,
@@ -248,18 +245,25 @@ def test_series_lists_are_written_as_the_reference(values):
     report = {"experiment": "x", "metrics": {"n": len(values)},
               "series": {"values": values, "index": list(range(len(values)))}}
     assert _written(report) == _reference_json(report)
+    # the same values as a numpy column, where one holds them, with a range for the index
+    kinds = set(map(type, values))
+    if kinds <= {float} or kinds == {int} and all(-2 ** 63 <= v < 2 ** 63 for v in values):
+        column = np.array(values, dtype=np.int64 if kinds == {int} else np.float64)
+        as_columns = {**report, "series": {"values": column, "index": range(len(values))}}
+        assert _written(as_columns) == _reference_json(report)
 
 
 SERIES_EDGES = {
     "empty": [], "one float": [0.5], "one int": [7],
     "both zeros repeated": [0.0, -0.0] * 50, "negative zeros": [-0.0] * 100,
     "one negative zero": [1.0] * 99 + [-0.0],
-    "distinct prefix, repeated rest": [i / 7 for i in range(cli._PREFIX)] + [0.5, 1.5] * 3000,
-    "repeated prefix, distinct rest": [0.25] * cli._PREFIX + [i / 7 for i in range(6000)],
+    # the prefix is the first block the writer reads
+    "distinct prefix, repeated rest": [i / 7 for i in range(cli._CSV_ROWS)] + [0.5, 1.5] * 5000,
+    "repeated prefix, distinct rest": [0.25] * cli._CSV_ROWS + [i / 7 for i in range(9000)],
     "distinct prefix, repeated rest with a negative zero":
-        [i / 7 for i in range(cli._PREFIX)] + [0.0, -0.0, 2.0] * 2000,
+        [i / 7 for i in range(cli._CSV_ROWS)] + [0.0, -0.0, 2.0] * 3000,
     "repeated prefix, mostly distinct rest with a negative zero":
-        [-0.0, 0.0] * cli._PREFIX + [i / 7 for i in range(6000)],
+        [-0.0, 0.0] * (cli._CSV_ROWS // 2) + [i / 7 for i in range(9000)],
     "bools": [True, False, True], "strings": ["a", "b"], "nested": [[1.0, 2.0], [3.0]],
     "with None": [1, 2.5, None], "tuple": (1.0, 2.0),
 }
@@ -323,6 +327,21 @@ def test_series_writer_refuses_non_finite_values(values, bad, monkeypatch, tmp_p
         out, err = capsys.readouterr()
         assert "not JSON compliant" in err
         assert out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("at", [0, cli._CSV_ROWS - 1, cli._CSV_ROWS, 2 * cli._CSV_ROWS])
+@pytest.mark.parametrize("column", [lambda n: np.full(n, 0.5), lambda n: np.arange(n) / 7],
+                         ids=["repeated", "distinct"])
+def test_a_non_finite_value_in_a_float_column_is_refused(column, at, bad, monkeypatch, tmp_path,
+                                                        capsys):
+    values = column(2 * cli._CSV_ROWS + 1)
+    values[at] = bad
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
+        run=lambda cfg: ({}, {"t": range(len(values)), "y": values}, [])))
+    assert main(["wfecho", "--json", str(tmp_path / "r.json")]) == 1
+    assert "not JSON compliant" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -437,6 +456,49 @@ def test_svg_is_written_as_the_reference(series, tmp_path, capsys):
     expected = _reference_svg(report)
     assert out.read_bytes() == expected.encode()
     assert capsys.readouterr().out == expected
+
+
+# each case as a list; an int case is also a range and an int64 column, a float
+# case a float64 column, and every case a tuple
+BLOCK_CASES = {
+    "ints": list(range(-7, 10)), "one int": [3], "one float": [0.25],
+    "mostly repeated floats": [0.5, 1.5, 0.5, 0.5, 2.0] * 40,
+    "-0.0 beside 0.0 in one block": [0.5] * 100 + [0.0, -0.0] + [0.5] * 100,
+    "-0.0 and 0.0 in different blocks": [0.5] * (_B - 1) + [-0.0, 0.0] + [0.5] * (_B - 1),
+    "0.0 and -0.0 in different blocks": [0.5] * (_B - 1) + [0.0, -0.0] + [0.5] * (_B - 1),
+    **{f"{kind}, {n} values": values(n) for n in (_B - 1, _B, _B + 1, 2 * _B + 1)
+       for kind, values in (("ints", lambda n: list(range(n))),
+                            ("distinct floats", lambda n: [i / 7 for i in range(n)]),
+                            ("repeated floats", lambda n: [(0.25, 0.5, -1.0)[i % 3]
+                                                           for i in range(n)]))},
+}
+
+
+def _series_forms(values: list) -> dict:
+    """``values`` as each kind of series a writer takes."""
+    forms = {"list": values, "tuple": tuple(values)}
+    if all(type(v) is int for v in values):
+        forms["int64 column"] = np.array(values, dtype=np.int64)
+        step = values[1] - values[0] if len(values) > 1 else 1
+        forms["range"] = range(values[0], values[0] + step * len(values), step)
+        assert list(forms["range"]) == values
+    else:
+        forms["float64 column"] = np.array(values, dtype=np.float64)
+    return forms
+
+
+@pytest.mark.parametrize("writer, reference", [(write_json, _reference_json),
+                                               (cli.write_csv, _reference_csv),
+                                               (cli.write_svg, _reference_svg)],
+                         ids=["json", "csv", "svg"])
+@pytest.mark.parametrize("values", BLOCK_CASES.values(), ids=BLOCK_CASES)
+def test_every_kind_of_series_is_written_as_the_reference(values, writer, reference, tmp_path):
+    # the list-only reference writers are the oracles of every form's bytes
+    expected = reference({"experiment": "x", "series": {"t": values, "y": values}}).encode()
+    for name, form in _series_forms(values).items():
+        out = tmp_path / name
+        writer({"experiment": "x", "series": {"t": form, "y": form}}, str(out))
+        assert out.read_bytes() == expected, name
 
 
 def _written_peak(writer, report, path) -> int:
@@ -633,17 +695,6 @@ def test_out_dir_format_list(tmp_path):
     assert main(["wfecho", "--format", "json,csv", "--out", str(tmp_path)]) == 0
     assert (tmp_path / "wfecho.json").exists()
     assert (tmp_path / "wfecho.csv").exists()
-
-
-@pytest.mark.parametrize("command", sorted(FAST_ARGS))
-def test_all_three_formats_for_every_experiment(command, tmp_path):
-    args = [command, *FAST_ARGS[command], "--format", "json,csv,svg",
-            "--out", str(tmp_path)]
-    assert main(args) == 0
-    for ext in ("json", "csv", "svg"):
-        assert (tmp_path / f"{command}.{ext}").exists()
-    # a report with no series still yields a well-formed placeholder svg
-    assert (tmp_path / f"{command}.svg").read_text().startswith("<svg")
 
 
 def test_list_names_every_experiment(capsys):
@@ -1177,6 +1228,18 @@ def test_a_monotone_check_fails_only_past_its_tolerance(target, series, monkeypa
     assert (got, type(got["value"])) == (want, type(want["value"]))
     line = f"invariant violated: {want['name']} = {cli._fmt(want['value'])} (tol {cli._fmt(tol)})"
     assert (line in capsys.readouterr().err) == (not want["ok"])
+
+
+@pytest.mark.parametrize("form", [list, tuple, np.array])
+@pytest.mark.parametrize("drop, tol", [(4, 0), (0.5, 1e-9)])
+def test_a_monotone_check_finds_the_worst_step_across_a_block_boundary(drop, tol, form):
+    # every step rises but the one from the last value of a block to the first of the next
+    n = cli._CSV_ROWS
+    series = [type(drop)(i) for i in range(n)] + [n - 1 - drop + i for i in range(n + 1)]
+    want = _reference_non_decreasing("x", series, tol, type(tol)(0))
+    assert want["value"] == -drop and not want["ok"]
+    got = cli._non_decreasing("x", form(series), tol)
+    assert (got._asdict(), type(got.value)) == (want, type(want["value"]))
 
 
 def test_a_failed_check_with_stderr_closed_leaves_stdout_strict_json(monkeypatch, capsys):

@@ -368,7 +368,7 @@ def test_minus_outcome_sweep_matches_the_per_angle_loop_bit_for_bit(pair, points
     thetas = np.linspace(0.0, math.pi / 2, points)
     controls = np.array([[math.cos(th), math.sin(th)] for th in thetas])
     got = minus_outcome_sweep(model, target, controls)
-    assert type(got) is list and len(got) == points
+    assert type(got) is np.ndarray and got.shape == (points,)
     assert np.array(got).tobytes() == np.array(_reference_minus_curve(model, target, thetas)).tobytes()
 
 
