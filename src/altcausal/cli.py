@@ -67,36 +67,40 @@ def _has_negative_zero(values: list) -> bool:
     return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
 
 
-def _series_list(values) -> list[str] | None:
-    """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, as
-    its pieces, or None.
+def _block_reprs(block: list) -> dict[float, str] | None:
+    """Each distinct value's ``float.__repr__``, for a block from ``_blocks``
+    of floats that mostly repeats itself and holds no ``-0.0`` (which equals
+    ``0.0`` as a key); None for any other block of ints and floats.  A block
+    that holds anything else is refused."""
+    kinds = set(map(type, block))
+    if not kinds <= {int, float}:
+        raise ValueError("a series holds only ints and floats, not "
+                         + ", ".join(sorted(kind.__name__ for kind in kinds - {int, float})))
+    if (kinds == {float} and 2 * len(distinct := set(block)) < len(block)
+            and not (0.0 in distinct and _has_negative_zero(block))):
+        return {v: float.__repr__(v) for v in distinct}
+    return None
 
-    Only a series of exact ints and floats is rendered here, a block at a
-    time by the C encoder, which ``indent`` rules out for the whole report.
-    A float block that mostly repeats itself is rendered from one repr per
-    distinct value instead; ``-0.0`` equals ``0.0`` as a key, so a block
-    that holds it stays with the encoder.  NaN and inf are refused.
+
+def _series_list(values) -> list[str]:
+    """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, as
+    its pieces: a block at a time by the C encoder, which ``indent`` rules
+    out for the whole report, or from ``_block_reprs``.  NaN and inf are
+    refused.
     """
-    numpy = sys.modules.get("numpy")   # an array exists only once numpy is loaded
-    if type(values) not in (list, tuple, range, getattr(numpy, "ndarray", list)):
-        return None
     pieces = ["[\n      "]
     for block in _blocks(values):
-        kinds = set(map(type, block))
-        if not kinds <= {int, float}:
-            return None
         if len(pieces) > 1:
             pieces.append(_SERIES_ITEM)
-        repeated = kinds == {float} and 2 * len(distinct := set(block)) < len(block)
-        if repeated and not (0.0 in distinct and _has_negative_zero(block)):
-            for v in distinct:
-                if not math.isfinite(v):
-                    raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-            reprs = {v: float.__repr__(v) for v in distinct}
-            pieces.append(_SERIES_ITEM.join(map(reprs.__getitem__, block)))
-        else:
+        reprs = _block_reprs(block)
+        if reprs is None:
             pieces.append(json.dumps(block, allow_nan=False,
                                      separators=(_SERIES_ITEM, ": "))[1:-1])
+            continue
+        for v in reprs:
+            if not math.isfinite(v):
+                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+        pieces.append(_SERIES_ITEM.join(map(reprs.__getitem__, block)))
     return pieces + ["\n    ]"] if len(pieces) > 1 else ["[]"]
 
 
@@ -107,48 +111,43 @@ def write_json(report: dict, path: str) -> None:
     The report is dumped once with an empty ``series``, whose line
     ``  "series": {}`` only the top-level key can write (a nested key sits
     deeper, and no JSON string holds a raw newline).  The entries of
-    ``series`` are written in its place, each series that ``_series_list``
-    renders as its pieces.
+    ``series`` (str keys, each a series that ``_blocks`` reads) are written
+    in its place as ``_series_list`` renders them.
     """
     series = report.get("series")
-    if type(series) is not dict or not series or not all(type(k) is str for k in series):
+    if not series:
         _emit([json.dumps(report, indent=2, sort_keys=True, allow_nan=False), "\n"], path)
         return
     head, tail = json.dumps({**report, "series": {}}, indent=2, sort_keys=True,
                             allow_nan=False).split('\n  "series": {}')
     pieces = [head, '\n  "series": {']
     for i, key in enumerate(sorted(series)):
-        pieces += (",\n    " if i else "\n    ", json.dumps(key), ": ")
-        rendered = _series_list(series[key])
-        if rendered is None:   # any other value, indented one entry deeper
-            pieces.append(json.dumps(series[key], indent=2, sort_keys=True,
-                                     allow_nan=False).replace("\n", "\n    "))
-        else:
-            pieces += rendered
+        pieces += (",\n    " if i else "\n    ", json.dumps(key), ": ", *_series_list(series[key]))
     pieces += ("\n  }", tail, "\n")
     _emit(pieces, path)
 
 
 def write_csv(report: dict, path: str) -> None:
-    series = report.get("series") or {}
-    if series:
-        keys = sorted(series)
-        rows = zip(*(_items(series[k]) for k in keys))
-    else:
-        metrics = report.get("metrics") or {}
-        keys = sorted(metrics)
-        rows = [tuple(metrics[k] for k in keys)]
+    """``csv.writer`` writes the header, and the metrics row of a report
+    without series (``list``).  Series rows are rendered a block at a time
+    from the columns' blocks, each cell as ``_block_reprs`` or ``repr``
+    gives it, which is how ``csv.writer`` writes a float or an int; the
+    columns are blocked at the same offsets, so the rows stop at the
+    shortest."""
+    series = report.get("series")
     buf = io.StringIO()
     writer = csv.writer(buf)
-    writer.writerow(keys)
-    pieces, rows = [], iter(rows)
-    while True:
-        writer.writerows(itertools.islice(rows, _CSV_ROWS))
-        if not buf.tell():
-            break
-        pieces.append(buf.getvalue())
-        buf.seek(0)
-        buf.truncate()
+    if not series:
+        metrics = report.get("metrics") or {}
+        writer.writerows([sorted(metrics), [metrics[k] for k in sorted(metrics)]])
+        _emit([buf.getvalue()], path)
+        return
+    writer.writerow(keys := sorted(series))
+    pieces = [buf.getvalue()]
+    for blocks in zip(*(_blocks(series[k]) for k in keys)):
+        cells = [map(repr if (reprs := _block_reprs(block)) is None else reprs.__getitem__, block)
+                 for block in blocks]
+        pieces.append("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
     _emit(pieces, path)
 
 

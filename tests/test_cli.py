@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import importlib
 import io
 import json
@@ -196,7 +197,7 @@ def test_reports_reach_the_writer_as_plain_json(args, monkeypatch, tmp_path):
     assert _foreign(report) == []
     out = tmp_path / "r.json"
     write_json(report, str(out))
-    assert out.read_bytes() == _reference_json(report).encode()
+    _assert_same_bytes(out.read_bytes(), _reference_json(report))
 
 
 def _reference_json(report) -> str:
@@ -204,12 +205,29 @@ def _reference_json(report) -> str:
                       allow_nan=False) + "\n"
 
 
-def _written(report) -> str:
-    """What ``write_json`` sends to stdout for ``report``."""
+def _written(report, writer=write_json) -> str:
+    """What ``writer`` sends to stdout for ``report``."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        write_json(report, "-")
+        writer(report, "-")
     return buf.getvalue()
+
+
+def _assert_same_bytes(written, expected, what="") -> None:
+    """Assert that two texts (str or bytes) are equal, by length and sha256.
+
+    pytest's own diff of two large texts takes minutes: on a mismatch this
+    names the first differing byte and shows about 80 bytes around it.
+    """
+    written, expected = (t.encode() if isinstance(t, str) else t for t in (written, expected))
+    if (len(written), hashlib.sha256(written).digest()) != \
+            (len(expected), hashlib.sha256(expected).digest()):
+        at = next((i for i, (a, b) in enumerate(zip(written, expected)) if a != b),
+                  min(len(written), len(expected)))
+        around = slice(max(at - 40, 0), at + 40)
+        pytest.fail(f"{what}{len(written)} bytes written, {len(expected)} expected, first "
+                    f"differing at byte {at}:\n  written  {written[around]!r}\n"
+                    f"  expected {expected[around]!r}")
 
 
 LINK_REPORTS = [
@@ -227,7 +245,7 @@ def test_benchmark_size_link_reports_match_the_reference_bytes(args, request, tm
               else _report_of([*args, "--json", "-"], "write_json"))
     out = tmp_path / "r.json"
     write_json(report, str(out))
-    assert out.read_bytes() == _reference_json(report).encode()
+    _assert_same_bytes(out.read_bytes(), _reference_json(report))
 
 
 _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-7, 1e16, 1e22,
@@ -244,13 +262,21 @@ _repeated_floats = st.lists(_floats, min_size=1, max_size=6).flatmap(
 def test_series_lists_are_written_as_the_reference(values):
     report = {"experiment": "x", "metrics": {"n": len(values)},
               "series": {"values": values, "index": list(range(len(values)))}}
-    assert _written(report) == _reference_json(report)
+    _assert_same_bytes(_written(report), _reference_json(report))
+    _assert_same_bytes(_written(report, cli.write_csv), _reference_csv(report))
     # the same values as a numpy column, where one holds them, with a range for the index
     kinds = set(map(type, values))
     if kinds <= {float} or kinds == {int} and all(-2 ** 63 <= v < 2 ** 63 for v in values):
         column = np.array(values, dtype=np.int64 if kinds == {int} else np.float64)
         as_columns = {**report, "series": {"values": column, "index": range(len(values))}}
-        assert _written(as_columns) == _reference_json(report)
+        _assert_same_bytes(_written(as_columns), _reference_json(report))
+        _assert_same_bytes(_written(as_columns, cli.write_csv), _reference_csv(report))
+    # CSV writes NaN and inf, which JSON refuses
+    n = len(values) + 3
+    report = {"series": {"values": values + [math.nan, math.inf, -math.inf], "index": range(n)}}
+    written = _written(report, cli.write_csv)
+    _assert_same_bytes(written, _reference_csv(report))
+    assert written.splitlines()[-3:] == [f"{n - 3},nan", f"{n - 2},inf", f"{n - 1},-inf"]
 
 
 SERIES_EDGES = {
@@ -264,15 +290,14 @@ SERIES_EDGES = {
         [i / 7 for i in range(cli._CSV_ROWS)] + [0.0, -0.0, 2.0] * 3000,
     "repeated prefix, mostly distinct rest with a negative zero":
         [-0.0, 0.0] * (cli._CSV_ROWS // 2) + [i / 7 for i in range(9000)],
-    "bools": [True, False, True], "strings": ["a", "b"], "nested": [[1.0, 2.0], [3.0]],
-    "with None": [1, 2.5, None], "tuple": (1.0, 2.0),
+    "tuple": (1.0, 2.0),
 }
 
 
 @pytest.mark.parametrize("values", SERIES_EDGES.values(), ids=SERIES_EDGES)
 def test_series_edge_cases_are_written_as_the_reference(values):
     report = {"series": {"values": values, "other": [2.0] * 10}, "metrics": {}}
-    assert _written(report) == _reference_json(report)
+    _assert_same_bytes(_written(report), _reference_json(report))
 
 
 @pytest.mark.parametrize("key", ['quote " back \\ tab \t', "café →", "\x000",
@@ -281,28 +306,50 @@ def test_series_keys_and_strings_that_need_escaping(key):
     # a string of the report's own starting with NUL must not be taken for a slot
     report = {"experiment": key, "metrics": {key: "\x001"},
               "series": {key: [0.25] * 10, "cycle": [1, 2, 3]}}
-    assert _written(report) == _reference_json(report)
+    _assert_same_bytes(_written(report), _reference_json(report))
 
 
 REPORT_SHAPES = {
     "series {} nested under metrics": {"metrics": {"series": {}}, "series": {"y": [1.0, 2.5]}},
-    "series {} inside a series value": {"series": {"a": {"series": {}, "z": [1, [2, {}]]},
-                                                   "b": [0.5] * 10}},
     "a top-level key after series": {"experiment": "x", "series": {"y": [3, 4]},
                                      "zeta": [{"k": 1.5}]},
     "a string holding the series line": {"note": '\n  "series": {}',
                                           "series": {"y": [0.25, 0.75]}},
-    "series the only key": {"series": {"b": [2.0] * 5, "a": [1, 2], "c": None}},
+    "series the only key": {"series": {"b": [2.0] * 5, "a": [1, 2]}},
     "empty series": {"experiment": "x", "series": {}},
-    "series a list": {"experiment": "x", "series": [1.0, 2.0]},
-    "series with an int key": {"experiment": "x", "series": {1: [1.0, 2.0]}},
 }
 
 
 @pytest.mark.parametrize("report", REPORT_SHAPES.values(), ids=REPORT_SHAPES)
 def test_report_shapes_around_the_series_are_written_as_the_reference(report):
     # the series entries are spliced into the one top-level "series" line
-    assert _written(report) == _reference_json(report)
+    _assert_same_bytes(_written(report), _reference_json(report))
+
+
+NOT_INTS_OR_FLOATS = {
+    "bools": [True, False, True], "strings": ["a", "b"], "nested": [[1.0, 2.0], [3.0]],
+    "with None": [1, 2.5, None], "a bool in the second block": [0.5] * cli._CSV_ROWS + [True],
+}
+
+
+@pytest.mark.parametrize("values", NOT_INTS_OR_FLOATS.values(), ids=NOT_INTS_OR_FLOATS)
+def test_a_series_of_anything_but_ints_and_floats_is_refused(values, monkeypatch, tmp_path,
+                                                             capsys):
+    series = {"t": range(len(values)), "y": values}
+    for writer in (write_json, cli.write_csv):
+        with pytest.raises(ValueError, match="a series holds only ints and floats, not "):
+            writer({"series": series}, str(tmp_path / "w"))
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
+        run=lambda cfg: ({}, series, [])))
+    monkeypatch.chdir(tmp_path)
+    for targets in (["--json", "-"], ["--csv", "r.csv"], ["--csv", "-"],
+                    ["--format", "svg,csv,json"]):
+        assert main(["wfecho", *targets]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: a series holds only ints and floats, not ")
+        assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 LONG = 100_000
@@ -346,27 +393,35 @@ def test_a_non_finite_value_in_a_float_column_is_refused(column, at, bad, monkey
 
 
 def _reference_csv(report) -> str:
-    """The former one-buffer ``write_csv``, kept as the oracle of its bytes."""
+    """The former one-buffer ``write_csv``, kept as the oracle of its bytes;
+    numpy columns are read as builtin values, as the writers read them."""
     series = report["series"]
     keys = sorted(series)
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(keys)
-    writer.writerows(zip(*(series[k] for k in keys)))
+    writer.writerows(zip(*(_reference_jsonable(series[k]) for k in keys)))
     return buf.getvalue()
 
 
 @pytest.mark.parametrize("rows", [0, 1, cli._CSV_ROWS - 2, cli._CSV_ROWS - 1, cli._CSV_ROWS,
                                   2 * cli._CSV_ROWS + 1])
 def test_csv_pieces_match_one_buffer_across_block_boundaries(rows, tmp_path, capsys):
-    report = {"series": {"t": list(range(rows)), "y": [i / 3 for i in range(rows)],
-                         "label": ["a,b", 'q"', "line\nbreak"] * (rows // 3) + ["x"] * (rows % 3)}}
-    out = tmp_path / "r.csv"
-    cli.write_csv(report, str(out))
-    cli.write_csv(report, "-")
-    expected = _reference_csv(report)
-    assert out.read_bytes() == expected.encode()
-    assert capsys.readouterr().out == expected
+    # -0.0 sits beside 0.0 in the first block only, so the later blocks of "zeros"
+    # are rendered from one repr per distinct value
+    series = {"t": range(rows), "n": np.arange(rows, dtype=np.int64) * -3,
+              "zeros": [0.25 if i % 2 else -0.0 if i < cli._CSV_ROWS // 2 else 0.0
+                        for i in range(rows)],
+              "y": [(math.nan, math.inf, -math.inf)[i % 3] if i % 5 == 0 else i / 3
+                    for i in range(rows)]}
+    # a short column cuts every row after its last value
+    for report in ({"series": series}, {"series": {**series, "short": range(rows // 2)}}):
+        out = tmp_path / "r.csv"
+        cli.write_csv(report, str(out))
+        cli.write_csv(report, "-")
+        expected = _reference_csv(report)
+        _assert_same_bytes(out.read_bytes(), expected)
+        _assert_same_bytes(capsys.readouterr().out, expected)
 
 
 def _reference_svg(report) -> str:
@@ -454,8 +509,8 @@ def test_svg_is_written_as_the_reference(series, tmp_path, capsys):
     cli.write_svg(report, str(out))
     cli.write_svg(report, "-")
     expected = _reference_svg(report)
-    assert out.read_bytes() == expected.encode()
-    assert capsys.readouterr().out == expected
+    _assert_same_bytes(out.read_bytes(), expected)
+    _assert_same_bytes(capsys.readouterr().out, expected)
 
 
 # each case as a list; an int case is also a range and an int64 column, a float
@@ -498,7 +553,7 @@ def test_every_kind_of_series_is_written_as_the_reference(values, writer, refere
     for name, form in _series_forms(values).items():
         out = tmp_path / name
         writer({"experiment": "x", "series": {"t": form, "y": form}}, str(out))
-        assert out.read_bytes() == expected, name
+        _assert_same_bytes(out.read_bytes(), expected, f"{name}: ")
 
 
 def _written_peak(writer, report, path) -> int:
@@ -536,6 +591,16 @@ def test_writing_a_benchmark_size_report_holds_no_second_copy(pif_report, tmp_pa
     assert peak <= 1.5 * size
 
 
+def test_a_benchmark_size_csv_is_the_reference_and_holds_no_copy(pif_report, tmp_path):
+    # the rows are rendered from the columns a block at a time
+    out = tmp_path / "r.csv"
+    peak = _written_peak(cli.write_csv, pif_report, str(out))
+    text = out.read_bytes()
+    _assert_same_bytes(text, _reference_csv(pif_report))
+    assert len(text) > 3_000_000
+    assert peak <= 1.5 * len(text)
+
+
 @pytest.mark.parametrize("args", [LINK_REPORTS[0], ["switch", "--points", "200000"]],
                          ids=lambda a: a[0])
 def test_a_benchmark_size_svg_is_the_reference_and_holds_no_copy(args, request, tmp_path):
@@ -545,7 +610,7 @@ def test_a_benchmark_size_svg_is_the_reference_and_holds_no_copy(args, request, 
     out = tmp_path / "r.svg"
     peak = _written_peak(cli.write_svg, report, str(out))
     text = out.read_bytes()
-    assert text == _reference_svg(report).encode()
+    _assert_same_bytes(text, _reference_svg(report))
     assert len(text) > 2_000_000
     assert peak <= 1.5 * len(text)
 
@@ -563,7 +628,7 @@ def test_stdout_takes_the_pieces_as_the_writer_built_them(writer, monkeypatch, t
     writer(report, "-")
     pieces, = handed
     assert type(pieces) is list and len(pieces) > 1
-    assert "".join(pieces).encode() == out.read_bytes()
+    _assert_same_bytes("".join(pieces), out.read_bytes())
 
 
 def test_long_series_lists_skip_the_indenting_encoder(monkeypatch, tmp_path):
