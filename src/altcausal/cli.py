@@ -67,16 +67,21 @@ def _has_negative_zero(values: list) -> bool:
     return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
 
 
-def _block_reprs(block: list) -> dict[float, str] | None:
-    """Each distinct value's ``float.__repr__``, for a block from ``_blocks``
-    of floats that mostly repeats itself and holds no ``-0.0`` (which equals
-    ``0.0`` as a key); None for any other block of ints and floats.  A block
-    that holds anything else is refused."""
+def _block_kinds(block: list) -> set[type]:
+    """The types of the values in a block from ``_blocks``: a series holds
+    only ints and floats, and a block that holds anything else is refused."""
     kinds = set(map(type, block))
     if not kinds <= {int, float}:
         raise ValueError("a series holds only ints and floats, not "
                          + ", ".join(sorted(kind.__name__ for kind in kinds - {int, float})))
-    if (kinds == {float} and 2 * len(distinct := set(block)) < len(block)
+    return kinds
+
+
+def _block_reprs(block: list) -> dict[float, str] | None:
+    """Each distinct value's ``float.__repr__``, for a block from ``_blocks``
+    of floats that mostly repeats itself and holds no ``-0.0`` (which equals
+    ``0.0`` as a key); None for any other block that ``_block_kinds`` takes."""
+    if (_block_kinds(block) == {float} and 2 * len(distinct := set(block)) < len(block)
             and not (0.0 in distinct and _has_negative_zero(block))):
         return {v: float.__repr__(v) for v in distinct}
     return None
@@ -159,11 +164,27 @@ def _svg_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def _span(columns) -> tuple[float, float]:
+    """The least and the greatest value of ``columns``, as floats, read in
+    order through ``_blocks`` with each block checked by ``_block_kinds``.
+    The blocks continue one left fold, so a NaN acts as in ``min`` and
+    ``max`` over every value: first, it holds; later, it is passed over."""
+    lo = hi = None
+    for block in itertools.chain.from_iterable(map(_blocks, columns)):
+        _block_kinds(block)
+        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
+    if lo is None:
+        raise ValueError("an SVG plot needs at least one value on each axis")
+    return float(lo), float(hi)
+
+
 def write_svg(report: dict, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
-    The series are read through ``_blocks``, never copied whole, and each
-    polyline's points are rendered in blocks of ``_CSV_ROWS``.
+    Each column is read through ``_blocks`` twice, never copied whole: once
+    for its range, checked by ``_block_kinds``, and once for its points.
+    Each x block is formatted once for every polyline, and each polyline
+    is rendered as one piece per block.
     """
     series = dict(report.get("series") or {})
     if not series:
@@ -182,11 +203,7 @@ def write_svg(report: dict, path: str) -> None:
     ml, mr, mt, mb = 70, 24, 34, 52
     pw, ph = width - ml - mr, height - mt - mb
 
-    def ys_all():
-        return map(float, itertools.chain.from_iterable(map(_items, series.values())))
-
-    x_lo, x_hi = min(map(float, _items(xs))), max(map(float, _items(xs)))
-    y_lo, y_hi = min(ys_all()), max(ys_all())
+    (x_lo, x_hi), (y_lo, y_hi) = _span([xs]), _span(series.values())
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -219,19 +236,25 @@ def write_svg(report: dict, path: str) -> None:
                    'stroke="#dddddd" stroke-width="0.5"/>\n')
     pieces.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">'
                   f'{_svg_escape(x_key)}</text>\n')
+    # each line's blocks of points, the non-finite y left out; a ragged
+    # column stops where the shorter of it and x ends
+    lines = {name: [] for name, ys in series.items() if len(ys) != 1}
+    y_blocks = {name: _blocks(series[name]) for name in lines}
+    for block in _blocks(xs):
+        xf = [f"{px(x):.2f}," for x in block]
+        for name, line in lines.items():
+            points = " ".join([x + f"{py(y):.2f}" for x, y in zip(xf, next(y_blocks[name], ()))
+                               if math.isfinite(y)])
+            if points:
+                line.append(" " + points if line else points)
     for idx, name in enumerate(sorted(series)):
         color = _PALETTE[idx % len(_PALETTE)]
-        ys = series[name]
-        if len(ys) == 1:
-            (x, y), = zip(map(float, _items(xs)), map(float, _items(ys)))
-            pieces.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>\n')
-        else:
-            pts = (f"{px(x):.2f},{py(y):.2f}"
-                   for x, y in zip(map(float, _items(xs)), map(float, _items(ys)))
-                   if math.isfinite(y))
-            blocks = iter(lambda: " ".join(itertools.islice(pts, _CSV_ROWS)), "")
-            pieces += ('<polyline points="', next(blocks, ""), *(" " + b for b in blocks),
+        if name in lines:
+            pieces += ('<polyline points="', *lines[name],
                        f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
+        else:
+            x, y = next(_items(xs)), next(_items(series[name]))
+            pieces.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>\n')
         pieces.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
                       f'fill="{color}">{_svg_escape(name)}</text>\n')
     pieces.append("</svg>\n")

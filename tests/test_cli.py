@@ -336,20 +336,39 @@ NOT_INTS_OR_FLOATS = {
 def test_a_series_of_anything_but_ints_and_floats_is_refused(values, monkeypatch, tmp_path,
                                                              capsys):
     series = {"t": range(len(values)), "y": values}
-    for writer in (write_json, cli.write_csv):
+    for writer in (write_json, cli.write_csv, cli.write_svg):
         with pytest.raises(ValueError, match="a series holds only ints and floats, not "):
             writer({"series": series}, str(tmp_path / "w"))
+    _assert_refused_in_one_line(series, "a series holds only ints and floats, not ",
+                                ["--json", "-"], ["--csv", "r.csv"], ["--csv", "-"],
+                                ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg,csv,json"],
+                                monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
+
+
+def _assert_refused_in_one_line(series, message, *targets, monkeypatch, tmp_path, capsys):
+    """A run whose report holds ``series`` exits 1 for each of ``targets``,
+    with one ``error: message…`` line and nothing written."""
     monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
         run=lambda cfg: ({}, series, [])))
     monkeypatch.chdir(tmp_path)
-    for targets in (["--json", "-"], ["--csv", "r.csv"], ["--csv", "-"],
-                    ["--format", "svg,csv,json"]):
-        assert main(["wfecho", *targets]) == 1
+    for target in targets:
+        assert main(["wfecho", *target]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err.startswith("error: a series holds only ints and floats, not ")
+        assert err.startswith("error: " + message)
         assert err.count("\n") == 1
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("series", [{"t": [], "y": [0.5, 1.5]},
+                                    {"t": range(3), "y": [], "z": np.array([])}],
+                         ids=["empty x", "every y empty"])
+def test_an_svg_plot_with_an_empty_axis_is_refused(series, monkeypatch, tmp_path, capsys):
+    with pytest.raises(ValueError, match="an SVG plot needs at least one value on each axis"):
+        cli.write_svg({"series": series}, str(tmp_path / "w"))
+    _assert_refused_in_one_line(series, "an SVG plot needs at least one value on each axis",
+                                ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg"],
+                                monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
 
 
 LONG = 100_000
@@ -1151,15 +1170,15 @@ def test_import_leaves_scipy_unloaded():
     assert proc.stdout.strip() == "False"
 
 
-def _loaded_in_a_fresh_child(code: str) -> set[str]:
+def _loaded_in_a_fresh_child(code: str, cwd=None) -> set[str]:
     """numpy, numpy.ma, numpy.random, scipy, dataclasses, inspect and the
-    altcausal modules that a fresh interpreter holds after ``code``."""
+    altcausal modules that a fresh interpreter in ``cwd`` holds after ``code``."""
     code += ("\nimport sys\nprint(' '.join(m for m in sys.modules if m in"
              " ('numpy', 'numpy.ma', 'numpy.random', 'scipy', 'dataclasses', 'inspect')"
              " or m.startswith('altcausal.')))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60)
+                          text=True, check=True, timeout=60, cwd=cwd)
     return set(proc.stdout.splitlines()[-1].split())
 
 
@@ -1180,7 +1199,8 @@ def test_a_layer_resolves_on_first_access_to_the_package():
 # what a run loads besides the cli: numpy and its layers, numpy.random for
 # a seeded generator (the photon clock replays its draws without one), and
 # scipy (which brings numpy.ma) for rcp alone; wfecho, help and refused
-# inputs start without numpy, dataclasses or inspect
+# inputs start without numpy, dataclasses or inspect, and so do the three
+# writers on the lists wfecho builds
 LOADED_BY = {
     "duality": "numpy numpy.random qcore process",
     "switch": "numpy qcore process",
@@ -1188,6 +1208,7 @@ LOADED_BY = {
     "photonclock": "numpy qcore photonclock absorber",
     "cascade": "numpy qcore photonclock absorber _cascade_steps",
     "wfecho": "absorber",
+    "wfecho --out . --format json,csv,svg": "absorber",
     "rcp": "numpy numpy.ma numpy.random scipy qcore photonclock absorber",
     "pif": "numpy numpy.random piflink",
     "fito-vs-pif": "numpy numpy.random piflink",
@@ -1201,7 +1222,7 @@ LOADED_BY = {
 
 
 @pytest.mark.parametrize("command", LOADED_BY)
-def test_a_run_loads_only_the_layers_it_uses(command):
+def test_a_run_loads_only_the_layers_it_uses(command, tmp_path):
     argv = command.split() + FAST_ARGS.get(command, [])
     code = ("import contextlib, io\nfrom altcausal.cli import main\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
@@ -1210,7 +1231,9 @@ def test_a_run_loads_only_the_layers_it_uses(command):
                                 for m in LOADED_BY[command].split()}
     if "numpy" in want:
         want |= _WITH_NUMPY
-    assert _loaded_in_a_fresh_child(code) == want
+    assert _loaded_in_a_fresh_child(code, cwd=tmp_path) == want
+    written = sorted(path.name for path in tmp_path.iterdir())
+    assert written == (["wfecho.csv", "wfecho.json", "wfecho.svg"] if "--out" in argv else [])
 
 
 def test_readme_layer_table_matches_what_each_run_loads():
