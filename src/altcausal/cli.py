@@ -165,13 +165,17 @@ def _svg_escape(s: str) -> str:
 
 
 def _span(columns) -> tuple[float, float]:
-    """The least and the greatest value of ``columns``, as floats, read in
-    order through ``_blocks`` with each block checked by ``_block_kinds``.
+    """The least and the greatest value of ``columns`` as floats, each block
+    from ``_blocks`` checked by ``_block_kinds`` and its ints by ``float``.
     The blocks continue one left fold, so a NaN acts as in ``min`` and
     ``max`` over every value: first, it holds; later, it is passed over."""
     lo = hi = None
     for block in itertools.chain.from_iterable(map(_blocks, columns)):
-        _block_kinds(block)
+        if int in _block_kinds(block):
+            try:
+                block = list(map(float, block))
+            except OverflowError:
+                raise ValueError("an SVG plot needs every value in the float range") from None
         lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
     if lo is None:
         raise ValueError("an SVG plot needs at least one value on each axis")
@@ -468,10 +472,8 @@ def _ac_vs_ico(cfg):
 def _photonclock(cfg):
     from . import photonclock
 
-    box = photonclock.CausalBox(decoherence_per_bounce=cfg["decoherence"],
-                                rng_seed=cfg["seed"])
-    photonclock.run_bounces(box, cfg["bounces"])
-    cumulative = photonclock.classical_time_series(box.ledger)
+    ledger = photonclock.tick_ledger(cfg["bounces"], cfg["decoherence"], cfg["seed"])
+    cumulative = photonclock.classical_time_series(ledger)
     final = int(cumulative[-1])
     seconds = final * cfg["tick_seconds"]
     if not math.isfinite(seconds):
@@ -486,9 +488,9 @@ def _photonclock(cfg):
     metrics = {
         "classical_time": final,
         "classical_time_seconds": seconds,
-        "bare_classical_time": photonclock.bare_classical_time(box.ledger),
-        "traversals": box.ledger.traversal_count,
-        "decohered_ticks": box.ledger.decohered_count,
+        "bare_classical_time": photonclock.bare_classical_time(ledger),
+        "traversals": ledger.traversal_count,
+        "decohered_ticks": ledger.decohered_count,
         "coherent_cycles_indiscernible": indiscernible,
         "symmetry_break_outcome": outcome.name,
     }
@@ -703,8 +705,10 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
 
     Refuses a missing directory and two targets that write to the same
     file under any names, hard links and stdout included, so a bad target
-    stops the run before any file is written.  JSON comes first, as only
-    its writer refuses a report.
+    stops the run before any file is written.  Every writer refuses a value
+    that is not an int or a float; JSON comes first, as only it refuses NaN
+    and infinity.  An SVG-only refusal (an empty axis, an int past the float
+    range) comes after the JSON and CSV targets ahead of it are written.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
     if ns.out is not None and ns.format is None:

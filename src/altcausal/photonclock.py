@@ -48,6 +48,7 @@ __all__ = [
     "CascadeReport",
     "bounce",
     "run_bounces",
+    "tick_ledger",
     "classical_time",
     "classical_time_series",
     "bare_classical_time",
@@ -190,18 +191,9 @@ class BoundaryConditions:
                 self.simultaneous_emission, self.simultaneous_absorption)
 
 
-class _Photon:
-    """``CausalBox.photon``: the box's photon, stepped through its owed bounces when read."""
-
-    def __get__(self, box, owner=None):
-        if box is None:
-            return None   # the field's default, as dataclass reads it
-        box._step_owed_bounces()
-        return box._photon
-
-    def __set__(self, box, photon):
-        box._photon = photon
-        box._owed_bounces = 0
+def _check_decoherence(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"decoherence per bounce must lie in [0, 1], got {p}")
 
 
 @dataclass(eq=False)
@@ -213,21 +205,13 @@ class CausalBox:
     untouched.  Evolution is sequential and deterministic for a given
     ``rng_seed``; randomness is drawn from a per-event stream keyed by
     (seed, event index) so any prefix can be replayed independently.
-
-    A bounce writes its tick at once but only counts itself against the
-    photon: the first read of ``photon`` steps it through every bounce
-    owed, each at the decoherence it was made with, so a box that is
-    read equals one stepped bounce by bounce, bit for bit, and a box
-    whose photon is never read never steps it.
     """
 
-    photon: DensityMatrix | None = _Photon()
+    photon: DensityMatrix | None = None
     decoherence_per_bounce: float = 0.0
     ledger: TickLedger = field(default_factory=TickLedger, init=False)
     rng_seed: int = 0
     _event_count: int = field(default=0, init=False, repr=False)
-    _owed_bounces: int = field(default=0, init=False, repr=False)
-    _owed_p: float = field(default=0.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.photon is None:
@@ -237,9 +221,7 @@ class CausalBox:
             raise TypeError(f"photon must be a DensityMatrix, got {type(self.photon).__name__}")
         if self.photon.dims[0] != 2:
             raise ValueError("the photon's first factor must be the direction qubit")
-        if not 0.0 <= self.decoherence_per_bounce <= 1.0:
-            raise ValueError(
-                f"decoherence per bounce must lie in [0, 1], got {self.decoherence_per_bounce}")
+        _check_decoherence(self.decoherence_per_bounce)
 
     @property
     def current_direction(self) -> int:
@@ -250,19 +232,6 @@ class CausalBox:
         rng = np.random.default_rng((self.rng_seed, self._event_count))
         self._event_count += 1
         return rng
-
-    def _owe_bounces(self, n: int) -> None:
-        """Count ``n`` bounces against the photon, to be stepped at its next read."""
-        p = self.decoherence_per_bounce
-        if p != self._owed_p:
-            self._step_owed_bounces()   # those were owed under another decoherence
-            self._owed_p = p
-        self._owed_bounces += n
-
-    def _step_owed_bounces(self) -> None:
-        if self._owed_bounces:
-            self._photon = _bounce_photon(self._photon, self._owed_p, self._owed_bounces)
-            self._owed_bounces = 0
 
 
 @functools.lru_cache(maxsize=8)
@@ -293,14 +262,14 @@ def bounce(box: CausalBox) -> CausalBox:
 
     Appends the signed traversal tick (sign of the leg just completed),
     samples the decohered flag with probability ``decoherence_per_bounce``,
-    and owes the photon one step: its direction qubit flipped, then a
-    depolarizing channel of the same strength, applied when the photon
-    is next read.  Mutates ``box`` and returns it.
+    flips the direction qubit, and passes the photon through a
+    depolarizing channel of the same strength.  Mutates ``box`` and
+    returns it.
     """
     rng = box._event_rng()
     decohered = bool(rng.random() < box.decoherence_per_bounce)
     box.ledger.append(box.current_direction, decohered)
-    box._owe_bounces(1)
+    box.photon = _bounce_photon(box.photon, box.decoherence_per_bounce, 1)
     return box
 
 
@@ -317,14 +286,13 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_A = _PCG_MULT ** 2 & _MASK128
 _PCG_B = (_PCG_MULT ** 2 + _PCG_MULT + 1) & _MASK128
 
-# the 128-bit tail runs on 32-bit limbs, least significant first, each
-# held in a uint64 so that a limb product and its carries fit
-_U1, _U11, _U26, _U31, _U32, _U63, _U64 = (np.uint64(k) for k in (1, 11, 26, 31, 32, 63, 64))
+# the 128-bit tail runs on uint64 columns of high and low halves
+_PCG_A_HI, _PCG_A_LO, _PCG_B_HI, _PCG_B_LO = (np.uint64(half) for c in (_PCG_A, _PCG_B)
+                                              for half in divmod(c, 1 << 64))
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
 _LOW32 = np.uint64(_MASK32)
-_PCG_A_LIMBS, _PCG_B_LIMBS = ([np.uint64(c >> 32 * k & _MASK32) for k in range(4)]
-                              for c in (_PCG_A, _PCG_B))
 
-# events drawn per block in run_bounces, so memory does not grow with n
+# events drawn per block of ticks, so memory does not grow with the bounce count
 _DRAW_CHUNK = 65_536
 
 
@@ -385,65 +353,74 @@ def _state_words(seed: int, start: int, n: int) -> list[np.ndarray]:
     return words
 
 
+def _mul_high(a: np.ndarray, c: np.uint64) -> np.ndarray:
+    """The high 64 bits of each ``a * c``, for a uint64 column ``a``, from the
+    four products of the operands' 32-bit halves; no sum leaves uint64."""
+    a_lo, a_hi, c_lo, c_hi = a & _LOW32, a >> _U32, c & _LOW32, c >> _U32
+    t = (a_lo * c_lo >> _U32) + a_hi * c_lo
+    mid = (t & _LOW32) + a_lo * c_hi
+    return a_hi * c_hi + (t >> _U32) + (mid >> _U32)
+
+
 def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
     """``np.random.default_rng((seed, k)).random()`` for k in [start, start + n), bit for bit.
 
-    PCG64's seeding and first XSL-RR output run on the state words of
-    ``_state_words`` as 32-bit limbs in uint64 columns: every product
-    of two limbs fits, no shift reaches 64, and nothing leaves uint64.
+    PCG64's seeding and first XSL-RR output run on the 128-bit numbers
+    as uint64 columns of their high and low halves: products wrap at
+    2^64, and ``_mul_high`` supplies the high half of a low product.
     """
     w = _state_words(seed, start, n)
-    # little-endian word pairs make the uint64s (state seed high, low, increment high, low)
-    seed_limbs = [w[2], w[3], w[0], w[1]]
-    inc = [w[6], w[7], w[4], w[5]]
-    inc_limbs = [(inc[0] << _U1 | _U1) & _LOW32,
-                 *((inc[k] << _U1 | inc[k - 1] >> _U31) & _LOW32 for k in range(1, 4))]
-    # seed A + inc B mod 2^128, by columns: each limb product's low half
-    # goes to its column, its high half to the next; a column sums at most
-    # 14 halves below 2^32, so it stays below 2^36
-    state = [np.zeros(n, dtype=np.uint64) for _ in range(4)]
-    for limbs, const in ((seed_limbs, _PCG_A_LIMBS), (inc_limbs, _PCG_B_LIMBS)):
-        for i in range(4):
-            for j in range(4 - i):
-                product = limbs[i] * const[j]
-                state[i + j] += product & _LOW32
-                if i + j < 3:
-                    state[i + j + 1] += product >> _U32
-    for k in range(1, 4):
-        state[k] += state[k - 1] >> _U32
-        state[k - 1] &= _LOW32
-    state[3] &= _LOW32
+    # little-endian word pairs make the state seed's and the increment's halves
+    s_hi, s_lo, i_hi, i_lo = (w[k] | w[k + 1] << _U32 for k in range(0, 8, 2))
+    inc_hi, inc_lo = i_hi << _U1 | i_lo >> _U63, i_lo << _U1 | _U1
+    # seed A + inc B mod 2^128, where each x c is x_lo c_lo
+    # + (x_hi c_lo + x_lo c_hi + the high half of x_lo c_lo) 2^64
+    a_lo = s_lo * _PCG_A_LO
+    lo = a_lo + inc_lo * _PCG_B_LO
+    hi = (_mul_high(s_lo, _PCG_A_LO) + s_hi * _PCG_A_LO + s_lo * _PCG_A_HI
+          + _mul_high(inc_lo, _PCG_B_LO) + inc_hi * _PCG_B_LO + inc_lo * _PCG_B_HI
+          + (lo < a_lo))   # the carry out of the low halves
     # XSL-RR: the state's two halves xored, rotated right by its top six bits
-    x = (state[3] ^ state[1]) << _U32 | (state[2] ^ state[0])
-    rot = state[3] >> _U26
+    x = hi ^ lo
+    rot = hi >> _U58
     out = (x >> rot | x << ((_U64 - rot) & _U63)) >> _U11
     return out.astype(np.float64) * 2.0 ** -53
 
 
-def run_bounces(box: CausalBox, n: int) -> CausalBox:
-    """``n`` bounces in one pass, leaving ``box`` as ``n`` calls to ``bounce`` would.
-
-    The whole event range is checked before any tick is written.  The
-    decoherence flags are replayed in blocks by ``_event_draws`` and the
-    ticks appended to the ledger's columns a block at a time; the photon
-    is owed the ``n`` steps, taken as in ``bounce`` when it is next
-    read.  Mutates ``box`` and returns it.
-    """
+def _append_ticks(ledger: TickLedger, seed: int, first: int, n: int, p: float) -> None:
+    """Append the ticks of ``n`` bounces whose events start at ``first``: the
+    range is checked before any tick is written, then the decoherence flags
+    are replayed by ``_event_draws`` and appended a block at a time."""
     if n < 0:
         raise ValueError(f"bounce count must be >= 0, got {n}")
-    first = box._event_count
     if n and first + n > 1 << 32:
         raise ValueError(f"event indices [{first}, {first + n}) leave [0, 2**32)")
-    p = box.decoherence_per_bounce
     for lo in range(0, n, _DRAW_CHUNK):
-        draws = _event_draws(box.rng_seed, first + lo, min(_DRAW_CHUNK, n - lo))
-        signs = np.empty(draws.size, dtype=np.int8)
-        signs[0::2] = box.current_direction
-        signs[1::2] = -box.current_direction
-        box.ledger._extend(signs, draws < p)
-    box._owe_bounces(n)
+        draws = _event_draws(seed, first + lo, min(_DRAW_CHUNK, n - lo))
+        signs = np.ones(draws.size, dtype=np.int8)
+        signs[(ledger.traversal_count + 1) % 2::2] = -1   # the ledger's odd ticks go back
+        ledger._extend(signs, draws < p)
+
+
+def run_bounces(box: CausalBox, n: int) -> CausalBox:
+    """``n`` bounces in one pass, leaving ``box`` as ``n`` calls to ``bounce`` would:
+    the ticks from ``_append_ticks``, then the photon's ``n`` noisy steps,
+    wrapped once.  Mutates ``box`` and returns it."""
+    _append_ticks(box.ledger, box.rng_seed, box._event_count, n, box.decoherence_per_bounce)
+    box.photon = _bounce_photon(box.photon, box.decoherence_per_bounce, n)
     box._event_count += n
     return box
+
+
+def tick_ledger(n: int, decoherence: float, seed: int) -> TickLedger:
+    """The tick ledger of ``n`` bounces of a fresh box, bit for bit
+    ``run_bounces(CausalBox(decoherence_per_bounce=decoherence, rng_seed=seed), n).ledger``,
+    without stepping a photon: classical time is read off the ticks alone.
+    """
+    _check_decoherence(decoherence)
+    ledger = TickLedger()
+    _append_ticks(ledger, seed, 0, n, decoherence)
+    return ledger
 
 
 def check_nondiscernability(box: CausalBox, k_cycles: int) -> bool:

@@ -447,7 +447,44 @@ def test_run_bounces_refuses_a_range_past_the_last_event_index_before_drawing(n)
     assert box.ledger.traversal_count == 69_005
 
 
-def test_the_photon_steps_only_when_read(monkeypatch):
+@pytest.mark.parametrize("photon", sorted(_photons()))
+def test_run_bounces_between_single_bounces_matches_the_reference(photon):
+    state = _photons()[photon]
+    fast = CausalBox(photon=state, decoherence_per_bounce=0.25, rng_seed=17)
+    slow = CausalBox(photon=state, decoherence_per_bounce=0.25, rng_seed=17)
+    for n in (70, 1, 0, 33):
+        run_bounces(fast, n)
+        bounce(fast)
+        for _ in range(n + 1):
+            _reference_bounce(slow)
+        _assert_same_box(fast, slow)
+
+
+def test_each_bounce_steps_the_photon_at_the_decoherence_it_is_made_with():
+    fast = CausalBox(decoherence_per_bounce=0.25, rng_seed=8)
+    slow = CausalBox(decoherence_per_bounce=0.25, rng_seed=8)
+    for p in (0.25, 0.0, 1.0, 0.5):
+        fast.decoherence_per_bounce = slow.decoherence_per_bounce = p
+        run_bounces(fast, 3)
+        bounce(fast)
+        for _ in range(4):
+            _reference_bounce(slow)
+    fast.decoherence_per_bounce = 0.75   # after the last bounce: it reaches no bounce made
+    _assert_same_box(fast, slow)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.25, 1.0])
+@pytest.mark.parametrize("n", [0, 1, 7, photonclock._DRAW_CHUNK - 1,
+                               photonclock._DRAW_CHUNK + 1, 70_000])
+def test_tick_ledger_is_the_ledger_of_run_bounces_bit_for_bit(n, p):
+    ledger = photonclock.tick_ledger(n, p, 2**64 + 5)
+    box = run_bounces(CausalBox(decoherence_per_bounce=p, rng_seed=2**64 + 5), n)
+    for got, want in zip(ledger._columns(), box.ledger._columns()):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert ledger.increments == box.ledger.increments
+
+
+def test_tick_ledger_steps_no_photon(monkeypatch):
     steps = []
     orbit = photonclock._noisy_orbit
 
@@ -457,47 +494,28 @@ def test_the_photon_steps_only_when_read(monkeypatch):
             yield rho
 
     monkeypatch.setattr(photonclock, "_noisy_orbit", counting)
-    box = CausalBox(decoherence_per_bounce=0.25, rng_seed=3)
-    run_bounces(box, 500)
-    bounce(box)
+    assert photonclock.tick_ledger(500, 0.25, 3).traversal_count == 500
     assert steps == []
-    photon = box.photon
-    assert len(steps) == 501
-    assert box.photon is photon and len(steps) == 501
+    run_bounces(CausalBox(decoherence_per_bounce=0.25, rng_seed=3), 500)
+    assert len(steps) == 500
 
 
-@pytest.mark.parametrize("photon", sorted(_photons()))
-def test_a_box_read_between_bounces_matches_the_bounce_loop(photon):
-    state = _photons()[photon]
-    fast = CausalBox(photon=state, decoherence_per_bounce=0.25, rng_seed=17)
-    slow = CausalBox(photon=state, decoherence_per_bounce=0.25, rng_seed=17)
-    for n in (70, 1, 0, 33):
-        run_bounces(fast, n)
-        fast.photon   # each read steps what the box owes so far
-        bounce(fast)
-        fast.photon
-        for _ in range(n + 1):
-            _reference_bounce(slow)
-        _assert_same_box(fast, slow)
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan])
+def test_tick_ledger_refuses_the_decoherence_the_box_refuses(p):
+    with pytest.raises(ValueError) as box_refusal:
+        CausalBox(decoherence_per_bounce=p)
+    with pytest.raises(ValueError) as ledger_refusal:
+        photonclock.tick_ledger(4, p, 0)
+    assert str(ledger_refusal.value) == str(box_refusal.value)
 
 
-def test_owed_bounces_keep_the_decoherence_they_were_made_with():
-    fast = CausalBox(decoherence_per_bounce=0.25, rng_seed=8)
-    slow = CausalBox(decoherence_per_bounce=0.25, rng_seed=8)
-    for p in (0.25, 0.0, 1.0, 0.5):
-        fast.decoherence_per_bounce = slow.decoherence_per_bounce = p
-        run_bounces(fast, 3)
-        bounce(fast)
-        for _ in range(4):
-            _reference_bounce(slow)
-    fast.decoherence_per_bounce = 0.75   # after the last bounce, before the read
-    _assert_same_box(fast, slow)
-
-
-def test_setting_the_photon_drops_the_owed_bounces():
-    box = run_bounces(CausalBox(decoherence_per_bounce=0.5), 9)
-    box.photon = projector(ket(1))
-    assert box.photon.entries.tobytes() == projector(ket(1)).entries.tobytes()
+@pytest.mark.parametrize("n", [-1, 2**32 + 1])
+def test_tick_ledger_refuses_the_counts_run_bounces_refuses(n):
+    with pytest.raises(ValueError) as box_refusal:
+        run_bounces(CausalBox(), n)
+    with pytest.raises(ValueError) as ledger_refusal:
+        photonclock.tick_ledger(n, 0.0, 0)
+    assert str(ledger_refusal.value) == str(box_refusal.value)
 
 
 def test_nondiscernability_holds_for_closed_box():

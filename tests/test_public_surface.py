@@ -99,10 +99,6 @@ def test_no_module_imports_a_name_it_never_uses(path):
     assert sorted(unused) == []
 
 
-
-
-
-
 def test_records_that_hold_arrays_compare_by_identity():
     def records():
         rep = piflink.run_link(piflink.LinkConfig(slice_count=8))
