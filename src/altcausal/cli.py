@@ -166,16 +166,18 @@ def _svg_escape(s: str) -> str:
 
 def _span(columns) -> tuple[float, float]:
     """The least and the greatest value of ``columns`` as floats, each block
-    from ``_blocks`` checked by ``_block_kinds`` and its ints by ``float``.
-    The blocks continue one left fold, so a NaN acts as in ``min`` and
-    ``max`` over every value: first, it holds; later, it is passed over."""
+    from ``_blocks`` checked by ``_block_kinds`` and each value by
+    ``math.isfinite``, which refuses NaN, infinity and an int past the
+    float range."""
     lo = hi = None
     for block in itertools.chain.from_iterable(map(_blocks, columns)):
-        if int in _block_kinds(block):
-            try:
-                block = list(map(float, block))
-            except OverflowError:
-                raise ValueError("an SVG plot needs every value in the float range") from None
+        _block_kinds(block)
+        try:
+            finite = all(map(math.isfinite, block))
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise ValueError("an SVG plot needs every value in the float range")
         lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
     if lo is None:
         raise ValueError("an SVG plot needs at least one value on each axis")
@@ -186,7 +188,7 @@ def write_svg(report: dict, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
     Each column is read through ``_blocks`` twice, never copied whole: once
-    for its range, checked by ``_block_kinds``, and once for its points.
+    for its range, checked by ``_span``, and once for its points.
     Each x block is formatted once for every polyline, and each polyline
     is rendered as one piece per block.
     """
@@ -214,6 +216,10 @@ def write_svg(report: dict, path: str) -> None:
         y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
+    # the coordinates and tick labels below reach at most pw times the x span
+    # and 4 times the y span; past the float range they would write inf and nan
+    if not math.isfinite(max(pw * (x_hi - x_lo), 4 * (y_hi - y_lo))):
+        raise ValueError("an SVG plot needs every value in the float range")
 
     def px(x):
         return ml + pw * (x - x_lo) / (x_hi - x_lo)
@@ -240,15 +246,14 @@ def write_svg(report: dict, path: str) -> None:
                    'stroke="#dddddd" stroke-width="0.5"/>\n')
     pieces.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">'
                   f'{_svg_escape(x_key)}</text>\n')
-    # each line's blocks of points, the non-finite y left out; a ragged
-    # column stops where the shorter of it and x ends
+    # each line's blocks of points; a ragged column stops where the
+    # shorter of it and x ends
     lines = {name: [] for name, ys in series.items() if len(ys) != 1}
     y_blocks = {name: _blocks(series[name]) for name in lines}
     for block in _blocks(xs):
         xf = [f"{px(x):.2f}," for x in block]
         for name, line in lines.items():
-            points = " ".join([x + f"{py(y):.2f}" for x, y in zip(xf, next(y_blocks[name], ()))
-                               if math.isfinite(y)])
+            points = " ".join([x + f"{py(y):.2f}" for x, y in zip(xf, next(y_blocks[name], ()))])
             if points:
                 line.append(" " + points if line else points)
     for idx, name in enumerate(sorted(series)):
@@ -706,9 +711,10 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     Refuses a missing directory and two targets that write to the same
     file under any names, hard links and stdout included, so a bad target
     stops the run before any file is written.  Every writer refuses a value
-    that is not an int or a float; JSON comes first, as only it refuses NaN
-    and infinity.  An SVG-only refusal (an empty axis, an int past the float
-    range) comes after the JSON and CSV targets ahead of it are written.
+    that is not an int or a float; JSON comes first, as it refuses NaN and
+    infinity, which CSV writes.  A refusal by SVG alone (an empty axis, an
+    int or a span past the float range, or NaN or infinity where no JSON
+    target comes first) comes after the CSV targets ahead of it are written.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
     if ns.out is not None and ns.format is None:

@@ -286,11 +286,10 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_A = _PCG_MULT ** 2 & _MASK128
 _PCG_B = (_PCG_MULT ** 2 + _PCG_MULT + 1) & _MASK128
 
-# the 128-bit tail runs on uint64 columns of high and low halves
-_PCG_A_HI, _PCG_A_LO, _PCG_B_HI, _PCG_B_LO = (np.uint64(half) for c in (_PCG_A, _PCG_B)
-                                              for half in divmod(c, 1 << 64))
-_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(k) for k in (1, 11, 32, 58, 63, 64))
-_LOW32 = np.uint64(_MASK32)
+# the 128-bit tail runs on uint64 columns of high and low halves; a Python
+# int operand keeps a column uint64 (numpy 2's NEP 50 scalar rules)
+_PCG_A_HI, _PCG_A_LO = divmod(_PCG_A, 1 << 64)
+_PCG_B_HI, _PCG_B_LO = divmod(_PCG_B, 1 << 64)
 
 # events drawn per block of ticks, so memory does not grow with the bounce count
 _DRAW_CHUNK = 65_536
@@ -353,13 +352,13 @@ def _state_words(seed: int, start: int, n: int) -> list[np.ndarray]:
     return words
 
 
-def _mul_high(a: np.ndarray, c: np.uint64) -> np.ndarray:
+def _mul_high(a: np.ndarray, c: int) -> np.ndarray:
     """The high 64 bits of each ``a * c``, for a uint64 column ``a``, from the
     four products of the operands' 32-bit halves; no sum leaves uint64."""
-    a_lo, a_hi, c_lo, c_hi = a & _LOW32, a >> _U32, c & _LOW32, c >> _U32
-    t = (a_lo * c_lo >> _U32) + a_hi * c_lo
-    mid = (t & _LOW32) + a_lo * c_hi
-    return a_hi * c_hi + (t >> _U32) + (mid >> _U32)
+    a_lo, a_hi, c_lo, c_hi = a & _MASK32, a >> 32, c & _MASK32, c >> 32
+    t = (a_lo * c_lo >> 32) + a_hi * c_lo
+    mid = (t & _MASK32) + a_lo * c_hi
+    return a_hi * c_hi + (t >> 32) + (mid >> 32)
 
 
 def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
@@ -371,8 +370,8 @@ def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
     """
     w = _state_words(seed, start, n)
     # little-endian word pairs make the state seed's and the increment's halves
-    s_hi, s_lo, i_hi, i_lo = (w[k] | w[k + 1] << _U32 for k in range(0, 8, 2))
-    inc_hi, inc_lo = i_hi << _U1 | i_lo >> _U63, i_lo << _U1 | _U1
+    s_hi, s_lo, i_hi, i_lo = (w[k] | w[k + 1] << 32 for k in range(0, 8, 2))
+    inc_hi, inc_lo = i_hi << 1 | i_lo >> 63, i_lo << 1 | 1
     # seed A + inc B mod 2^128, where each x c is x_lo c_lo
     # + (x_hi c_lo + x_lo c_hi + the high half of x_lo c_lo) 2^64
     a_lo = s_lo * _PCG_A_LO
@@ -382,8 +381,8 @@ def _event_draws(seed: int, start: int, n: int) -> np.ndarray:
           + (lo < a_lo))   # the carry out of the low halves
     # XSL-RR: the state's two halves xored, rotated right by its top six bits
     x = hi ^ lo
-    rot = hi >> _U58
-    out = (x >> rot | x << ((_U64 - rot) & _U63)) >> _U11
+    rot = hi >> 58
+    out = (x >> rot | x << ((64 - rot) & 63)) >> 11
     return out.astype(np.float64) * 2.0 ** -53
 
 

@@ -53,18 +53,6 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _as_complex_matrix(entries) -> np.ndarray:
-    m = np.array(entries, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
-    return m
-
-
-def _freeze(m: np.ndarray) -> np.ndarray:
-    m.setflags(write=False)
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexOperator:
     """A square complex matrix together with its tensor factorisation.
@@ -81,7 +69,9 @@ class ComplexOperator:
     dims: tuple[int, ...]
 
     def __init__(self, entries, dims: Sequence[int]):
-        m = _as_complex_matrix(entries)
+        m = np.array(entries, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"operator must be a square matrix, got shape {m.shape}")
         dims = tuple(int(d) for d in dims)
         if not dims or any(d < 2 for d in dims):
             raise ValueError(f"subsystem dimensions must all be >= 2, got {dims}")
@@ -89,7 +79,8 @@ class ComplexOperator:
             raise ValueError(
                 f"dims {dims} imply side {math.prod(dims)}, matrix has side {m.shape[0]}"
             )
-        object.__setattr__(self, "entries", _freeze(m))
+        m.setflags(write=False)
+        object.__setattr__(self, "entries", m)
         object.__setattr__(self, "dims", dims)
 
     @classmethod

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -509,8 +510,7 @@ def _reference_svg(report) -> str:
             pieces.append(f'<circle cx="{px(xs[0]):.2f}" cy="{py(series[name][0]):.2f}" '
                           f'r="3" fill="{color}"/>\n')
         else:
-            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name])
-                           if math.isfinite(y))
+            pts = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, series[name]))
             pieces += ('<polyline points="', pts,
                        f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
         pieces.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
@@ -525,16 +525,11 @@ SVG_SERIES = {
     "constant": {"step": [1, 2, 3], "y": [2.0, 2.0, 2.0], "z": [2, 2, 2]},
     "ints": {"cycle": [5, 6, 7, 8], "count": [3, -1, 4, 1]},
     "no x key": {"b": [0.1, 0.2], "a": [1.0, -1.0]},
-    "non-finite": {"t": [0, 1, 2, 3], "y": [math.nan, 1.0, math.inf, 2.0],
-                   "z": [0.5, -math.inf, 0.25, 0.0]},
-    "nan first in the second series": {"t": [0, 1, 2], "a": [1.0, 2.0, 3.0],
-                                       "b": [math.nan, -5.0, 9.0]},
     "ragged": {"t": [0.0, 0.5], "a": [1.0, 2.0, 3.0], "b": [], "c": [4.0]},
     "block boundaries": {"t": list(range(2 * _B + 1)),
                          "a": [i / 7 for i in range(_B - 1)], "b": [i / 3 for i in range(_B)],
                          "c": [i / 9 for i in range(_B + 1)],
-                         "d": [math.nan if i % 5 == 0 else i for i in range(2 * _B + 1)]},
-    "every point dropped": {"t": [0, 1], "y": [math.nan, math.nan], "z": [0.0, 1.0]},
+                         "d": [i / 5 if i % 5 == 0 else i for i in range(2 * _B + 1)]},
 }
 
 
@@ -547,6 +542,41 @@ def test_svg_is_written_as_the_reference(series, tmp_path, capsys):
     expected = _reference_svg(report)
     _assert_same_bytes(out.read_bytes(), expected)
     _assert_same_bytes(capsys.readouterr().out, expected)
+
+
+SVG_REFUSED = {
+    "non-finite": {"t": [0, 1, 2, 3], "y": [math.nan, 1.0, math.inf, 2.0],
+                   "z": [0.5, -math.inf, 0.25, 0.0]},
+    "nan first in the second series": {"t": [0, 1, 2], "a": [1.0, 2.0, 3.0],
+                                       "b": [math.nan, -5.0, 9.0]},
+    "a nan every fifth value across block boundaries": {
+        "t": list(range(2 * _B + 1)), "a": [i / 7 for i in range(_B - 1)],
+        "d": [math.nan if i % 5 == 0 else i for i in range(2 * _B + 1)]},
+    "every y a nan": {"t": [0, 1], "y": [math.nan, math.nan], "z": [0.0, 1.0]},
+    "x nan first": {"t": [math.nan, 1.0, 2.0], "y": [0.5, 1.5, 2.5]},
+    "x nan later": {"t": [0.0, math.nan, 2.0], "y": [0.5, 1.5, 2.5]},
+    "x inf in a later block": {"t": [*range(_B), math.inf], "y": [0.5] * (_B + 1)},
+    # finite values whose span, scale or padding leaves the float range
+    "y span": {"t": [0, 1], "y": [1e308, -1e308]},
+    "x scale": {"t": [0.0, 1e306], "y": [0.5, 1.5]},
+    "y ticks": {"t": [0, 1], "y": [0.0, 5e307]},
+    "y padding": {"t": [0, 1], "y": [-1.797e308, 0.0]},
+}
+
+
+@pytest.mark.parametrize("series", SVG_REFUSED.values(), ids=SVG_REFUSED)
+def test_an_svg_plot_refuses_a_non_finite_value_or_span(series, monkeypatch, tmp_path, capsys):
+    # CSV writes every case as before, and JSON every case free of NaN and
+    # infinity; SVG refuses them all, so it never writes nan or inf text
+    report = {"series": series}
+    _assert_same_bytes(_written(report, cli.write_csv), _reference_csv(report))
+    if all(math.isfinite(v) for values in series.values() for v in values):
+        _assert_same_bytes(_written(report), _reference_json(report))
+    with pytest.raises(ValueError, match="an SVG plot needs every value in the float range"):
+        cli.write_svg(report, str(tmp_path / "w"))
+    _assert_refused_in_one_line(series, "an SVG plot needs every value in the float range",
+                                ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg"],
+                                monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
 
 
 # each case as a list; an int case is also a range and an int64 column, a float
@@ -1041,6 +1071,20 @@ def test_every_ceiling_is_tested_and_named_in_the_readme():
                                readme.index("- a string option")].split())
     for command, key, ceiling in CEILINGS:
         assert f"`{command} --{key.replace('_', '-')}` at most {ceiling:,}" in ceilings
+
+
+def test_every_ceiling_but_duality_points_has_a_max_rss_row_in_ci():
+    # the rows of the max-RSS table in the workflow; duality --points alone
+    # goes unbounded, as its ceiling run takes minutes
+    workflow = (Path(__file__).resolve().parents[1] / ".github" / "workflows"
+                / "tests.yml").read_text()
+    table = workflow[workflow.index("bounds = {"):]
+    rows = [row.split() for row in re.findall(r"'([^']+)': \d+", table[:table.index("}")])]
+    for command, key, ceiling in CEILINGS:
+        flag = "--" + key.replace("_", "-")
+        assert (command, flag) == ("duality", "--points") or any(
+            row[0] == command and (flag, str(ceiling)) in zip(row, row[1:]) for row in rows
+        ), f"no CI row runs {command} {flag} {ceiling}"
 
 
 @pytest.mark.parametrize("command, key, ceiling", CEILINGS)
