@@ -712,9 +712,8 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     file under any names, hard links and stdout included, so a bad target
     stops the run before any file is written.  Every writer refuses a value
     that is not an int or a float; JSON comes first, as it refuses NaN and
-    infinity, which CSV writes.  A refusal by SVG alone (an empty axis, an
-    int or a span past the float range, or NaN or infinity where no JSON
-    target comes first) comes after the CSV targets ahead of it are written.
+    infinity, which CSV writes.  A refusal by SVG alone, such as an empty
+    axis or a span past the float range, comes after the targets ahead of it.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
     if ns.out is not None and ns.format is None:

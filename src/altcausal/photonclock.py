@@ -286,8 +286,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _PCG_A = _PCG_MULT ** 2 & _MASK128
 _PCG_B = (_PCG_MULT ** 2 + _PCG_MULT + 1) & _MASK128
 
-# the 128-bit tail runs on uint64 columns of high and low halves; a Python
-# int operand keeps a column uint64 (numpy 2's NEP 50 scalar rules)
+# the 128-bit tail runs on uint64 columns of high and low halves; NEP 50 keeps int operands uint64
 _PCG_A_HI, _PCG_A_LO = divmod(_PCG_A, 1 << 64)
 _PCG_B_HI, _PCG_B_LO = divmod(_PCG_B, 1 << 64)
 
