@@ -63,50 +63,45 @@ def _items(values):
     return itertools.chain.from_iterable(_blocks(values))
 
 
-def _has_negative_zero(values: list) -> bool:
-    return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
-
-
 def _block_kinds(block: list) -> set[type]:
-    """The types of the values in a block from ``_blocks``: a series holds
-    only ints and floats, and a block that holds anything else is refused."""
+    """The types of the values in a block from ``_blocks``, held to the series
+    contract of every writer: a series holds only ints and finite floats,
+    what strict JSON holds.  The floats take one ``sum``, and a per-value
+    pass only when it is not finite; ints stay out of it, as an int past the
+    float range is a valid series value (SVG alone refuses one, to plot)."""
     kinds = set(map(type, block))
     if not kinds <= {int, float}:
-        raise ValueError("a series holds only ints and floats, not "
+        raise ValueError("a series holds only ints and finite floats, not "
                          + ", ".join(sorted(kind.__name__ for kind in kinds - {int, float})))
+    if float in kinds:
+        floats = block if kinds == {float} else [v for v in block if type(v) is float]
+        if not math.isfinite(sum(floats)):
+            for v in floats:
+                if not math.isfinite(v):
+                    raise ValueError(f"a series holds only ints and finite floats, not {v!r}")
     return kinds
 
 
-def _block_reprs(block: list) -> dict[float, str] | None:
-    """Each distinct value's ``float.__repr__``, for a block from ``_blocks``
-    of floats that mostly repeats itself and holds no ``-0.0`` (which equals
-    ``0.0`` as a key); None for any other block that ``_block_kinds`` takes."""
+def _block_reprs(block: list):
+    """Each value of a block from ``_blocks`` as JSON and ``csv.writer`` write
+    it, its ``repr``, once ``_block_kinds`` takes the block.  A block of floats
+    that mostly repeats itself takes one ``float.__repr__`` per distinct value,
+    unless one of its zeros is ``-0.0``, which equals ``0.0`` as a key."""
     if (_block_kinds(block) == {float} and 2 * len(distinct := set(block)) < len(block)
-            and not (0.0 in distinct and _has_negative_zero(block))):
-        return {v: float.__repr__(v) for v in distinct}
-    return None
+            and not (0.0 in distinct and -1.0 in map(math.copysign, itertools.repeat(1.0),
+                                                     itertools.filterfalse(None, block)))):
+        # the block holds at least three values, so itemgetter gives a tuple
+        return operator.itemgetter(*block)({v: float.__repr__(v) for v in distinct})
+    return map(repr, block)
 
 
 def _series_list(values) -> list[str]:
     """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, as
-    its pieces: a block at a time by the C encoder, which ``indent`` rules
-    out for the whole report, or from ``_block_reprs``.  NaN and inf are
-    refused.
-    """
+    its pieces: one per block, from ``_block_reprs``."""
     pieces = ["[\n      "]
     for block in _blocks(values):
-        if len(pieces) > 1:
-            pieces.append(_SERIES_ITEM)
-        reprs = _block_reprs(block)
-        if reprs is None:
-            pieces.append(json.dumps(block, allow_nan=False,
-                                     separators=(_SERIES_ITEM, ": "))[1:-1])
-            continue
-        for v in reprs:
-            if not math.isfinite(v):
-                raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
-        pieces.append(_SERIES_ITEM.join(map(reprs.__getitem__, block)))
-    return pieces + ["\n    ]"] if len(pieces) > 1 else ["[]"]
+        pieces += (_SERIES_ITEM.join(_block_reprs(block)), _SERIES_ITEM)
+    return pieces[:-1] + ["\n    ]"] if len(pieces) > 1 else ["[]"]
 
 
 def write_json(report: dict, path: str) -> None:
@@ -135,10 +130,9 @@ def write_json(report: dict, path: str) -> None:
 def write_csv(report: dict, path: str) -> None:
     """``csv.writer`` writes the header, and the metrics row of a report
     without series (``list``).  Series rows are rendered a block at a time
-    from the columns' blocks, each cell as ``_block_reprs`` or ``repr``
-    gives it, which is how ``csv.writer`` writes a float or an int; the
-    columns are blocked at the same offsets, so the rows stop at the
-    shortest."""
+    from the columns' blocks, each cell as ``_block_reprs`` gives it, which
+    is how ``csv.writer`` writes an int or a finite float; the columns are
+    blocked at the same offsets, so the rows stop at the shortest."""
     series = report.get("series")
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -150,9 +144,7 @@ def write_csv(report: dict, path: str) -> None:
     writer.writerow(keys := sorted(series))
     pieces = [buf.getvalue()]
     for blocks in zip(*(_blocks(series[k]) for k in keys)):
-        cells = [map(repr if (reprs := _block_reprs(block)) is None else reprs.__getitem__, block)
-                 for block in blocks]
-        pieces.append("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
+        pieces.append("\r\n".join(map(",".join, zip(*map(_block_reprs, blocks)))) + "\r\n")
     _emit(pieces, path)
 
 
@@ -166,22 +158,18 @@ def _svg_escape(s: str) -> str:
 
 def _span(columns) -> tuple[float, float]:
     """The least and the greatest value of ``columns`` as floats, each block
-    from ``_blocks`` checked by ``_block_kinds`` and each value by
-    ``math.isfinite``, which refuses NaN, infinity and an int past the
-    float range."""
+    from ``_blocks`` held to the series contract by ``_block_kinds``.  An
+    int past the float range, which the contract takes, is refused here."""
     lo = hi = None
     for block in itertools.chain.from_iterable(map(_blocks, columns)):
         _block_kinds(block)
-        try:
-            finite = all(map(math.isfinite, block))
-        except OverflowError:
-            finite = False
-        if not finite:
-            raise ValueError("an SVG plot needs every value in the float range")
         lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
     if lo is None:
         raise ValueError("an SVG plot needs at least one value on each axis")
-    return float(lo), float(hi)
+    try:
+        return float(lo), float(hi)
+    except OverflowError:
+        raise ValueError("an SVG plot needs every value in the float range") from None
 
 
 def write_svg(report: dict, path: str) -> None:
@@ -708,12 +696,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     """Every (format, path) the run writes, from --json/--csv/--svg and --out/--format.
 
-    Refuses a missing directory and two targets that write to the same
-    file under any names, hard links and stdout included, so a bad target
-    stops the run before any file is written.  Every writer refuses a value
-    that is not an int or a float; JSON comes first, as it refuses NaN and
-    infinity, which CSV writes.  A refusal by SVG alone, such as an empty
-    axis or a span past the float range, comes after the targets ahead of it.
+    Refuses a missing directory, a target that is a directory, and two
+    targets that write to the same file under any names, hard links and
+    stdout included, so a bad target stops the run before any file is
+    written.  Every writer refuses a series value that is not an int or a
+    finite float; JSON comes first only because it alone refuses a
+    non-finite metric.  A refusal by SVG alone (an empty axis, an int or a
+    span past the float range) comes after the targets ahead of it.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
     if ns.out is not None and ns.format is None:
@@ -726,7 +715,10 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
     for _, path in targets:
         directory = os.path.dirname(path) or "."
         if path != "-" and not os.path.isdir(directory):
-            raise ValueError(f"output directory {directory!r} does not exist")
+            state = "is not a directory" if os.path.exists(directory) else "does not exist"
+            raise ValueError(f"output directory {directory!r} {state}")
+        if path != "-" and os.path.isdir(path):
+            raise ValueError(f"output {path!r} is a directory")
     if sys.stdout is None and any(path == "-" for _, path in targets):
         raise ValueError("'-' writes to stdout, which is closed")   # fd 1 was closed at start
     owners = {}   # the (device, inode) os.path.samestat compares, else a new file's real path

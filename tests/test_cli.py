@@ -80,6 +80,12 @@ def test_bad_format_exits_one(tmp_path, capsys):
     (["--format", ""], "--format needs a value"),
     (["--out", ""], "--out needs a value"),
     (["--out", "", "--format", "json"], "--out needs a value"),
+    (["--json", "a.json", "--format", "json", "--out", "d/stdout.txt"],
+     "output directory 'd/stdout.txt' is not a directory"),
+    (["--csv", "d/stdout.txt/x.csv"], "output directory 'd/stdout.txt' is not a directory"),
+    (["--csv", "y.csv", "--svg", "d"], "output 'd' is a directory"),
+    (["--json", "d/"], "output 'd/' is a directory"),
+    (["--format", "json", "--out", "d", "--csv", "."], "output '.' is a directory"),
 ])
 def test_bad_output_target_exits_one_before_the_run(args, message, monkeypatch, tmp_path,
                                                     capsys):
@@ -272,12 +278,11 @@ def test_series_lists_are_written_as_the_reference(values):
         as_columns = {**report, "series": {"values": column, "index": range(len(values))}}
         _assert_same_bytes(_written(as_columns), _reference_json(report))
         _assert_same_bytes(_written(as_columns, cli.write_csv), _reference_csv(report))
-    # CSV writes NaN and inf, which JSON refuses
-    n = len(values) + 3
-    report = {"series": {"values": values + [math.nan, math.inf, -math.inf], "index": range(n)}}
-    written = _written(report, cli.write_csv)
-    _assert_same_bytes(written, _reference_csv(report))
-    assert written.splitlines()[-3:] == [f"{n - 3},nan", f"{n - 2},inf", f"{n - 1},-inf"]
+    # CSV refuses NaN and infinity after any of them, as JSON and SVG do
+    for bad in (math.nan, math.inf, -math.inf):
+        report = {"series": {"values": values + [bad], "index": range(len(values) + 1)}}
+        with pytest.raises(ValueError, match=f"^{CONTRACT}{bad!r}$"):
+            _written(report, cli.write_csv)
 
 
 SERIES_EDGES = {
@@ -336,13 +341,31 @@ NOT_INTS_OR_FLOATS = {
 @pytest.mark.parametrize("values", NOT_INTS_OR_FLOATS.values(), ids=NOT_INTS_OR_FLOATS)
 def test_a_series_of_anything_but_ints_and_floats_is_refused(values, monkeypatch, tmp_path,
                                                              capsys):
-    series = {"t": range(len(values)), "y": values}
+    _assert_every_writer_refuses({"t": range(len(values)), "y": values},
+                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
+
+
+CONTRACT = "a series holds only ints and finite floats, not "
+
+
+def _breaks_the_contract(series) -> bool:
+    """Whether ``series`` holds NaN or infinity (its other values are ints and floats)."""
+    return any(type(v) is float and not math.isfinite(v) for vs in series.values() for v in vs)
+
+
+def _assert_every_writer_refuses(series, *, monkeypatch, tmp_path, capsys):
+    """The series contract, the same for every writer: each refuses ``series``
+    with one message, and a run whose report holds it exits 1 with that one
+    ``error:`` line, an empty stdout and no file, whatever its targets."""
+    messages = set()
     for writer in (write_json, cli.write_csv, cli.write_svg):
-        with pytest.raises(ValueError, match="a series holds only ints and floats, not "):
+        with pytest.raises(ValueError, match=CONTRACT) as refused:
             writer({"series": series}, str(tmp_path / "w"))
-    _assert_refused_in_one_line(series, "a series holds only ints and floats, not ",
-                                ["--json", "-"], ["--csv", "r.csv"], ["--csv", "-"],
-                                ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg,csv,json"],
+        messages.add(str(refused.value))
+    message, = messages
+    _assert_refused_in_one_line(series, message, ["--json", "r.json"], ["--json", "-"],
+                                ["--csv", "r.csv"], ["--csv", "-"], ["--svg", "r.svg"],
+                                ["--svg", "-"], ["--format", "svg,csv,json"],
                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
 
 
@@ -377,10 +400,13 @@ def test_an_svg_plot_with_an_empty_axis_is_refused(series, monkeypatch, tmp_path
                                     {"t": [0, 1, 2], "y": [math.nan, 10**400, 1]}],
                          ids=["y", "x", "y after a NaN"])
 def test_an_svg_plot_refuses_an_int_past_the_float_range(series, monkeypatch, tmp_path, capsys):
+    if _breaks_the_contract(series):   # the NaN, not the int, is refused, by every writer
+        _assert_every_writer_refuses(series, monkeypatch=monkeypatch, tmp_path=tmp_path,
+                                     capsys=capsys)
+        return
+    # JSON and CSV write the int as it is
     report = {"series": series}
-    # JSON (which refuses a NaN) and CSV write the int as it is
-    if all(y == y for y in series["y"]):
-        _assert_same_bytes(_written(report), _reference_json(report))
+    _assert_same_bytes(_written(report), _reference_json(report))
     _assert_same_bytes(_written(report, cli.write_csv), _reference_csv(report))
     with pytest.raises(ValueError, match="an SVG plot needs every value in the float range"):
         cli.write_svg(report, str(tmp_path / "w"))
@@ -401,17 +427,8 @@ LONG = 100_000
                  "y": [i / 3 for i in range(LONG - 1)] + [bad]},
 ], ids=["repeated", "distinct", "long"])
 def test_series_writer_refuses_non_finite_values(values, bad, monkeypatch, tmp_path, capsys):
-    series = values(bad)
-    with pytest.raises(ValueError, match="not JSON compliant"):
-        write_json({"series": series}, str(tmp_path / "w.json"))
-    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
-        run=lambda cfg: ({}, series, [])))
-    for target in (str(tmp_path / "r.json"), "-"):
-        assert main(["wfecho", "--json", target]) == 1
-        out, err = capsys.readouterr()
-        assert "not JSON compliant" in err
-        assert out == ""
-    assert list(tmp_path.iterdir()) == []
+    _assert_every_writer_refuses(values(bad), monkeypatch=monkeypatch, tmp_path=tmp_path,
+                                 capsys=capsys)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -422,11 +439,8 @@ def test_a_non_finite_value_in_a_float_column_is_refused(column, at, bad, monkey
                                                         capsys):
     values = column(2 * cli._CSV_ROWS + 1)
     values[at] = bad
-    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
-        run=lambda cfg: ({}, {"t": range(len(values)), "y": values}, [])))
-    assert main(["wfecho", "--json", str(tmp_path / "r.json")]) == 1
-    assert "not JSON compliant" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
+    _assert_every_writer_refuses({"t": range(len(values)), "y": values},
+                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
 
 
 def _reference_csv(report) -> str:
@@ -449,7 +463,7 @@ def test_csv_pieces_match_one_buffer_across_block_boundaries(rows, tmp_path, cap
     series = {"t": range(rows), "n": np.arange(rows, dtype=np.int64) * -3,
               "zeros": [0.25 if i % 2 else -0.0 if i < cli._CSV_ROWS // 2 else 0.0
                         for i in range(rows)],
-              "y": [(math.nan, math.inf, -math.inf)[i % 3] if i % 5 == 0 else i / 3
+              "y": [(sys.float_info.max, 5e-324, -1e-7)[i % 3] if i % 5 == 0 else i / 3
                     for i in range(rows)]}
     # a short column cuts every row after its last value
     for report in ({"series": series}, {"series": {**series, "short": range(rows // 2)}}):
@@ -566,12 +580,16 @@ SVG_REFUSED = {
 
 @pytest.mark.parametrize("series", SVG_REFUSED.values(), ids=SVG_REFUSED)
 def test_an_svg_plot_refuses_a_non_finite_value_or_span(series, monkeypatch, tmp_path, capsys):
-    # CSV writes every case as before, and JSON every case free of NaN and
-    # infinity; SVG refuses them all, so it never writes nan or inf text
+    # NaN and infinity break the series contract, which every writer holds; a
+    # finite span, scale or padding past the float range is the plot's own
+    # refusal, and JSON and CSV write those series as their oracles
+    if _breaks_the_contract(series):
+        _assert_every_writer_refuses(series, monkeypatch=monkeypatch, tmp_path=tmp_path,
+                                     capsys=capsys)
+        return
     report = {"series": series}
     _assert_same_bytes(_written(report, cli.write_csv), _reference_csv(report))
-    if all(math.isfinite(v) for values in series.values() for v in values):
-        _assert_same_bytes(_written(report), _reference_json(report))
+    _assert_same_bytes(_written(report), _reference_json(report))
     with pytest.raises(ValueError, match="an SVG plot needs every value in the float range"):
         cli.write_svg(report, str(tmp_path / "w"))
     _assert_refused_in_one_line(series, "an SVG plot needs every value in the float range",

@@ -44,8 +44,8 @@ CASES = {
     "help to a full device": ([], "> /dev/full", (1, b"", FULL)),
     "report to a closed stdout": (["wfecho", "--json", "-"], ">&-",
                                   (1, b"", b"error: '-' writes to stdout, which is closed\n")),
-    "report before a failed write": (["wfecho", "--json", "-", "--csv", "."], "",
-                                     (1, "REPORT", b"error: [Errno 21] Is a directory: '.'\n")),
+    "report before a failed write": (["wfecho", "--json", "-", "--csv", "/dev/full"], "",
+                                     (1, "REPORT", FULL)),
     "usage error": (["pif", "--bogus"], "", (2, b"", "USAGE")),
 }
 
