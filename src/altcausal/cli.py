@@ -131,8 +131,8 @@ def write_csv(report: dict, path: str) -> None:
     """``csv.writer`` writes the header, and the metrics row of a report
     without series (``list``).  Series rows are rendered a block at a time
     from the columns' blocks, each cell as ``_block_reprs`` gives it, which
-    is how ``csv.writer`` writes an int or a finite float; the columns are
-    blocked at the same offsets, so the rows stop at the shortest."""
+    is how ``csv.writer`` writes an int or a finite float.  The rows stop at
+    the shortest column, and every block past it is still checked."""
     series = report.get("series")
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -143,8 +143,8 @@ def write_csv(report: dict, path: str) -> None:
         return
     writer.writerow(keys := sorted(series))
     pieces = [buf.getvalue()]
-    for blocks in zip(*(_blocks(series[k]) for k in keys)):
-        pieces.append("\r\n".join(map(",".join, zip(*map(_block_reprs, blocks)))) + "\r\n")
+    for blocks in itertools.zip_longest(*(_blocks(series[k]) for k in keys), fillvalue=[]):
+        pieces.append("\r\n".join([*map(",".join, zip(*map(_block_reprs, blocks))), ""]))
     _emit(pieces, path)
 
 

@@ -425,7 +425,9 @@ LONG = 100_000
     # several long series, the bad value last in the last one written
     lambda bad: {"t": list(range(LONG)), "a": [0.5] * LONG, "b": [i / 7 for i in range(LONG)],
                  "y": [i / 3 for i in range(LONG - 1)] + [bad]},
-], ids=["repeated", "distinct", "long"])
+    # in a block past the shortest column's last, which CSV does not write
+    lambda bad: {"t": [0], "y": [0.5] * cli._CSV_ROWS + [bad]},
+], ids=["repeated", "distinct", "long", "past the shortest column"])
 def test_series_writer_refuses_non_finite_values(values, bad, monkeypatch, tmp_path, capsys):
     _assert_every_writer_refuses(values(bad), monkeypatch=monkeypatch, tmp_path=tmp_path,
                                  capsys=capsys)
