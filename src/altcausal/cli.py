@@ -2,9 +2,10 @@
 
 Every subcommand runs one experiment, prints its headline metrics, and
 can write the full report as JSON, CSV, or a standalone SVG plot (``-``
-for stdout); every output target is checked before the run.  All
-runs are seeded, reports carry no timestamps, and JSON keys are sorted,
-so the same invocation always produces byte-identical output.
+for stdout); every output target is checked before the run, and the
+report once before the first target.  All runs are seeded, reports carry
+no timestamps, and JSON keys are sorted, so the same invocation always
+produces byte-identical output.
 
 A JSON config file (``--config settings.json``) supplies defaults for
 the experiment's own options; explicit flags win over the file, and
@@ -58,17 +59,12 @@ def _blocks(values):
         yield to_list(values[start:start + _CSV_ROWS])
 
 
-def _items(values):
-    """The values of a series one by one, read through ``_blocks``."""
-    return itertools.chain.from_iterable(_blocks(values))
-
-
 def _block_kinds(block: list) -> set[type]:
     """The types of the values in a block from ``_blocks``, held to the series
     contract of every writer: a series holds only ints and finite floats,
     what strict JSON holds.  The floats take one ``sum``, and a per-value
     pass only when it is not finite; ints stay out of it, as an int past the
-    float range is a valid series value (SVG alone refuses one, to plot)."""
+    float range is a valid series value (an SVG plot alone refuses one)."""
     kinds = set(map(type, block))
     if not kinds <= {int, float}:
         raise ValueError("a series holds only ints and finite floats, not "
@@ -82,12 +78,85 @@ def _block_kinds(block: list) -> set[type]:
     return kinds
 
 
-def _block_reprs(block: list):
+def _series_floats(values) -> bool:
+    """Whether a series holds only floats, once it is held to the contract:
+    a ``range`` or a 1-D int64 column by its type, a 1-D float64 column by
+    its least and greatest values being finite, and any other series (or a
+    float column empty or not finite) block by block by ``_block_kinds``."""
+    kind = getattr(getattr(values, "dtype", None), "name", None)
+    if type(values) is range or kind == "int64" and values.ndim == 1:
+        return False
+    if (kind == "float64" and values.ndim == 1 and len(values)
+            and math.isfinite(values.min()) and math.isfinite(values.max())):
+        return True
+    return set().union(*map(_block_kinds, _blocks(values))) == {float}
+
+
+_WIDTH, _HEIGHT, _ML, _MT = 720, 440, 70, 34       # an SVG plot's size, left and top margins
+_PW, _PH = _WIDTH - _ML - 24, _HEIGHT - _MT - 52   # its axes' box, in a 24 right, 52 bottom margin
+_X_KEYS = ("t", "step", "cycle", "theta", "p", "alpha")
+
+
+def _span(columns) -> tuple[float, float]:
+    """The least and the greatest value of ``columns`` as floats; an empty
+    axis and an int past the float range are refused."""
+    lo = hi = None
+    for block in itertools.chain.from_iterable(map(_blocks, columns)):
+        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
+    if lo is None:
+        raise ValueError("an SVG plot needs at least one value on each axis")
+    try:
+        return float(lo), float(hi)
+    except OverflowError:
+        raise ValueError("an SVG plot needs every value in the float range") from None
+
+
+def _plot_frame(series: dict):
+    """The x key of the SVG plot of a non-empty ``series`` and its x and y
+    ranges as plotted, or the plot's refusal: no y column, an empty axis,
+    or values, a span or a scale past the float range."""
+    x_key = next((k for k in _X_KEYS if k in series), sorted(series)[0])
+    if len(series) == 1:
+        raise ValueError("series needs at least one y column besides the x axis")
+    (x_lo, x_hi), (y_lo, y_hi) = _span([series[x_key]]), _span(
+        values for key, values in series.items() if key != x_key)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    # the coordinates and tick labels reach at most _PW times the x span
+    # and 4 times the y span; past the float range they would write inf and nan
+    if not math.isfinite(max(_PW * (x_hi - x_lo), 4 * (y_hi - y_lo))):
+        raise ValueError("an SVG plot needs every value in the float range")
+    return x_key, (x_lo, x_hi), (y_lo, y_hi)
+
+
+_Verdict = namedtuple("_Verdict", "report json floats frame")
+_main_verdict = None   # main's verdict on the report its writers are writing
+
+
+def _check_report(report: dict, svg: bool = False) -> _Verdict:
+    """Check ``report`` once for every writer: its ``json`` dump with an empty
+    ``series`` refuses a NaN or infinite value, ``_series_floats`` holds each
+    series to the contract, and with ``svg`` the plot takes its ``frame``.  A
+    writer handed the report ``main`` is writing takes main's verdict."""
+    if _main_verdict is not None and _main_verdict.report is report:
+        return _main_verdict
+    series = report.get("series") or {}
+    dump = json.dumps({**report, "series": {}} if series else report, indent=2,
+                      sort_keys=True, allow_nan=False)
+    floats = {key for key, values in series.items() if _series_floats(values)}
+    return _Verdict(report, dump, floats, _plot_frame(series) if svg and series else None)
+
+
+def _block_reprs(block: list, floats: bool):
     """Each value of a block from ``_blocks`` as JSON and ``csv.writer`` write
-    it, its ``repr``, once ``_block_kinds`` takes the block.  A block of floats
-    that mostly repeats itself takes one ``float.__repr__`` per distinct value,
-    unless one of its zeros is ``-0.0``, which equals ``0.0`` as a key."""
-    if (_block_kinds(block) == {float} and 2 * len(distinct := set(block)) < len(block)
+    it, its ``repr``.  A block of a series of ``floats`` only that mostly
+    repeats itself takes one ``float.__repr__`` per distinct value, unless
+    one of its zeros is ``-0.0``, which equals ``0.0`` as a key."""
+    if (floats and 2 * len(distinct := set(block)) < len(block)
             and not (0.0 in distinct and -1.0 in map(math.copysign, itertools.repeat(1.0),
                                                      itertools.filterfalse(None, block)))):
         # the block holds at least three values, so itemgetter gives a tuple
@@ -95,12 +164,12 @@ def _block_reprs(block: list):
     return map(repr, block)
 
 
-def _series_list(values) -> list[str]:
+def _series_list(values, floats: bool) -> list[str]:
     """A ``series`` entry as ``json.dumps(report, indent=2)`` writes it, as
     its pieces: one per block, from ``_block_reprs``."""
     pieces = ["[\n      "]
     for block in _blocks(values):
-        pieces += (_SERIES_ITEM.join(_block_reprs(block)), _SERIES_ITEM)
+        pieces += (_SERIES_ITEM.join(_block_reprs(block, floats)), _SERIES_ITEM)
     return pieces[:-1] + ["\n    ]"] if len(pieces) > 1 else ["[]"]
 
 
@@ -108,21 +177,22 @@ def write_json(report: dict, path: str) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``
     and a newline, byte for byte.
 
-    The report is dumped once with an empty ``series``, whose line
+    ``_check_report`` dumps the report with an empty ``series``, whose line
     ``  "series": {}`` only the top-level key can write (a nested key sits
     deeper, and no JSON string holds a raw newline).  The entries of
     ``series`` (str keys, each a series that ``_blocks`` reads) are written
     in its place as ``_series_list`` renders them.
     """
+    verdict = _check_report(report)
     series = report.get("series")
     if not series:
-        _emit([json.dumps(report, indent=2, sort_keys=True, allow_nan=False), "\n"], path)
+        _emit([verdict.json, "\n"], path)
         return
-    head, tail = json.dumps({**report, "series": {}}, indent=2, sort_keys=True,
-                            allow_nan=False).split('\n  "series": {}')
+    head, tail = verdict.json.split('\n  "series": {}')
     pieces = [head, '\n  "series": {']
     for i, key in enumerate(sorted(series)):
-        pieces += (",\n    " if i else "\n    ", json.dumps(key), ": ", *_series_list(series[key]))
+        pieces += (",\n    " if i else "\n    ", json.dumps(key), ": ",
+                   *_series_list(series[key], key in verdict.floats))
     pieces += ("\n  }", tail, "\n")
     _emit(pieces, path)
 
@@ -132,7 +202,8 @@ def write_csv(report: dict, path: str) -> None:
     without series (``list``).  Series rows are rendered a block at a time
     from the columns' blocks, each cell as ``_block_reprs`` gives it, which
     is how ``csv.writer`` writes an int or a finite float.  The rows stop at
-    the shortest column, and every block past it is still checked."""
+    the shortest column."""
+    floats = _check_report(report).floats
     series = report.get("series")
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -143,43 +214,28 @@ def write_csv(report: dict, path: str) -> None:
         return
     writer.writerow(keys := sorted(series))
     pieces = [buf.getvalue()]
-    for blocks in itertools.zip_longest(*(_blocks(series[k]) for k in keys), fillvalue=[]):
-        pieces.append("\r\n".join([*map(",".join, zip(*map(_block_reprs, blocks))), ""]))
+    kinds = [key in floats for key in keys]
+    for blocks in zip(*(_blocks(series[k]) for k in keys)):
+        pieces.append("\r\n".join([*map(",".join, zip(*map(_block_reprs, blocks, kinds))), ""]))
     _emit(pieces, path)
 
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
-_X_KEYS = ("t", "step", "cycle", "theta", "p", "alpha")
 
 
 def _svg_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _span(columns) -> tuple[float, float]:
-    """The least and the greatest value of ``columns`` as floats, each block
-    from ``_blocks`` held to the series contract by ``_block_kinds``.  An
-    int past the float range, which the contract takes, is refused here."""
-    lo = hi = None
-    for block in itertools.chain.from_iterable(map(_blocks, columns)):
-        _block_kinds(block)
-        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
-    if lo is None:
-        raise ValueError("an SVG plot needs at least one value on each axis")
-    try:
-        return float(lo), float(hi)
-    except OverflowError:
-        raise ValueError("an SVG plot needs every value in the float range") from None
-
-
 def write_svg(report: dict, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
-    Each column is read through ``_blocks`` twice, never copied whole: once
-    for its range, checked by ``_span``, and once for its points.
-    Each x block is formatted once for every polyline, and each polyline
-    is rendered as one piece per block.
+    Each column is read through ``_blocks`` twice, never copied whole:
+    once for the plot's frame, by ``_check_report``, and once for its
+    points.  Each x block is formatted once for every polyline, and each
+    polyline is rendered as one piece per block.
     """
+    frame = _check_report(report, svg=True).frame
     series = dict(report.get("series") or {})
     if not series:
         # nothing to plot (e.g. the list report); keep --format svg total
@@ -189,25 +245,9 @@ def write_svg(report: dict, path: str) -> None:
                f'<text x="16" y="36">{_svg_escape(report.get("experiment", ""))}: '
                'no series to plot</text>\n</svg>\n'], path)
         return
-    x_key = next((k for k in _X_KEYS if k in series), sorted(series)[0])
+    x_key, (x_lo, x_hi), (y_lo, y_hi) = frame
     xs = series.pop(x_key)
-    if not series:
-        raise ValueError("series needs at least one y column besides the x axis")
-    width, height = 720, 440
-    ml, mr, mt, mb = 70, 24, 34, 52
-    pw, ph = width - ml - mr, height - mt - mb
-
-    (x_lo, x_hi), (y_lo, y_hi) = _span([xs]), _span(series.values())
-    if x_hi == x_lo:
-        x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
-    # the coordinates and tick labels below reach at most pw times the x span
-    # and 4 times the y span; past the float range they would write inf and nan
-    if not math.isfinite(max(pw * (x_hi - x_lo), 4 * (y_hi - y_lo))):
-        raise ValueError("an SVG plot needs every value in the float range")
+    width, height, ml, mt, pw, ph = _WIDTH, _HEIGHT, _ML, _MT, _PW, _PH
 
     def px(x):
         return ml + pw * (x - x_lo) / (x_hi - x_lo)
@@ -250,7 +290,7 @@ def write_svg(report: dict, path: str) -> None:
             pieces += ('<polyline points="', *lines[name],
                        f'" fill="none" stroke="{color}" stroke-width="1.5"/>\n')
         else:
-            x, y = next(_items(xs)), next(_items(series[name]))
+            x, y = next(_blocks(xs))[0], next(_blocks(series[name]))[0]
             pieces.append(f'<circle cx="{px(x):.2f}" cy="{py(y):.2f}" r="3" fill="{color}"/>\n')
         pieces.append(f'<text x="{ml + pw - 6}" y="{mt + 16 + 16 * idx}" text-anchor="end" '
                       f'fill="{color}">{_svg_escape(name)}</text>\n')
@@ -284,7 +324,7 @@ def _within(name: str, value: float, tol: float) -> Check:
 
 def _non_decreasing(name: str, seq, tol) -> Check:
     """Fails if a step of ``seq`` falls past ``tol``, valued at the worst, else at 0."""
-    values, after = itertools.tee(_items(seq))
+    values, after = itertools.tee(itertools.chain.from_iterable(_blocks(seq)))
     worst = min(map(operator.sub, itertools.islice(after, 1, None), values), default=0)
     fell = worst < -tol
     return Check(f"{name}_non_decreasing", worst if fell else type(tol)(0), tol, not fell)
@@ -698,11 +738,7 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
 
     Refuses a missing directory, a target that is a directory, and two
     targets that write to the same file under any names, hard links and
-    stdout included, so a bad target stops the run before any file is
-    written.  Every writer refuses a series value that is not an int or a
-    finite float; JSON comes first only because it alone refuses a
-    non-finite metric.  A refusal by SVG alone (an empty axis, an int or a
-    span past the float range) comes after the targets ahead of it.
+    stdout included, so a bad target stops the run before any file is written.
     """
     targets = [(fmt, getattr(ns, fmt)) for fmt in formats if getattr(ns, fmt) is not None]
     if ns.out is not None and ns.format is None:
@@ -734,7 +770,7 @@ def _targets(ns: argparse.Namespace, formats) -> list[tuple[str, str]]:
             raise ValueError(f"two outputs write to {path!r}" if first == path else
                              f"two outputs write to {where}: {first!r} and {path!r}")
         owners[place] = path
-    return sorted(targets, key=lambda target: target[0] != "json")
+    return targets
 
 
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -754,6 +790,7 @@ def _say(line: str) -> None:
 
 
 def main(argv=None) -> int:
+    global _main_verdict
     # The last bits of the larger decompositions depend on the BLAS thread
     # count, which BLAS reads once, when numpy loads: pin one thread, over
     # the caller's setting, so that the same invocation writes the same
@@ -781,6 +818,8 @@ def main(argv=None) -> int:
             code = 1 if failed else 0
             report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
                       "series": series, "checks": [c._asdict() for c in checks]}
+            # one check before the first target and the summary, whatever the targets
+            _main_verdict = _check_report(report, svg=any(fmt == "svg" for fmt, _ in targets))
             for fmt, path in targets:
                 writers[fmt](report, path)
             if all(path != "-" for _, path in targets):
@@ -792,6 +831,8 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
+    finally:
+        _main_verdict = None
     return code
 
 

@@ -354,15 +354,13 @@ def _breaks_the_contract(series) -> bool:
 
 
 def _assert_every_writer_refuses(series, *, monkeypatch, tmp_path, capsys):
-    """The series contract, the same for every writer: each refuses ``series``
-    with one message, and a run whose report holds it exits 1 with that one
-    ``error:`` line, an empty stdout and no file, whatever its targets."""
-    messages = set()
-    for writer in (write_json, cli.write_csv, cli.write_svg):
-        with pytest.raises(ValueError, match=CONTRACT) as refused:
-            writer({"series": series}, str(tmp_path / "w"))
-        messages.add(str(refused.value))
-    message, = messages
+    """The series contract, the same for every writer: the one check of a
+    report refuses ``series`` ahead of any plot refusal, and a run whose
+    report holds it exits 1 with that one ``error:`` line, an empty stdout
+    and no file, whatever its targets."""
+    with pytest.raises(ValueError, match=CONTRACT) as refused:
+        cli._check_report({"series": series}, svg=True)
+    message = str(refused.value)
     _assert_refused_in_one_line(series, message, ["--json", "r.json"], ["--json", "-"],
                                 ["--csv", "r.csv"], ["--csv", "-"], ["--svg", "r.svg"],
                                 ["--svg", "-"], ["--format", "svg,csv,json"],
@@ -397,8 +395,10 @@ def test_an_svg_plot_with_an_empty_axis_is_refused(series, monkeypatch, tmp_path
 
 @pytest.mark.parametrize("series", [{"t": [0, 1], "y": [10**400, 1]},
                                     {"t": [0, -10**400], "y": [0.5, 1.5]},
-                                    {"t": [0, 1, 2], "y": [math.nan, 10**400, 1]}],
-                         ids=["y", "x", "y after a NaN"])
+                                    {"t": [0, 1, 2], "y": [math.nan, 10**400, 1]},
+                                    # the contract is checked before the plot's x axis
+                                    {"t": [0, 10**400], "y": [math.nan, 1.0]}],
+                         ids=["y", "x", "y after a NaN", "x before a NaN in y"])
 def test_an_svg_plot_refuses_an_int_past_the_float_range(series, monkeypatch, tmp_path, capsys):
     if _breaks_the_contract(series):   # the NaN, not the int, is refused, by every writer
         _assert_every_writer_refuses(series, monkeypatch=monkeypatch, tmp_path=tmp_path,
@@ -413,6 +413,78 @@ def test_an_svg_plot_refuses_an_int_past_the_float_range(series, monkeypatch, tm
     _assert_refused_in_one_line(series, "an SVG plot needs every value in the float range",
                                 ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg"],
                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
+
+
+def test_a_plot_refusal_leaves_no_file_whatever_the_targets(monkeypatch, tmp_path, capsys):
+    # the report is checked for every target before the first is written
+    series = {"t": [0, 10**400], "y": [1.0, 2.0]}
+    _assert_refused_in_one_line(series, "an SVG plot needs every value in the float range",
+                                ["--json", "r.json", "--csv", "r.csv", "--svg", "r.svg"],
+                                ["--csv", "-", "--format", "svg,json"],
+                                monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
+
+
+def test_main_checks_each_block_once_whatever_the_targets(monkeypatch, tmp_path):
+    # a list is checked block by block, once; a float64 column and a range by their type
+    n = 2 * cli._CSV_ROWS + 1
+    series = {"t": range(n), "y": [i / 7 for i in range(n)], "z": np.arange(n) / 3}
+    checked = []
+    kinds = cli._block_kinds
+    monkeypatch.setattr(cli, "_block_kinds", lambda block: checked.append(block) or kinds(block))
+    monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
+        run=lambda cfg: ({}, series, [])))
+    assert main(["wfecho", "--out", str(tmp_path), "--format", "json,csv,svg"]) == 0
+    assert checked == list(cli._blocks(series["y"]))
+
+
+def _column_with(fill, at, bad):
+    """A float64 column of ``2 * _CSV_ROWS + 1`` values with ``bad`` at ``at``."""
+    n = 2 * cli._CSV_ROWS + 1
+    values = np.full(n, 0.5) if fill == "repeated" else np.arange(n) / 7
+    values[at] = bad
+    return values
+
+
+# 1-D int64 and float64 columns take their dtype's verdict; the other columns, the
+# reference's, through their blocks
+COLUMN_CASES = {
+    "float64": np.arange(2 * cli._CSV_ROWS + 1) / 7, "empty float64": np.array([]),
+    "int64": np.arange(-5, 2 * cli._CSV_ROWS, dtype=np.int64),
+    "empty int64": np.array([], dtype=np.int64),
+    "float64 view": (np.arange(2 * cli._CSV_ROWS + 2) / 3).reshape(-1, 2)[:, 1],
+    "big-endian float64": np.arange(9, dtype=">f8"),
+    "bool": np.array([True, False]), "int32": np.arange(9, dtype=np.int32),
+    "float32": np.arange(9, dtype=np.float32) / 3,
+    "float32 nan": np.array([0.5, np.nan], dtype=np.float32),
+    "2-D float64": np.zeros((3, 2)), "2-D int64": np.zeros((3, 2), dtype=np.int64),
+    **{f"{fill} float64, {bad} at {at}": _column_with(fill, at, bad)
+       for fill in ("repeated", "distinct") for bad in (math.nan, math.inf, -math.inf)
+       for at in (0, cli._CSV_ROWS - 1, cli._CSV_ROWS, 2 * cli._CSV_ROWS)},
+}
+
+
+def _verdict(check, values):
+    """``check(values)``, or the message it refuses ``values`` with."""
+    try:
+        return check(values)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("values", COLUMN_CASES.values(), ids=COLUMN_CASES)
+def test_a_column_takes_the_verdict_of_its_blocks(values, monkeypatch):
+    # _block_kinds over every block is the reference of the column's verdict
+    expected = _verdict(lambda v: set().union(*map(cli._block_kinds, cli._blocks(v))) == {float},
+                        values)
+    read = []
+    kinds = cli._block_kinds
+    monkeypatch.setattr(cli, "_block_kinds", lambda block: read.append(1) or kinds(block))
+    assert _verdict(cli._series_floats, values) == expected
+    if values.ndim == 1 and values.dtype.name in ("int64", "float64") and len(values) \
+            and type(expected) is bool:
+        assert read == []   # by its dtype, not its blocks
+    elif len(values):
+        assert read
 
 
 LONG = 100_000
@@ -903,7 +975,7 @@ def test_json_writer_refuses_non_finite_values(tmp_path):
 
 
 def _with_infinite_metric(monkeypatch):
-    """Make ``wfecho`` report an infinite metric, which only the JSON writer refuses."""
+    """Make ``wfecho`` report an infinite metric, which strict JSON refuses."""
     monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
         run=lambda cfg: ({"x": math.inf}, {}, [])))
 
@@ -927,6 +999,20 @@ def test_json_is_written_first_so_a_refused_report_leaves_no_file(monkeypatch, t
 
 OUTPUT_TARGETS = [[], ["--json", "r.json"], ["--csv", "r.csv"], ["--svg", "-"],
                   ["--format", "svg,csv,json"]]
+
+
+@pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
+def test_an_infinite_metric_is_refused_whatever_the_targets(targets, monkeypatch, tmp_path,
+                                                             capsys):
+    # the report is dumped as strict JSON once, whatever it is written as, if at all
+    _with_infinite_metric(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(["wfecho", *targets]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "not JSON compliant" in err
+    assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
