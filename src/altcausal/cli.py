@@ -138,10 +138,11 @@ _main_verdict = None   # main's verdict on the report its writers are writing
 
 
 def _check_report(report: dict, svg: bool = False) -> _Verdict:
-    """Check ``report`` once for every writer: its ``json`` dump with an empty
-    ``series`` refuses a NaN or infinite value, ``_series_floats`` holds each
-    series to the contract, and with ``svg`` the plot takes its ``frame``.  A
-    writer handed the report ``main`` is writing takes main's verdict."""
+    """Check ``report`` once for every writer.  Its ``json`` dump with an
+    empty ``series`` refuses a NaN or infinite value, ``_series_floats``
+    holds each series to the contract and names the ``floats`` series, and
+    with ``svg`` the plot's refusals give its ``frame`` (else ``None``).  A
+    writer takes main's verdict on main's report, and checks any other."""
     if _main_verdict is not None and _main_verdict.report is report:
         return _main_verdict
     series = report.get("series") or {}
