@@ -2,10 +2,11 @@
 
 Every subcommand runs one experiment, prints its headline metrics, and
 can write the full report as JSON, CSV, or a standalone SVG plot (``-``
-for stdout); every output target is checked before the run, and the
-report once before the first target.  All runs are seeded, reports carry
-no timestamps, and JSON keys are sorted, so the same invocation always
-produces byte-identical output.
+for stdout).  Every output target is checked before the run, and the
+report once, before the first target; the writers take that verdict (a
+writer given a plain report checks it first).  Runs are seeded, reports
+carry no timestamps, and JSON keys are sorted, so the same invocation
+always produces byte-identical output.
 
 A JSON config file (``--config settings.json``) supplies defaults for
 the experiment's own options; explicit flags win over the file, and
@@ -97,29 +98,25 @@ _PW, _PH = _WIDTH - _ML - 24, _HEIGHT - _MT - 52   # its axes' box, in a 24 righ
 _X_KEYS = ("t", "step", "cycle", "theta", "p", "alpha")
 
 
-def _span(columns) -> tuple[float, float]:
-    """The least and the greatest value of ``columns`` as floats; an empty
-    axis and an int past the float range are refused."""
-    lo = hi = None
-    for block in itertools.chain.from_iterable(map(_blocks, columns)):
-        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
-    if lo is None:
-        raise ValueError("an SVG plot needs at least one value on each axis")
-    try:
-        return float(lo), float(hi)
-    except OverflowError:
-        raise ValueError("an SVG plot needs every value in the float range") from None
-
-
 def _plot_frame(series: dict):
     """The x key of the SVG plot of a non-empty ``series`` and its x and y
-    ranges as plotted, or the plot's refusal: no y column, an empty axis,
-    or values, a span or a scale past the float range."""
+    ranges as plotted, from each column's own least and greatest values,
+    or the plot's refusal: no y column, an empty axis, or values, a span
+    or a scale past the float range."""
     x_key = next((k for k in _X_KEYS if k in series), sorted(series)[0])
     if len(series) == 1:
         raise ValueError("series needs at least one y column besides the x axis")
-    (x_lo, x_hi), (y_lo, y_hi) = _span([series[x_key]]), _span(
-        values for key, values in series.items() if key != x_key)
+    spans = []
+    for axis in ([series[x_key]], [values for key, values in series.items() if key != x_key]):
+        ends = [(v.min(), v.max()) if hasattr(v, "dtype") else (min(v), max(v))
+                for v in axis if len(v)]
+        if not ends:
+            raise ValueError("an SVG plot needs at least one value on each axis")
+        try:
+            spans.append((min(float(lo) for lo, _ in ends), max(float(hi) for _, hi in ends)))
+        except OverflowError:
+            raise ValueError("an SVG plot needs every value in the float range") from None
+    (x_lo, x_hi), (y_lo, y_hi) = spans
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     if y_hi == y_lo:
@@ -134,18 +131,26 @@ def _plot_frame(series: dict):
 
 
 _Verdict = namedtuple("_Verdict", "report json floats frame")
-_main_verdict = None   # main's verdict on the report its writers are writing
 
 
-def _check_report(report: dict, svg: bool = False) -> _Verdict:
-    """Check ``report`` once for every writer.  Its ``json`` dump with an
+def _check_report(report, svg: bool = False) -> _Verdict:
+    """Check ``report`` once for every writer; ``main``'s ``_Verdict`` on
+    one is returned as it is.  ``series`` must be a dict of str keys, each
+    to a list, tuple, ``range`` or numpy column.  Its ``json`` dump with an
     empty ``series`` refuses a NaN or infinite value, ``_series_floats``
     holds each series to the contract and names the ``floats`` series, and
-    with ``svg`` the plot's refusals give its ``frame`` (else ``None``).  A
-    writer takes main's verdict on main's report, and checks any other."""
-    if _main_verdict is not None and _main_verdict.report is report:
-        return _main_verdict
-    series = report.get("series") or {}
+    with ``svg`` the plot's refusals give its ``frame`` (else ``None``)."""
+    if isinstance(report, _Verdict):
+        return report
+    series = report.get("series", {})
+    if not isinstance(series, dict):
+        raise ValueError(f"series must be a dict, not {type(series).__name__}")
+    for key, values in series.items():
+        if type(key) is not str:
+            raise ValueError(f"a series key must be a str, not {key!r}")
+        if not isinstance(values, (list, tuple, range)) and not getattr(values, "ndim", 0):
+            raise ValueError(f"series {key!r} must be a list, tuple, range or numpy column, "
+                             f"not {type(values).__name__}")
     dump = json.dumps({**report, "series": {}} if series else report, indent=2,
                       sort_keys=True, allow_nan=False)
     floats = {key for key, values in series.items() if _series_floats(values)}
@@ -174,7 +179,7 @@ def _series_list(values, floats: bool) -> list[str]:
     return pieces[:-1] + ["\n    ]"] if len(pieces) > 1 else ["[]"]
 
 
-def write_json(report: dict, path: str) -> None:
+def write_json(report, path: str) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``
     and a newline, byte for byte.
 
@@ -184,27 +189,27 @@ def write_json(report: dict, path: str) -> None:
     ``series`` (str keys, each a series that ``_blocks`` reads) are written
     in its place as ``_series_list`` renders them.
     """
-    verdict = _check_report(report)
+    report, dump, floats, _ = _check_report(report)
     series = report.get("series")
     if not series:
-        _emit([verdict.json, "\n"], path)
+        _emit([dump, "\n"], path)
         return
-    head, tail = verdict.json.split('\n  "series": {}')
+    head, tail = dump.split('\n  "series": {}')
     pieces = [head, '\n  "series": {']
     for i, key in enumerate(sorted(series)):
         pieces += (",\n    " if i else "\n    ", json.dumps(key), ": ",
-                   *_series_list(series[key], key in verdict.floats))
+                   *_series_list(series[key], key in floats))
     pieces += ("\n  }", tail, "\n")
     _emit(pieces, path)
 
 
-def write_csv(report: dict, path: str) -> None:
+def write_csv(report, path: str) -> None:
     """``csv.writer`` writes the header, and the metrics row of a report
     without series (``list``).  Series rows are rendered a block at a time
     from the columns' blocks, each cell as ``_block_reprs`` gives it, which
     is how ``csv.writer`` writes an int or a finite float.  The rows stop at
     the shortest column."""
-    floats = _check_report(report).floats
+    report, _, floats, _ = _check_report(report)
     series = report.get("series")
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -228,15 +233,15 @@ def _svg_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_svg(report: dict, path: str) -> None:
+def write_svg(report, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
-    Each column is read through ``_blocks`` twice, never copied whole:
-    once for the plot's frame, by ``_check_report``, and once for its
-    points.  Each x block is formatted once for every polyline, and each
-    polyline is rendered as one piece per block.
+    Each column is read once, through ``_blocks``, for its points, and never
+    copied whole; ``_check_report`` gives the plot's frame.  Each x block is
+    formatted once for every polyline, and each polyline is rendered as one
+    piece per block.
     """
-    frame = _check_report(report, svg=True).frame
+    report, _, _, frame = _check_report(report, svg=True)
     series = dict(report.get("series") or {})
     if not series:
         # nothing to plot (e.g. the list report); keep --format svg total
@@ -791,7 +796,6 @@ def _say(line: str) -> None:
 
 
 def main(argv=None) -> int:
-    global _main_verdict
     # The last bits of the larger decompositions depend on the BLAS thread
     # count, which BLAS reads once, when numpy loads: pin one thread, over
     # the caller's setting, so that the same invocation writes the same
@@ -820,9 +824,9 @@ def main(argv=None) -> int:
             report = {"experiment": ns.command, "config": cfg, "metrics": metrics,
                       "series": series, "checks": [c._asdict() for c in checks]}
             # one check before the first target and the summary, whatever the targets
-            _main_verdict = _check_report(report, svg=any(fmt == "svg" for fmt, _ in targets))
+            verdict = _check_report(report, svg=any(fmt == "svg" for fmt, _ in targets))
             for fmt, path in targets:
-                writers[fmt](report, path)
+                writers[fmt](verdict, path)
             if all(path != "-" for _, path in targets):
                 print(f"experiment: {ns.command}")
                 for key in sorted(metrics):
@@ -832,8 +836,6 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         _say(f"error: {exc}")
         return 1
-    finally:
-        _main_verdict = None
     return code
 
 

@@ -3,6 +3,7 @@ import csv
 import hashlib
 import importlib
 import io
+import itertools
 import json
 import math
 import os
@@ -198,7 +199,7 @@ REPORT_CASES = [[name] for name in FAST_ARGS] + [
 @pytest.mark.parametrize("args", REPORT_CASES, ids=" ".join)
 def test_reports_reach_the_writer_as_plain_json(args, monkeypatch, tmp_path):
     reports = []
-    monkeypatch.setattr(cli, "write_json", lambda report, path: reports.append(report))
+    monkeypatch.setattr(cli, "write_json", lambda verdict, path: reports.append(verdict.report))
     assert main([*args, "--json", "-"]) == 0
     report, = reports
     assert _foreign(report) == []
@@ -346,6 +347,34 @@ def test_a_series_of_anything_but_ints_and_floats_is_refused(values, monkeypatch
 
 
 CONTRACT = "a series holds only ints and finite floats, not "
+COLUMN = "must be a list, tuple, range or numpy column, not "
+NOT_A_DICT_OF_COLUMNS = {
+    "a list": ([[0, 1], [1.0, 2.0]], "series must be a dict, not list"),
+    "a tuple": (((0, 1.0),), "series must be a dict, not tuple"),
+    "an int key": ({"t": [0], 1: [1.0]}, "a series key must be a str, not 1"),
+    "a None key": ({None: [1.0], "t": [0]}, "a series key must be a str, not None"),
+    "a tuple key": ({"t": [0], ("a",): [1.0]}, "a series key must be a str, not ('a',)"),
+    "a None value": ({"t": [0], "y": None}, f"series 'y' {COLUMN}NoneType"),
+    "a number": ({"t": [0], "y": 1.5}, f"series 'y' {COLUMN}float"),
+    "a 0-d array": ({"t": np.array(0.5), "y": [1.0]}, f"series 't' {COLUMN}ndarray"),
+    "a numpy scalar": ({"t": [0], "y": np.float64(1.0)}, f"series 'y' {COLUMN}float64"),
+    "a dict": ({"t": [0], "y": {"a": 1.0}}, f"series 'y' {COLUMN}dict"),
+    "a generator": ({"t": [0], "y": (v for v in [1.0])}, f"series 'y' {COLUMN}generator"),
+    "bytes": ({"t": [0, 1], "y": b"ab"}, f"series 'y' {COLUMN}bytes"),
+}
+
+
+@pytest.mark.parametrize("series, message", NOT_A_DICT_OF_COLUMNS.values(),
+                         ids=NOT_A_DICT_OF_COLUMNS)
+def test_a_series_that_is_not_a_dict_of_str_keys_to_columns_is_refused(series, message,
+                                                                       monkeypatch, tmp_path,
+                                                                       capsys):
+    # README's shape of a report's series; a writer given the report refuses it too
+    for writer in (write_json, cli.write_csv, cli.write_svg):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            writer({"series": series}, str(tmp_path / "r"))
+    _assert_every_writer_refuses(series, message, monkeypatch=monkeypatch, tmp_path=tmp_path,
+                                 capsys=capsys)
 
 
 def _breaks_the_contract(series) -> bool:
@@ -353,12 +382,12 @@ def _breaks_the_contract(series) -> bool:
     return any(type(v) is float and not math.isfinite(v) for vs in series.values() for v in vs)
 
 
-def _assert_every_writer_refuses(series, *, monkeypatch, tmp_path, capsys):
-    """The series contract, the same for every writer: the one check of a
-    report refuses ``series`` ahead of any plot refusal, and a run whose
-    report holds it exits 1 with that one ``error:`` line, an empty stdout
-    and no file, whatever its targets."""
-    with pytest.raises(ValueError, match=CONTRACT) as refused:
+def _assert_every_writer_refuses(series, message=CONTRACT, *, monkeypatch, tmp_path, capsys):
+    """A series refusal, the same for every writer: the one check of a
+    report refuses ``series`` with ``message…`` ahead of any plot refusal,
+    and a run whose report holds it exits 1 with that one ``error:`` line,
+    an empty stdout and no file, whatever its targets."""
+    with pytest.raises(ValueError, match=re.escape(message)) as refused:
         cli._check_report({"series": series}, svg=True)
     message = str(refused.value)
     _assert_refused_in_one_line(series, message, ["--json", "r.json"], ["--json", "-"],
@@ -714,6 +743,82 @@ def test_every_kind_of_series_is_written_as_the_reference(values, writer, refere
         _assert_same_bytes(out.read_bytes(), expected, f"{name}: ")
 
 
+def _reference_span(columns) -> tuple[float, float]:
+    """The former block-chained range of an SVG axis, kept as the oracle of
+    ``cli._plot_frame``'s: the least and the greatest value of ``columns``
+    as floats; an empty axis and an int past the float range are refused."""
+    lo = hi = None
+    for block in itertools.chain.from_iterable(map(cli._blocks, columns)):
+        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
+    if lo is None:
+        raise ValueError("an SVG plot needs at least one value on each axis")
+    try:
+        return float(lo), float(hi)
+    except OverflowError:
+        raise ValueError("an SVG plot needs every value in the float range") from None
+
+
+def _reference_frame(series: dict):
+    """``cli._plot_frame`` as it was, its ranges from ``_reference_span``."""
+    x_key = next((k for k in cli._X_KEYS if k in series), sorted(series)[0])
+    if len(series) == 1:
+        raise ValueError("series needs at least one y column besides the x axis")
+    (x_lo, x_hi), (y_lo, y_hi) = _reference_span([series[x_key]]), _reference_span(
+        values for key, values in series.items() if key != x_key)
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo - 1.0, y_hi + 1.0
+    pad = 0.05 * (y_hi - y_lo)
+    y_lo, y_hi = y_lo - pad, y_hi + pad
+    if not math.isfinite(max(cli._PW * (x_hi - x_lo), 4 * (y_hi - y_lo))):
+        raise ValueError("an SVG plot needs every value in the float range")
+    return x_key, (x_lo, x_hi), (y_lo, y_hi)
+
+
+_ZEROS_AT_THE_ENDS = {   # a -0.0 beside a 0.0 at each end of an axis, or as its whole span
+    "x low, y high": {"t": [-0.0, 0.0, 1.0], "y": [0.0, -0.0, -2.0]},
+    "x high, y low": {"t": [-1.0, 0.0, -0.0], "y": [-0.0, 3.0, 0.0]},
+    "both constant": {"t": [0.0, -0.0], "y": [-0.0, 0.0]},
+    # a span whose padding underflows to 0, so the zero at its end stays as it is
+    "tiny spans": {"t": [0.0, -0.0, 5e-324], "y": [-0.0, 0.0, 5e-324]},
+    "y zeros in two columns": {"t": [0.0, 1.0], "a": [0.0, 2.0], "b": [-0.0]},
+}
+FRAME_CASES = {
+    **{f"{case}, {form}": {"t": column, "y": column} for case, values in BLOCK_CASES.items()
+       for form, column in _series_forms(values).items()},
+    **{f"zeros {case}{form}": {k: np.array(v) if form else v for k, v in series.items()}
+       for case, series in _ZEROS_AT_THE_ENDS.items() for form in ("", " as float64 columns")},
+    "an int equal to a float at each end": {"t": [1, 1.0, 2.0, 2], "y": [3.0, 0, 3, 0.0]},
+    "an int64 x and float64 y equal at the ends": {"t": np.array([0, 4]),
+                                                   "y": np.array([4.0, 0.0]), "z": [0, 4]},
+    "float32, int32 and object columns": {
+        "t": np.arange(-4, 5, dtype=np.int32), "y": np.arange(9, dtype=np.float32) / 3,
+        "z": np.array([1, 2.5, -3, 10**20], dtype=object)},
+    "an int past the float range in an object x": {"t": np.array([0, 10**400], dtype=object),
+                                                   "y": [1.0, 2.0]},
+    "an int past the float range in a y list": {"t": [0, 1], "a": [0.5], "y": [2.0, -10**400]},
+    "an empty x": {"t": np.array([]), "y": [1.0]},
+    "every y empty": {"t": range(3), "y": (), "z": np.array([], dtype=np.int64)},
+}
+
+
+@pytest.mark.parametrize("series", FRAME_CASES.values(), ids=FRAME_CASES)
+def test_the_plot_frame_is_the_block_chained_one(series, monkeypatch):
+    # each column's own least and greatest values give the reference's frame or
+    # refusal; where a -0.0 or an int takes the place of an equal 0.0 or float
+    # at an end, the plot's bytes do not move
+    cli._check_report({"series": series})   # every case holds the series contract
+    frame = _verdict(cli._plot_frame, series)
+    assert frame == _verdict(_reference_frame, series)
+    if type(frame) is str:
+        return
+    report = {"experiment": "x", "series": series}
+    written = _written(report, cli.write_svg)
+    monkeypatch.setattr(cli, "_plot_frame", _reference_frame)
+    _assert_same_bytes(written, _written(report, cli.write_svg))
+
+
 def _written_peak(writer, report, path) -> int:
     """The ``tracemalloc`` peak of ``writer(report, path)``, above the report."""
     tracemalloc.start()
@@ -725,10 +830,10 @@ def _written_peak(writer, report, path) -> int:
 
 
 def _report_of(args, writer_name):
-    """The report ``main(args)`` hands to ``cli.<writer_name>``."""
+    """The report of the verdict ``main(args)`` hands to ``cli.<writer_name>``."""
     reports = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(cli, writer_name, lambda report, path: reports.append(report))
+        patch.setattr(cli, writer_name, lambda verdict, path: reports.append(verdict.report))
         assert main(args) == 0
     report, = reports
     return report
@@ -980,25 +1085,9 @@ def _with_infinite_metric(monkeypatch):
         run=lambda cfg: ({"x": math.inf}, {}, [])))
 
 
-def test_non_finite_report_exits_one_without_a_file(monkeypatch, tmp_path, capsys):
-    _with_infinite_metric(monkeypatch)
-    out = tmp_path / "r.json"
-    assert main(["wfecho", "--json", str(out)]) == 1
-    assert "not JSON compliant" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_json_is_written_first_so_a_refused_report_leaves_no_file(monkeypatch, tmp_path, capsys):
-    _with_infinite_metric(monkeypatch)
-    args = ["wfecho", "--csv", str(tmp_path / "r.csv"),
-            "--out", str(tmp_path), "--format", "svg,csv,json"]
-    assert main(args) == 1
-    assert "not JSON compliant" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
 OUTPUT_TARGETS = [[], ["--json", "r.json"], ["--csv", "r.csv"], ["--svg", "-"],
-                  ["--format", "svg,csv,json"]]
+                  ["--format", "svg,csv,json"],
+                  ["--csv", "r.csv", "--out", ".", "--format", "svg,csv,json"]]
 
 
 @pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
