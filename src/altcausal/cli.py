@@ -3,10 +3,11 @@
 Every subcommand runs one experiment, prints its headline metrics, and
 can write the full report as JSON, CSV, or a standalone SVG plot (``-``
 for stdout).  Every output target is checked before the run, and the
-report once, before the first target; the writers take that verdict (a
-writer given a plain report checks it first).  Runs are seeded, reports
-carry no timestamps, and JSON keys are sorted, so the same invocation
-always produces byte-identical output.
+report once, before the first target; the writers render that verdict
+alone.  A negative float may follow its option as a separate argument
+(``--tmax -1e-3``).  Runs are seeded, reports carry no timestamps, and
+JSON keys are sorted, so the same invocation always produces
+byte-identical output.
 
 A JSON config file (``--config settings.json``) supplies defaults for
 the experiment's own options; explicit flags win over the file, and
@@ -26,6 +27,7 @@ import json
 import math
 import operator
 import os
+import re
 import sys
 from collections import Counter, namedtuple
 
@@ -81,13 +83,13 @@ def _block_kinds(block: list) -> set[type]:
 
 def _series_floats(values) -> bool:
     """Whether a series holds only floats, once it is held to the contract:
-    a ``range`` or a 1-D int64 column by its type, a 1-D float64 column by
-    its least and greatest values being finite, and any other series (or a
-    float column empty or not finite) block by block by ``_block_kinds``."""
+    a ``range`` or an int64 column by its type, a float64 column by its
+    least and greatest values being finite, and a list or tuple (or a float
+    column empty or not finite) block by block by ``_block_kinds``."""
     kind = getattr(getattr(values, "dtype", None), "name", None)
-    if type(values) is range or kind == "int64" and values.ndim == 1:
+    if type(values) is range or kind == "int64":
         return False
-    if (kind == "float64" and values.ndim == 1 and len(values)
+    if (kind == "float64" and len(values)
             and math.isfinite(values.min()) and math.isfinite(values.max())):
         return True
     return set().union(*map(_block_kinds, _blocks(values))) == {float}
@@ -108,8 +110,9 @@ def _plot_frame(series: dict):
         raise ValueError("series needs at least one y column besides the x axis")
     spans = []
     for axis in ([series[x_key]], [values for key, values in series.items() if key != x_key]):
+        # a range's least and greatest values are its first and last, in some order
         ends = [(v.min(), v.max()) if hasattr(v, "dtype") else (min(v), max(v))
-                for v in axis if len(v)]
+                for v in ((v[0], v[-1]) if type(v) is range else v for v in axis if len(v))]
         if not ends:
             raise ValueError("an SVG plot needs at least one value on each axis")
         try:
@@ -134,23 +137,22 @@ _Verdict = namedtuple("_Verdict", "report json floats frame")
 
 
 def _check_report(report, svg: bool = False) -> _Verdict:
-    """Check ``report`` once for every writer; ``main``'s ``_Verdict`` on
-    one is returned as it is.  ``series`` must be a dict of str keys, each
-    to a list, tuple, ``range`` or numpy column.  Its ``json`` dump with an
-    empty ``series`` refuses a NaN or infinite value, ``_series_floats``
-    holds each series to the contract and names the ``floats`` series, and
-    with ``svg`` the plot's refusals give its ``frame`` (else ``None``)."""
-    if isinstance(report, _Verdict):
-        return report
+    """Check ``report`` once, for every writer.  ``series`` must map str keys
+    to lists, tuples, ``range``s or 1-D int64 or float64 numpy columns.  Its
+    ``json`` dump with an empty ``series`` refuses a NaN or infinite value,
+    ``_series_floats`` holds each series to the contract and names the
+    ``floats`` series, and with ``svg`` the plot's refusals give its ``frame``."""
     series = report.get("series", {})
     if not isinstance(series, dict):
         raise ValueError(f"series must be a dict, not {type(series).__name__}")
     for key, values in series.items():
         if type(key) is not str:
             raise ValueError(f"a series key must be a str, not {key!r}")
-        if not isinstance(values, (list, tuple, range)) and not getattr(values, "ndim", 0):
-            raise ValueError(f"series {key!r} must be a list, tuple, range or numpy column, "
-                             f"not {type(values).__name__}")
+        kind = getattr(getattr(values, "dtype", None), "name", None)
+        if not (isinstance(values, (list, tuple, range))
+                or kind in ("int64", "float64") and values.ndim == 1):
+            raise ValueError(f"series {key!r} must be a list, tuple, range or 1-D int64 or "
+                             f"float64 numpy column, not {type(values).__name__}")
     dump = json.dumps({**report, "series": {}} if series else report, indent=2,
                       sort_keys=True, allow_nan=False)
     floats = {key for key, values in series.items() if _series_floats(values)}
@@ -179,7 +181,7 @@ def _series_list(values, floats: bool) -> list[str]:
     return pieces[:-1] + ["\n    ]"] if len(pieces) > 1 else ["[]"]
 
 
-def write_json(report, path: str) -> None:
+def write_json(verdict: _Verdict, path: str) -> None:
     """Write ``json.dumps(report, indent=2, sort_keys=True, allow_nan=False)``
     and a newline, byte for byte.
 
@@ -189,7 +191,7 @@ def write_json(report, path: str) -> None:
     ``series`` (str keys, each a series that ``_blocks`` reads) are written
     in its place as ``_series_list`` renders them.
     """
-    report, dump, floats, _ = _check_report(report)
+    report, dump, floats, _ = verdict
     series = report.get("series")
     if not series:
         _emit([dump, "\n"], path)
@@ -203,13 +205,13 @@ def write_json(report, path: str) -> None:
     _emit(pieces, path)
 
 
-def write_csv(report, path: str) -> None:
+def write_csv(verdict: _Verdict, path: str) -> None:
     """``csv.writer`` writes the header, and the metrics row of a report
     without series (``list``).  Series rows are rendered a block at a time
     from the columns' blocks, each cell as ``_block_reprs`` gives it, which
     is how ``csv.writer`` writes an int or a finite float.  The rows stop at
     the shortest column."""
-    report, _, floats, _ = _check_report(report)
+    report, _, floats, _ = verdict
     series = report.get("series")
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -233,7 +235,7 @@ def _svg_escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def write_svg(report, path: str) -> None:
+def write_svg(verdict: _Verdict, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
     Each column is read once, through ``_blocks``, for its points, and never
@@ -241,7 +243,7 @@ def write_svg(report, path: str) -> None:
     formatted once for every polyline, and each polyline is rendered as one
     piece per block.
     """
-    report, _, _, frame = _check_report(report, svg=True)
+    report, _, _, frame = verdict
     series = dict(report.get("series") or {})
     if not series:
         # nothing to plot (e.g. the list report); keep --format svg total
@@ -724,6 +726,9 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command")
     for name, exp in _EXPERIMENTS.items():
         p = subs.add_parser(name, help=exp.help)
+        # a negative number is a value, not an option: argparse's own pattern takes -5
+        # and -.5 but not -1e-3 or -inf, and none of the options looks like a number
+        p._negative_number_matcher = re.compile(r"-\.?\d|-inf|-nan", re.IGNORECASE)
         for key, spec in exp.params.items():
             p.add_argument("--" + key.replace("_", "-"), type=type(spec.default),
                            choices=spec.choices or None, help=spec.help)

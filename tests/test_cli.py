@@ -144,7 +144,7 @@ def test_dash_writes_every_format_to_stdout(fmt, monkeypatch, tmp_path, capsys):
 
 def test_main_writes_through_the_module_writer(monkeypatch, tmp_path):
     paths = []
-    monkeypatch.setattr(cli, "write_json", lambda report, path: paths.append(path))
+    monkeypatch.setattr(cli, "write_json", lambda verdict, path: paths.append(path))
     assert main(["wfecho", "--json", str(tmp_path / "a.json"),
                  "--format", "json", "--out", str(tmp_path)]) == 0
     assert paths == [str(tmp_path / "a.json"), str(tmp_path / "wfecho.json")]
@@ -198,14 +198,14 @@ REPORT_CASES = [[name] for name in FAST_ARGS] + [
 
 @pytest.mark.parametrize("args", REPORT_CASES, ids=" ".join)
 def test_reports_reach_the_writer_as_plain_json(args, monkeypatch, tmp_path):
-    reports = []
-    monkeypatch.setattr(cli, "write_json", lambda verdict, path: reports.append(verdict.report))
+    verdicts = []
+    monkeypatch.setattr(cli, "write_json", lambda verdict, path: verdicts.append(verdict))
     assert main([*args, "--json", "-"]) == 0
-    report, = reports
-    assert _foreign(report) == []
+    verdict, = verdicts
+    assert _foreign(verdict.report) == []
     out = tmp_path / "r.json"
-    write_json(report, str(out))
-    _assert_same_bytes(out.read_bytes(), _reference_json(report))
+    write_json(verdict, str(out))
+    _assert_same_bytes(out.read_bytes(), _reference_json(verdict.report))
 
 
 def _reference_json(report) -> str:
@@ -213,11 +213,17 @@ def _reference_json(report) -> str:
                       allow_nan=False) + "\n"
 
 
+def _main_check(report, writer=write_json):
+    """The verdict on ``report`` that ``main`` hands ``writer``: its one check,
+    with the plot's refusals when ``writer`` is SVG's."""
+    return cli._check_report(report, svg=writer is cli.write_svg)
+
+
 def _written(report, writer=write_json) -> str:
     """What ``writer`` sends to stdout for ``report``."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        writer(report, "-")
+        writer(_main_check(report, writer), "-")
     return buf.getvalue()
 
 
@@ -252,7 +258,7 @@ def test_benchmark_size_link_reports_match_the_reference_bytes(args, request, tm
     report = (request.getfixturevalue("pif_report") if args is LINK_REPORTS[0]
               else _report_of([*args, "--json", "-"], "write_json"))
     out = tmp_path / "r.json"
-    write_json(report, str(out))
+    write_json(_main_check(report), str(out))
     _assert_same_bytes(out.read_bytes(), _reference_json(report))
 
 
@@ -347,7 +353,7 @@ def test_a_series_of_anything_but_ints_and_floats_is_refused(values, monkeypatch
 
 
 CONTRACT = "a series holds only ints and finite floats, not "
-COLUMN = "must be a list, tuple, range or numpy column, not "
+COLUMN = "must be a list, tuple, range or 1-D int64 or float64 numpy column, not "
 NOT_A_DICT_OF_COLUMNS = {
     "a list": ([[0, 1], [1.0, 2.0]], "series must be a dict, not list"),
     "a tuple": (((0, 1.0),), "series must be a dict, not tuple"),
@@ -369,10 +375,7 @@ NOT_A_DICT_OF_COLUMNS = {
 def test_a_series_that_is_not_a_dict_of_str_keys_to_columns_is_refused(series, message,
                                                                        monkeypatch, tmp_path,
                                                                        capsys):
-    # README's shape of a report's series; a writer given the report refuses it too
-    for writer in (write_json, cli.write_csv, cli.write_svg):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            writer({"series": series}, str(tmp_path / "r"))
+    # README's shape of a report's series
     _assert_every_writer_refuses(series, message, monkeypatch=monkeypatch, tmp_path=tmp_path,
                                  capsys=capsys)
 
@@ -415,8 +418,6 @@ def _assert_refused_in_one_line(series, message, *targets, monkeypatch, tmp_path
                                     {"t": range(3), "y": [], "z": np.array([])}],
                          ids=["empty x", "every y empty"])
 def test_an_svg_plot_with_an_empty_axis_is_refused(series, monkeypatch, tmp_path, capsys):
-    with pytest.raises(ValueError, match="an SVG plot needs at least one value on each axis"):
-        cli.write_svg({"series": series}, str(tmp_path / "w"))
     _assert_refused_in_one_line(series, "an SVG plot needs at least one value on each axis",
                                 ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg"],
                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
@@ -437,8 +438,6 @@ def test_an_svg_plot_refuses_an_int_past_the_float_range(series, monkeypatch, tm
     report = {"series": series}
     _assert_same_bytes(_written(report), _reference_json(report))
     _assert_same_bytes(_written(report, cli.write_csv), _reference_csv(report))
-    with pytest.raises(ValueError, match="an SVG plot needs every value in the float range"):
-        cli.write_svg(report, str(tmp_path / "w"))
     _assert_refused_in_one_line(series, "an SVG plot needs every value in the float range",
                                 ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg"],
                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
@@ -474,18 +473,31 @@ def _column_with(fill, at, bad):
     return values
 
 
-# 1-D int64 and float64 columns take their dtype's verdict; the other columns, the
-# reference's, through their blocks
+def _of_another_kind(values) -> bool:
+    """Whether ``values`` is a numpy column that is not one of the five kinds of
+    series: a 1-D int64 or float64 column (lists, tuples and ranges are the others)."""
+    return type(values) is np.ndarray and (values.ndim != 1
+                                           or values.dtype.name not in ("int64", "float64"))
+
+
+# numpy columns of another dtype or shape than the five kinds of series; the
+# report check refuses each, whatever the targets
+OTHER_COLUMNS = {
+    "bool": np.array([True, False]), "int32": np.arange(9, dtype=np.int32),
+    "float32": np.arange(9, dtype=np.float32) / 3,
+    "float32 nan": np.array([0.5, np.nan], dtype=np.float32),
+    "object": np.array([1, 2.5, -3], dtype=object),
+    "2-D float64": np.zeros((3, 2)), "2-D int64": np.zeros((3, 2), dtype=np.int64),
+}
+# 1-D int64 and float64 columns take their dtype's verdict, or the reference's
+# through their blocks; the other columns are refused by their shape
 COLUMN_CASES = {
     "float64": np.arange(2 * cli._CSV_ROWS + 1) / 7, "empty float64": np.array([]),
     "int64": np.arange(-5, 2 * cli._CSV_ROWS, dtype=np.int64),
     "empty int64": np.array([], dtype=np.int64),
     "float64 view": (np.arange(2 * cli._CSV_ROWS + 2) / 3).reshape(-1, 2)[:, 1],
     "big-endian float64": np.arange(9, dtype=">f8"),
-    "bool": np.array([True, False]), "int32": np.arange(9, dtype=np.int32),
-    "float32": np.arange(9, dtype=np.float32) / 3,
-    "float32 nan": np.array([0.5, np.nan], dtype=np.float32),
-    "2-D float64": np.zeros((3, 2)), "2-D int64": np.zeros((3, 2), dtype=np.int64),
+    **OTHER_COLUMNS,
     **{f"{fill} float64, {bad} at {at}": _column_with(fill, at, bad)
        for fill in ("repeated", "distinct") for bad in (math.nan, math.inf, -math.inf)
        for at in (0, cli._CSV_ROWS - 1, cli._CSV_ROWS, 2 * cli._CSV_ROWS)},
@@ -502,15 +514,18 @@ def _verdict(check, values):
 
 @pytest.mark.parametrize("values", COLUMN_CASES.values(), ids=COLUMN_CASES)
 def test_a_column_takes_the_verdict_of_its_blocks(values, monkeypatch):
-    # _block_kinds over every block is the reference of the column's verdict
-    expected = _verdict(lambda v: set().union(*map(cli._block_kinds, cli._blocks(v))) == {float},
-                        values)
     read = []
     kinds = cli._block_kinds
     monkeypatch.setattr(cli, "_block_kinds", lambda block: read.append(1) or kinds(block))
+    if _of_another_kind(values):   # refused by its shape, before any block is read
+        assert _verdict(cli._check_report, {"series": {"y": values}}) == \
+            f"series 'y' {COLUMN}ndarray"
+        assert read == []
+        return
+    # _block_kinds over every block is the reference of the column's verdict
+    expected = _verdict(lambda v: set().union(*map(kinds, cli._blocks(v))) == {float}, values)
     assert _verdict(cli._series_floats, values) == expected
-    if values.ndim == 1 and values.dtype.name in ("int64", "float64") and len(values) \
-            and type(expected) is bool:
+    if len(values) and type(expected) is bool:
         assert read == []   # by its dtype, not its blocks
     elif len(values):
         assert read
@@ -571,8 +586,9 @@ def test_csv_pieces_match_one_buffer_across_block_boundaries(rows, tmp_path, cap
     # a short column cuts every row after its last value
     for report in ({"series": series}, {"series": {**series, "short": range(rows // 2)}}):
         out = tmp_path / "r.csv"
-        cli.write_csv(report, str(out))
-        cli.write_csv(report, "-")
+        verdict = _main_check(report, cli.write_csv)
+        cli.write_csv(verdict, str(out))
+        cli.write_csv(verdict, "-")
         expected = _reference_csv(report)
         _assert_same_bytes(out.read_bytes(), expected)
         _assert_same_bytes(capsys.readouterr().out, expected)
@@ -654,8 +670,9 @@ SVG_SERIES = {
 def test_svg_is_written_as_the_reference(series, tmp_path, capsys):
     report = {"experiment": "a < b & c", "series": series}
     out = tmp_path / "r.svg"
-    cli.write_svg(report, str(out))
-    cli.write_svg(report, "-")
+    verdict = _main_check(report, cli.write_svg)
+    cli.write_svg(verdict, str(out))
+    cli.write_svg(verdict, "-")
     expected = _reference_svg(report)
     _assert_same_bytes(out.read_bytes(), expected)
     _assert_same_bytes(capsys.readouterr().out, expected)
@@ -693,8 +710,6 @@ def test_an_svg_plot_refuses_a_non_finite_value_or_span(series, monkeypatch, tmp
     report = {"series": series}
     _assert_same_bytes(_written(report, cli.write_csv), _reference_csv(report))
     _assert_same_bytes(_written(report), _reference_json(report))
-    with pytest.raises(ValueError, match="an SVG plot needs every value in the float range"):
-        cli.write_svg(report, str(tmp_path / "w"))
     _assert_refused_in_one_line(series, "an SVG plot needs every value in the float range",
                                 ["--svg", "r.svg"], ["--svg", "-"], ["--format", "svg"],
                                 monkeypatch=monkeypatch, tmp_path=tmp_path, capsys=capsys)
@@ -739,7 +754,8 @@ def test_every_kind_of_series_is_written_as_the_reference(values, writer, refere
     expected = reference({"experiment": "x", "series": {"t": values, "y": values}}).encode()
     for name, form in _series_forms(values).items():
         out = tmp_path / name
-        writer({"experiment": "x", "series": {"t": form, "y": form}}, str(out))
+        writer(_main_check({"experiment": "x", "series": {"t": form, "y": form}}, writer),
+               str(out))
         _assert_same_bytes(out.read_bytes(), expected, f"{name}: ")
 
 
@@ -792,6 +808,7 @@ FRAME_CASES = {
     "an int equal to a float at each end": {"t": [1, 1.0, 2.0, 2], "y": [3.0, 0, 3, 0.0]},
     "an int64 x and float64 y equal at the ends": {"t": np.array([0, 4]),
                                                    "y": np.array([4.0, 0.0]), "z": [0, 4]},
+    # columns of other kinds than the five, which the report check refuses
     "float32, int32 and object columns": {
         "t": np.arange(-4, 5, dtype=np.int32), "y": np.arange(9, dtype=np.float32) / 3,
         "z": np.array([1, 2.5, -3, 10**20], dtype=object)},
@@ -800,6 +817,9 @@ FRAME_CASES = {
     "an int past the float range in a y list": {"t": [0, 1], "a": [0.5], "y": [2.0, -10**400]},
     "an empty x": {"t": np.array([]), "y": [1.0]},
     "every y empty": {"t": range(3), "y": (), "z": np.array([], dtype=np.int64)},
+    # a range's ends are its first and last values, in either order
+    "descending ranges": {"t": range(40, -3, -7), "y": range(5, -9000, -3), "z": [0.5, 9.5]},
+    "one-value ranges": {"t": range(4, 5), "y": range(-2, -1, -1), "z": [1.0, 2.0]},
 }
 
 
@@ -808,7 +828,11 @@ def test_the_plot_frame_is_the_block_chained_one(series, monkeypatch):
     # each column's own least and greatest values give the reference's frame or
     # refusal; where a -0.0 or an int takes the place of an equal 0.0 or float
     # at an end, the plot's bytes do not move
-    cli._check_report({"series": series})   # every case holds the series contract
+    checked = _verdict(cli._check_report, {"series": series})
+    if any(map(_of_another_kind, series.values())):   # refused before any frame
+        assert checked == f"series 't' {COLUMN}ndarray"
+        return
+    assert type(checked) is cli._Verdict   # every other case holds the series contract
     frame = _verdict(cli._plot_frame, series)
     assert frame == _verdict(_reference_frame, series)
     if type(frame) is str:
@@ -819,11 +843,18 @@ def test_the_plot_frame_is_the_block_chained_one(series, monkeypatch):
     _assert_same_bytes(written, _written(report, cli.write_svg))
 
 
+def test_a_range_axis_is_framed_from_its_ends():
+    # a range's ends, not a walk over its values, frame the plot
+    frame = cli._check_report({"series": {"t": range(10**15), "y": [0.5, 1.5]}}, svg=True).frame
+    assert frame == ("t", (0.0, float(10**15 - 1)), (0.5 - 0.05, 1.5 + 0.05))
+
+
 def _written_peak(writer, report, path) -> int:
-    """The ``tracemalloc`` peak of ``writer(report, path)``, above the report."""
+    """The ``tracemalloc`` peak of ``main``'s check of ``report`` and ``writer``'s
+    write of it to ``path``, above the report."""
     tracemalloc.start()
     try:
-        writer(report, path)
+        writer(_main_check(report, writer), path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -885,10 +916,11 @@ def test_stdout_takes_the_pieces_as_the_writer_built_them(writer, monkeypatch, t
     n = 2 * cli._CSV_ROWS + 1
     report = {"experiment": "x", "series": {"t": list(range(n)), "y": [i / 7 for i in range(n)]}}
     out = tmp_path / "r"
-    writer(report, str(out))
+    verdict = _main_check(report, writer)
+    writer(verdict, str(out))
     handed = []
     monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(writelines=handed.append))
-    writer(report, "-")
+    writer(verdict, "-")
     pieces, = handed
     assert type(pieces) is list and len(pieces) > 1
     _assert_same_bytes("".join(pieces), out.read_bytes())
@@ -1071,12 +1103,11 @@ def test_non_finite_link_temperature_exits_one(command, temperature, tmp_path, c
     assert not out.exists()
 
 
-def test_json_writer_refuses_non_finite_values(tmp_path):
-    out = tmp_path / "r.json"
+def test_json_writer_refuses_non_finite_values():
+    # the report check dumps the report as strict JSON before any writer runs
     for bad in (math.nan, math.inf, np.float64(-np.inf)):
-        with pytest.raises(ValueError):
-            write_json({"metrics": {"x": bad}}, str(out))
-    assert not out.exists()
+        with pytest.raises(ValueError, match="^Out of range float values are not JSON compliant"):
+            cli._check_report({"metrics": {"x": bad}})
 
 
 def _with_infinite_metric(monkeypatch):
@@ -1101,6 +1132,19 @@ def test_an_infinite_metric_is_refused_whatever_the_targets(targets, monkeypatch
     assert out == ""
     assert err.startswith("error: ") and "not JSON compliant" in err
     assert err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
+def test_a_column_of_another_kind_is_refused_whatever_the_targets(targets, monkeypatch, tmp_path,
+                                                                  capsys):
+    # a numpy series that is not a 1-D int64 or float64 column is refused by its shape
+    monkeypatch.chdir(tmp_path)
+    for column in OTHER_COLUMNS.values():
+        monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
+            run=lambda cfg: ({}, {"t": range(len(column)), "y": column}, [])))
+        assert main(["wfecho", *targets]) == 1
+        assert capsys.readouterr() == ("", f"error: series 'y' {COLUMN}ndarray\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1389,10 +1433,11 @@ def _extreme_float_runs(command):
     params = _EXPERIMENTS[command].params
     sizes = [f"--{key.replace('_', '-')}={max(spec.low, 2)}" for key, spec in params.items()
              if type(spec.default) is int and spec.high is not None]
-    # --key=value, as argparse reads a lone -1e308 as a flag
-    return [[command, *sizes, f"--{key.replace('_', '-')}={value}"]
-            for key, spec in params.items() if type(spec.default) is float
-            for value in EXTREMES]
+    # each as --key=value and as --key value, a separate argument
+    return [[command, *sizes, *form] for key, spec in params.items()
+            if type(spec.default) is float for value in EXTREMES
+            for flag in ["--" + key.replace("_", "-")] for form in ([f"{flag}={value}"],
+                                                                     [flag, value])]
 
 
 @pytest.mark.parametrize("command", [c for c in _EXPERIMENTS if _extreme_float_runs(c)])
@@ -1411,6 +1456,21 @@ def test_every_float_option_at_its_extremes_runs_or_is_refused_cleanly(command, 
         if caught or not clean:
             unclean.append((" ".join(args[1:]), code, err, [str(w.message) for w in caught]))
     assert unclean == []
+
+
+@pytest.mark.parametrize("args, code, err", [
+    (["duality", "--points", "3", "--tmax", "-1e-3"], 0, ""),
+    (["rcp", "--points", "3", "--epsilon", "-1E2"], 1, "error: epsilon must be >= 0, got -100.0\n"),
+    (["wfecho", "--alpha", "-inf"], 1, "error: alpha must be finite, got -inf\n"),
+    (["duality", "--omega", "-NaN"], 1, "error: omega must be finite, got nan\n"),
+])
+def test_a_negative_float_may_follow_its_option_as_a_separate_argument(args, code, err, capsys):
+    # argparse's own pattern would read -1e-3, -1E2, -inf and -NaN as unknown options
+    joined = [*args[:-2], "=".join(args[-2:])]
+    runs = [(main([*argv, "--json", "-"]), *capsys.readouterr()) for argv in (args, joined)]
+    assert runs[0] == runs[1]
+    assert (runs[0][0], runs[0][2]) == (code, err)
+    assert (runs[0][1] == "") == (code == 1)
 
 
 def _loaded_in_a_fresh_child(code: str, cwd=None) -> set[str]:
