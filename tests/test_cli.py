@@ -1433,11 +1433,11 @@ def _extreme_float_runs(command):
     params = _EXPERIMENTS[command].params
     sizes = [f"--{key.replace('_', '-')}={max(spec.low, 2)}" for key, spec in params.items()
              if type(spec.default) is int and spec.high is not None]
+    floats = [("--" + key.replace("_", "-"), value) for key, spec in params.items()
+              if type(spec.default) is float for value in EXTREMES]
     # each as --key=value and as --key value, a separate argument
-    return [[command, *sizes, *form] for key, spec in params.items()
-            if type(spec.default) is float for value in EXTREMES
-            for flag in ["--" + key.replace("_", "-")] for form in ([f"{flag}={value}"],
-                                                                     [flag, value])]
+    return [[command, *sizes, *form] for flag, value in floats
+            for form in ([f"{flag}={value}"], [flag, value])]
 
 
 @pytest.mark.parametrize("command", [c for c in _EXPERIMENTS if _extreme_float_runs(c)])
