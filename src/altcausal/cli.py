@@ -3,11 +3,11 @@
 Every subcommand runs one experiment, prints its headline metrics, and
 can write the full report as JSON, CSV, or a standalone SVG plot (``-``
 for stdout).  Every output target is checked before the run, and the
-report once, before the first target; the writers render that verdict
-alone.  A negative float may follow its option as a separate argument
-(``--tmax -1e-3``).  Runs are seeded, reports carry no timestamps, and
-JSON keys are sorted, so the same invocation always produces
-byte-identical output.
+report once, before the first target, reading each series once; the
+writers render that verdict alone.  A negative float may follow its
+option as a separate argument (``--tmax -1e-3``).  Runs are seeded,
+reports carry no timestamps, and JSON keys are sorted, so the same
+invocation always produces byte-identical output.
 
 A JSON config file (``--config settings.json``) supplies defaults for
 the experiment's own options; explicit flags win over the file, and
@@ -55,8 +55,7 @@ _CSV_ROWS = 4096   # series values read, CSV rows or SVG polyline points rendere
 
 
 def _blocks(values):
-    """A series (a list, tuple, range or 1-D int64 or float64 numpy column) as
-    lists of at most ``_CSV_ROWS`` builtin values, in order."""
+    """A series (a kind ``_read_column`` takes) as lists of at most ``_CSV_ROWS`` values."""
     to_list = getattr(type(values), "tolist", list)
     for start in range(0, len(values), _CSV_ROWS):
         yield to_list(values[start:start + _CSV_ROWS])
@@ -81,18 +80,30 @@ def _block_kinds(block: list) -> set[type]:
     return kinds
 
 
-def _series_floats(values) -> bool:
-    """Whether a series holds only floats, once it is held to the contract:
-    a ``range`` or an int64 column by its type, a float64 column by its
-    least and greatest values being finite, and a list or tuple (or a float
-    column empty or not finite) block by block by ``_block_kinds``."""
-    kind = getattr(getattr(values, "dtype", None), "name", None)
-    if type(values) is range or kind == "int64":
-        return False
-    if (kind == "float64" and len(values)
-            and math.isfinite(values.min()) and math.isfinite(values.max())):
-        return True
-    return set().union(*map(_block_kinds, _blocks(values))) == {float}
+def _read_column(key, values) -> tuple[bool, object, object]:
+    """Series ``key`` read once, for every writer: whether it holds only floats,
+    and its least and greatest values (``None`` when empty).  A numpy column
+    must be exactly a ``numpy.ndarray`` (none exists before numpy is loaded).
+    A range or an int64 column holds ints by its type, a float64 column with
+    finite ends only floats; ``_block_kinds`` holds any other to the contract."""
+    if type(key) is not str:
+        raise ValueError(f"a series key must be a str, not {key!r}")
+    if type(values) is range:
+        return False, *(sorted((values[0], values[-1])) if values else (None, None))
+    column = (type(values) is getattr(sys.modules.get("numpy"), "ndarray", None)
+              and values.ndim == 1 and values.dtype.name in ("int64", "float64"))
+    if column and len(values):
+        lo, hi = values.min(), values.max()
+        if values.dtype.name == "int64" or math.isfinite(lo) and math.isfinite(hi):
+            return values.dtype.name == "float64", lo, hi
+    elif not (column or isinstance(values, (list, tuple))):
+        raise ValueError(f"series {key!r} must be a list, tuple, range or 1-D int64 or "
+                         f"float64 numpy column, not {type(values).__name__}")
+    kinds, lo, hi = set(), None, None
+    for block in _blocks(values):
+        kinds |= _block_kinds(block)
+        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
+    return kinds == {float}, lo, hi
 
 
 _WIDTH, _HEIGHT, _ML, _MT = 720, 440, 70, 34       # an SVG plot's size, left and top margins
@@ -100,23 +111,20 @@ _PW, _PH = _WIDTH - _ML - 24, _HEIGHT - _MT - 52   # its axes' box, in a 24 righ
 _X_KEYS = ("t", "step", "cycle", "theta", "p", "alpha")
 
 
-def _plot_frame(series: dict):
-    """The x key of the SVG plot of a non-empty ``series`` and its x and y
-    ranges as plotted, from each column's own least and greatest values,
-    or the plot's refusal: no y column, an empty axis, or values, a span
-    or a scale past the float range."""
-    x_key = next((k for k in _X_KEYS if k in series), sorted(series)[0])
-    if len(series) == 1:
+def _plot_frame(read: dict):
+    """The x key and x and y ranges of the SVG plot of a non-empty series, from
+    each column's ends as ``_read_column`` ``read`` them, or the plot's refusal:
+    no y column, an empty axis, or values, a span or a scale past the float range."""
+    x_key = next((k for k in _X_KEYS if k in read), sorted(read)[0])
+    if len(read) == 1:
         raise ValueError("series needs at least one y column besides the x axis")
     spans = []
-    for axis in ([series[x_key]], [values for key, values in series.items() if key != x_key]):
-        # a range's least and greatest values are its first and last, in some order
-        ends = [(v.min(), v.max()) if hasattr(v, "dtype") else (min(v), max(v))
-                for v in ((v[0], v[-1]) if type(v) is range else v for v in axis if len(v))]
-        if not ends:
+    for axis in ([read[x_key]], [column for key, column in read.items() if key != x_key]):
+        axis = [(lo, hi) for _, lo, hi in axis if lo is not None]
+        if not axis:
             raise ValueError("an SVG plot needs at least one value on each axis")
         try:
-            spans.append((min(float(lo) for lo, _ in ends), max(float(hi) for _, hi in ends)))
+            spans.append((min(float(lo) for lo, _ in axis), max(float(hi) for _, hi in axis)))
         except OverflowError:
             raise ValueError("an SVG plot needs every value in the float range") from None
     (x_lo, x_hi), (y_lo, y_hi) = spans
@@ -137,26 +145,17 @@ _Verdict = namedtuple("_Verdict", "report json floats frame")
 
 
 def _check_report(report, svg: bool = False) -> _Verdict:
-    """Check ``report`` once, for every writer.  ``series`` must map str keys
-    to lists, tuples, ``range``s or 1-D int64 or float64 numpy columns.  Its
-    ``json`` dump with an empty ``series`` refuses a NaN or infinite value,
-    ``_series_floats`` holds each series to the contract and names the
-    ``floats`` series, and with ``svg`` the plot's refusals give its ``frame``."""
+    """Check ``report`` once, for every writer: its ``json`` dump with an empty
+    ``series`` refuses a NaN or infinite value, and ``_read_column`` reads each
+    series once, for the contract, the ``floats`` series and the ``frame``."""
     series = report.get("series", {})
     if not isinstance(series, dict):
         raise ValueError(f"series must be a dict, not {type(series).__name__}")
-    for key, values in series.items():
-        if type(key) is not str:
-            raise ValueError(f"a series key must be a str, not {key!r}")
-        kind = getattr(getattr(values, "dtype", None), "name", None)
-        if not (isinstance(values, (list, tuple, range))
-                or kind in ("int64", "float64") and values.ndim == 1):
-            raise ValueError(f"series {key!r} must be a list, tuple, range or 1-D int64 or "
-                             f"float64 numpy column, not {type(values).__name__}")
     dump = json.dumps({**report, "series": {}} if series else report, indent=2,
                       sort_keys=True, allow_nan=False)
-    floats = {key for key, values in series.items() if _series_floats(values)}
-    return _Verdict(report, dump, floats, _plot_frame(series) if svg and series else None)
+    read = {key: _read_column(key, values) for key, values in series.items()}
+    return _Verdict(report, dump, {key for key, (floats, *_) in read.items() if floats},
+                    _plot_frame(read) if svg and series else None)
 
 
 def _block_reprs(block: list, floats: bool):
@@ -238,10 +237,10 @@ def _svg_escape(s: str) -> str:
 def write_svg(verdict: _Verdict, path: str) -> None:
     """Plot the report series as polylines; no plotting library needed.
 
-    Each column is read once, through ``_blocks``, for its points, and never
-    copied whole; ``_check_report`` gives the plot's frame.  Each x block is
-    formatted once for every polyline, and each polyline is rendered as one
-    piece per block.
+    Each column is read once, through ``_blocks``, for its points (x only as
+    far as the longest polyline), and never copied whole; ``_check_report``
+    gives the plot's frame.  Each x block is formatted once for every
+    polyline, and each polyline is rendered as one piece per block.
     """
     report, _, _, frame = verdict
     series = dict(report.get("series") or {})
@@ -283,10 +282,11 @@ def write_svg(verdict: _Verdict, path: str) -> None:
     pieces.append(f'<text x="{ml + pw / 2:.1f}" y="{height - 14}" text-anchor="middle">'
                   f'{_svg_escape(x_key)}</text>\n')
     # each line's blocks of points; a ragged column stops where the
-    # shorter of it and x ends
+    # shorter of it and x ends, and x is read only as far as the longest line
     lines = {name: [] for name, ys in series.items() if len(ys) != 1}
     y_blocks = {name: _blocks(series[name]) for name in lines}
-    for block in _blocks(xs):
+    longest = max((len(series[name]) for name in lines), default=0)
+    for block in itertools.islice(_blocks(xs), -(-longest // _CSV_ROWS)):
         xf = [f"{px(x):.2f}," for x in block]
         for name, line in lines.items():
             points = " ".join([x + f"{py(y):.2f}" for x, y in zip(xf, next(y_blocks[name], ()))])

@@ -474,20 +474,35 @@ def _column_with(fill, at, bad):
 
 
 def _of_another_kind(values) -> bool:
-    """Whether ``values`` is a numpy column that is not one of the five kinds of
-    series: a 1-D int64 or float64 column (lists, tuples and ranges are the others)."""
-    return type(values) is np.ndarray and (values.ndim != 1
-                                           or values.dtype.name not in ("int64", "float64"))
+    """Whether ``values`` is a numpy array that is not one of the five kinds of
+    series: a 1-D int64 or float64 column whose type is exactly ``np.ndarray``
+    (lists, tuples and ranges are the others)."""
+    return isinstance(values, np.ndarray) and (
+        type(values) is not np.ndarray or values.ndim != 1
+        or values.dtype.name not in ("int64", "float64"))
 
 
-# numpy columns of another dtype or shape than the five kinds of series; the
-# report check refuses each, whatever the targets
+def _refused_shape(key, values) -> str:
+    """The message that the report check refuses series ``key`` of ``values`` with."""
+    return f"series {key!r} {COLUMN}{type(values).__name__}"
+
+
+class _Column(np.ndarray):
+    """A subclass of ``np.ndarray`` that adds nothing."""
+
+
+# numpy arrays of another type, dtype or shape than the five kinds of series;
+# the report check refuses each, whatever the targets
 OTHER_COLUMNS = {
     "bool": np.array([True, False]), "int32": np.arange(9, dtype=np.int32),
     "float32": np.arange(9, dtype=np.float32) / 3,
     "float32 nan": np.array([0.5, np.nan], dtype=np.float32),
     "object": np.array([1, 2.5, -3], dtype=object),
     "2-D float64": np.zeros((3, 2)), "2-D int64": np.zeros((3, 2), dtype=np.int64),
+    # a masked value would be written as None, and plotted as if it were not there
+    "masked float64": np.ma.array([1.0, 2.0], mask=[0, 1]),
+    "masked int64": np.ma.array(np.arange(3, dtype=np.int64), mask=[0, 1, 0]),
+    "float64 subclass": (np.arange(9) / 7).view(_Column),
 }
 # 1-D int64 and float64 columns take their dtype's verdict, or the reference's
 # through their blocks; the other columns are refused by their shape
@@ -518,14 +533,17 @@ def test_a_column_takes_the_verdict_of_its_blocks(values, monkeypatch):
     kinds = cli._block_kinds
     monkeypatch.setattr(cli, "_block_kinds", lambda block: read.append(1) or kinds(block))
     if _of_another_kind(values):   # refused by its shape, before any block is read
+        assert _verdict(lambda v: cli._read_column("y", v), values) == _refused_shape("y", values)
         assert _verdict(cli._check_report, {"series": {"y": values}}) == \
-            f"series 'y' {COLUMN}ndarray"
+            _refused_shape("y", values)
         assert read == []
         return
-    # _block_kinds over every block is the reference of the column's verdict
-    expected = _verdict(lambda v: set().union(*map(kinds, cli._blocks(v))) == {float}, values)
-    assert _verdict(cli._series_floats, values) == expected
-    if len(values) and type(expected) is bool:
+    # _block_kinds over every block is the reference of the column's verdict, and
+    # the blocks' least and greatest values of its ends
+    expected = _verdict(lambda v: (set().union(*map(kinds, cli._blocks(v))) == {float},
+                                   *_reference_ends([v])), values)
+    assert _verdict(lambda v: cli._read_column("y", v), values) == expected
+    if len(values) and type(expected) is tuple:
         assert read == []   # by its dtype, not its blocks
     elif len(values):
         assert read
@@ -759,13 +777,20 @@ def test_every_kind_of_series_is_written_as_the_reference(values, writer, refere
         _assert_same_bytes(out.read_bytes(), expected, f"{name}: ")
 
 
+def _reference_ends(columns) -> tuple:
+    """The least and the greatest value of ``columns``, block by block
+    (``None`` when they are empty)."""
+    lo = hi = None
+    for block in itertools.chain.from_iterable(map(cli._blocks, columns)):
+        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
+    return lo, hi
+
+
 def _reference_span(columns) -> tuple[float, float]:
     """The former block-chained range of an SVG axis, kept as the oracle of
     ``cli._plot_frame``'s: the least and the greatest value of ``columns``
     as floats; an empty axis and an int past the float range are refused."""
-    lo = hi = None
-    for block in itertools.chain.from_iterable(map(cli._blocks, columns)):
-        lo, hi = (min(block), max(block)) if lo is None else (min(lo, *block), max(hi, *block))
+    lo, hi = _reference_ends(columns)
     if lo is None:
         raise ValueError("an SVG plot needs at least one value on each axis")
     try:
@@ -824,29 +849,45 @@ FRAME_CASES = {
 
 
 @pytest.mark.parametrize("series", FRAME_CASES.values(), ids=FRAME_CASES)
-def test_the_plot_frame_is_the_block_chained_one(series, monkeypatch):
-    # each column's own least and greatest values give the reference's frame or
-    # refusal; where a -0.0 or an int takes the place of an equal 0.0 or float
-    # at an end, the plot's bytes do not move
-    checked = _verdict(cli._check_report, {"series": series})
+def test_the_plot_frame_is_the_block_chained_one(series):
+    # the ends that the report check reads from each column give the reference's
+    # frame or refusal; where a -0.0 or an int takes the place of an equal 0.0
+    # or float at an end, the plot's bytes do not move
+    report = {"experiment": "x", "series": series}
+    checked = _verdict(cli._check_report, report)
     if any(map(_of_another_kind, series.values())):   # refused before any frame
-        assert checked == f"series 't' {COLUMN}ndarray"
+        assert checked == _refused_shape("t", series["t"])
         return
     assert type(checked) is cli._Verdict   # every other case holds the series contract
-    frame = _verdict(cli._plot_frame, series)
+    frame = _verdict(lambda r: cli._check_report(r, svg=True).frame, report)
     assert frame == _verdict(_reference_frame, series)
     if type(frame) is str:
         return
-    report = {"experiment": "x", "series": series}
-    written = _written(report, cli.write_svg)
-    monkeypatch.setattr(cli, "_plot_frame", _reference_frame)
-    _assert_same_bytes(written, _written(report, cli.write_svg))
+    reference = io.StringIO()
+    with contextlib.redirect_stdout(reference):
+        cli.write_svg(checked._replace(frame=_reference_frame(series)), "-")
+    _assert_same_bytes(_written(report, cli.write_svg), reference.getvalue())
 
 
 def test_a_range_axis_is_framed_from_its_ends():
     # a range's ends, not a walk over its values, frame the plot
     frame = cli._check_report({"series": {"t": range(10**15), "y": [0.5, 1.5]}}, svg=True).frame
     assert frame == ("t", (0.0, float(10**15 - 1)), (0.5 - 0.05, 1.5 + 0.05))
+
+
+def test_an_svg_plot_reads_x_only_as_far_as_its_longest_polyline(monkeypatch):
+    # a two-point line on a million-value x axis reads one x block, not 245
+    report = {"experiment": "x", "series": {"t": range(10**6), "y": [0.5, 1.5]}}
+    verdict = _main_check(report, cli.write_svg)
+    read = []
+    blocks = cli._blocks
+    monkeypatch.setattr(cli, "_blocks", lambda values: (
+        read.append(values) or block for block in blocks(values)))
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.write_svg(verdict, "-")
+    assert sum(values is report["series"]["t"] for values in read) == 1
+    _assert_same_bytes(buf.getvalue(), _reference_svg(report))
 
 
 def _written_peak(writer, report, path) -> int:
@@ -1138,13 +1179,13 @@ def test_an_infinite_metric_is_refused_whatever_the_targets(targets, monkeypatch
 @pytest.mark.parametrize("targets", OUTPUT_TARGETS, ids=lambda t: " ".join(t) or "summary")
 def test_a_column_of_another_kind_is_refused_whatever_the_targets(targets, monkeypatch, tmp_path,
                                                                   capsys):
-    # a numpy series that is not a 1-D int64 or float64 column is refused by its shape
+    # a numpy series that is not a 1-D int64 or float64 np.ndarray is refused by its shape
     monkeypatch.chdir(tmp_path)
     for column in OTHER_COLUMNS.values():
         monkeypatch.setitem(_EXPERIMENTS, "wfecho", _EXPERIMENTS["wfecho"]._replace(
             run=lambda cfg: ({}, {"t": range(len(column)), "y": column}, [])))
         assert main(["wfecho", *targets]) == 1
-        assert capsys.readouterr() == ("", f"error: series 'y' {COLUMN}ndarray\n")
+        assert capsys.readouterr() == ("", f"error: {_refused_shape('y', column)}\n")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1473,16 +1514,20 @@ def test_a_negative_float_may_follow_its_option_as_a_separate_argument(args, cod
     assert (runs[0][1] == "") == (code == 1)
 
 
+def _modules_of_a_fresh_child(code: str, cwd=None) -> set[str]:
+    """Every module that a fresh interpreter in ``cwd`` holds after ``code``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    proc = subprocess.run([sys.executable, "-c", code + "\nimport sys\nprint(*sys.modules)"],
+                          env=env, capture_output=True, text=True, check=True, timeout=60,
+                          cwd=cwd)
+    return set(proc.stdout.splitlines()[-1].split())
+
+
 def _loaded_in_a_fresh_child(code: str, cwd=None) -> set[str]:
     """numpy, numpy.ma, numpy.random, scipy, dataclasses, inspect and the
     altcausal modules that a fresh interpreter in ``cwd`` holds after ``code``."""
-    code += ("\nimport sys\nprint(' '.join(m for m in sys.modules if m in"
-             " ('numpy', 'numpy.ma', 'numpy.random', 'scipy', 'dataclasses', 'inspect')"
-             " or m.startswith('altcausal.')))")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, check=True, timeout=60, cwd=cwd)
-    return set(proc.stdout.splitlines()[-1].split())
+    return {m for m in _modules_of_a_fresh_child(code, cwd) if m.startswith("altcausal.") or m in
+            ("numpy", "numpy.ma", "numpy.random", "scipy", "dataclasses", "inspect")}
 
 
 # numpy loads inspect, and every numpy layer dataclasses; the cli loads neither
@@ -1492,6 +1537,13 @@ _WITH_NUMPY = {"dataclasses", "inspect"}
 def test_importing_the_cli_loads_no_layer_and_no_numpy():
     # nor dataclasses and inspect (typing is left out: site hooks may load it)
     assert _loaded_in_a_fresh_child("import altcausal.cli") == {"altcausal.cli"}
+    # nor any module beyond what its own imports and the package's load: each
+    # fresh `altcausal <experiment>` child compiles and imports the cli first
+    stdlib = _modules_of_a_fresh_child("import __future__, argparse, collections, csv, "
+                                       "importlib, io, itertools, json, math, operator, os, "
+                                       "re, sys")
+    assert _modules_of_a_fresh_child("import altcausal.cli") - stdlib == \
+        {"altcausal", "altcausal.cli"}
 
 
 def test_a_layer_resolves_on_first_access_to_the_package():
